@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race fuzz sim bench smoke attrib warmsweep shardreplay loadbench
+.PHONY: build test check vet race fuzz sim bench benchtest smoke attrib warmsweep shardreplay loadbench
 
 build:
 	$(GO) build ./...
@@ -25,14 +25,23 @@ fuzz:
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: static analysis, the whole test suite
-# under the race detector (twice, to shake out ordering dependence), a
-# short fuzz budget per target, then the event-log smoke round-trip.
+# under the race detector (twice, to shake out ordering dependence), the
+# benchmark module's tests, a short fuzz budget per target, then the
+# event-log smoke round-trip. Under the race detector internal/experiments
+# outlasts go test's 10-minute default on a 2-core host, hence -timeout.
 check:
-	$(GO) vet ./... && $(GO) test -race -count=2 ./...
+	$(GO) vet ./... && $(GO) test -race -count=2 -timeout 30m ./...
+	$(MAKE) benchtest
 	$(MAKE) fuzz
 	$(MAKE) smoke
 	$(MAKE) attrib
 	$(MAKE) shardreplay
+
+# benchtest runs the tests of the benchmark in bench/ (BENCHMARK.json). It
+# is a module of its own, so `go test ./...` never enters it. They pin the
+# seed-1 digest of every workload's report JSON and event log.
+benchtest:
+	cd bench && $(GO) test ./...
 
 # smoke round-trips the observability pipeline (run a small cluster day,
 # save its event log, replay it through splitserve-history, convert it to

@@ -19,6 +19,7 @@ import (
 
 	"splitserve/internal/autoscale"
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/experiments"
 	"splitserve/internal/workloads/pagerank"
 )
@@ -148,8 +149,13 @@ func BenchmarkFig7Timeline(b *testing.B) {
 		}
 	}
 	// The segue run must actually have drained lambdas.
-	segues := res[2].Log.ByKind("segue_commence")
-	recordMetric(b, float64(len(segues)), "segue-events")
+	segues := 0
+	for _, e := range res[2].Events.Events() {
+		if e.Type == eventlog.Segue {
+			segues++
+		}
+	}
+	recordMetric(b, float64(segues), "segue-events")
 	report(b, "segue-run", res[2].ExecTime.Seconds(), res[2].CostUSD)
 }
 

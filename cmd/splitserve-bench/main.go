@@ -185,7 +185,7 @@ func printFigure(fig string, seed uint64, trials int, report string, events *[]e
 		fmt.Println("== Figure 7: PageRank execution timelines ==")
 		for _, r := range res {
 			fmt.Printf("--- %s (execution time %v)\n", r.Scenario, r.ExecTime.Round(100*time.Millisecond))
-			fmt.Print(r.Log.RenderTimeline(100))
+			fmt.Print(r.View.RenderTimeline(100))
 		}
 		if err := printReports(res, report); err != nil {
 			return err

@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -62,5 +66,59 @@ func TestBuildSpecsRoundRobin(t *testing.T) {
 	}
 	if specs[0].Baseline != specs[2].Baseline {
 		t.Error("same workload name should share one calibrated baseline")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/day.prom.golden")
+
+// TestPromReportGolden pins the -report prom text of the run
+// `splitserve-cluster -jobs 3 -mix sparkpi -pool 8 -report prom` makes with
+// every other flag at its default. Regenerate with:
+//
+//	go test ./cmd/splitserve-cluster -run PromReportGolden -update
+func TestPromReportGolden(t *testing.T) {
+	arrivals, err := cluster.ParseArrivals("poisson:45s", 3, 1)
+	if err != nil {
+		t.Fatalf("ParseArrivals: %v", err)
+	}
+	specs, err := buildSpecs([]string{"sparkpi"}, arrivals, []int{8, 8, 8}, make([]*cluster.CostPick, 3), 1)
+	if err != nil {
+		t.Fatalf("buildSpecs: %v", err)
+	}
+	s, err := cluster.New(cluster.Config{
+		Jobs:      specs,
+		PoolCores: 8,
+		Policy:    cluster.FairShare(),
+		Strategy:  cluster.StrategyBridge,
+		SLOFactor: 1.5,
+		Seed:      1,
+		Admission: cluster.AdmissionGreedy,
+		Alloc:     "fixed",
+	})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if _, err := s.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var got bytes.Buffer
+	if err := s.WriteProm(&got); err != nil {
+		t.Fatalf("WriteProm: %v", err)
+	}
+	path := filepath.Join("testdata", "day.prom.golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to regenerate): %v", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("prom report drifted from %s (regenerate with -update):\n--- got ---\n%s", path, got.Bytes())
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"splitserve/internal/autoscale"
 	"splitserve/internal/cloud"
 	"splitserve/internal/spark/engine"
-	"splitserve/internal/telemetry"
 	"splitserve/internal/warmpool"
 )
 
@@ -127,11 +126,8 @@ func (b *jobBackend) launchVMExecutor(lease *cloud.CoreLease) {
 	id := fmt.Sprintf("%s-v%02d", b.j.execPrefix, b.execSeq)
 	b.leaseByExec[id] = lease
 	vm := lease.VM()
-	launch := b.c.Telemetry().Tracer().StartSpan("executor", "launch",
-		telemetry.L("exec", id), telemetry.L("kind", "vm"), telemetry.L("app", b.j.appID))
 	b.c.Clock().After(vmExecLaunchDelay, func() {
 		b.vmPending--
-		launch.End()
 		if b.done || vm.State != cloud.VMReady {
 			b.releaseLeaseFor(id)
 			return
@@ -165,13 +161,10 @@ func (b *jobBackend) launchLambdaExecutor() {
 	b.execSeq++
 	id := fmt.Sprintf("%s-l%02d", b.j.execPrefix, b.execSeq)
 	cfg := cloud.LambdaConfig{MemoryMB: b.s.cfg.LambdaMemoryMB}
-	launch := b.c.Telemetry().Tracer().StartSpan("executor", "launch",
-		telemetry.L("exec", id), telemetry.L("kind", "lambda"), telemetry.L("app", b.j.appID))
 	l, err := b.c.Provider().Invoke(cfg,
 		func(l *cloud.Lambda) {
 			b.c.Clock().After(lambdaExecLaunchDelay, func() {
 				b.lambdaPending--
-				launch.End()
 				if b.done || b.live() >= b.desired {
 					b.c.Provider().Release(l)
 					return
@@ -190,7 +183,6 @@ func (b *jobBackend) launchLambdaExecutor() {
 		func(l *cloud.Lambda) { b.onLambdaExpired(id) })
 	if err != nil {
 		b.lambdaPending--
-		launch.End()
 		return
 	}
 	b.j.lambdas = append(b.j.lambdas, l)
@@ -205,13 +197,10 @@ func (b *jobBackend) launchProvisionedExecutor(env *warmpool.Env) {
 	b.execSeq++
 	id := fmt.Sprintf("%s-w%02d", b.j.execPrefix, b.execSeq)
 	cfg := cloud.LambdaConfig{MemoryMB: b.s.cfg.LambdaMemoryMB}
-	launch := b.c.Telemetry().Tracer().StartSpan("executor", "launch",
-		telemetry.L("exec", id), telemetry.L("kind", "warm-lambda"), telemetry.L("app", b.j.appID))
 	l, err := b.c.Provider().InvokeProvisioned(cfg,
 		func(l *cloud.Lambda) {
 			b.c.Clock().After(lambdaExecLaunchDelay, func() {
 				b.lambdaPending--
-				launch.End()
 				if b.done || b.live() >= b.desired {
 					b.c.Provider().Release(l)
 					b.s.warm.Release(env)
@@ -236,7 +225,6 @@ func (b *jobBackend) launchProvisionedExecutor(env *warmpool.Env) {
 		func(l *cloud.Lambda) { b.onLambdaExpired(id) })
 	if err != nil {
 		b.lambdaPending--
-		launch.End()
 		b.s.warm.Release(env)
 		return
 	}

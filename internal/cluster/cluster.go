@@ -19,7 +19,6 @@ import (
 	"splitserve/internal/cloud"
 	"splitserve/internal/eventlog"
 	"splitserve/internal/hdfs"
-	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/perfstat"
 	"splitserve/internal/simclock"
@@ -237,7 +236,6 @@ type job struct {
 	backend *jobBackend
 	cluster *engine.Cluster
 	co      *coroutine
-	log     *metrics.Log
 	lambdas []*cloud.Lambda
 	meter   billing.Meter
 
@@ -262,9 +260,6 @@ type job struct {
 	// never re-steals it.
 	injected      bool
 	presetArrival time.Time
-
-	jobSpan   *telemetry.Span
-	queueSpan *telemetry.Span
 }
 
 func (j *job) active() bool { return j.phase == jobQueued || j.phase == jobRunning }
@@ -427,7 +422,7 @@ func New(cfg Config) (*Scheduler, error) {
 		clock = newClock(simclock.Epoch)
 	}
 	net := netsim.New(clock)
-	hub := telemetry.New(clock)
+	hub := telemetry.NewUntraced()
 	bus := eventlog.NewBus(simclock.Epoch)
 	provOpts := cloud.DefaultOptions()
 	if cfg.ColdStarts {
@@ -504,9 +499,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	return s, nil
 }
-
-// Telemetry exposes the shared hub (for prom export).
-func (s *Scheduler) Telemetry() *telemetry.Hub { return s.hub }
 
 // Events exposes the run's structured event stream (for -eventlog/-trace).
 func (s *Scheduler) Events() *eventlog.Bus { return s.bus }
@@ -637,10 +629,6 @@ func (s *Scheduler) onArrival(j *job) {
 		// submitted it, not from when the steal landed it here.
 		j.arrivalAt = j.presetArrival
 	}
-	j.jobSpan = s.hub.Tracer().StartSpan("cluster", "job",
-		telemetry.L("app", j.appID), telemetry.L("name", j.spec.Name))
-	j.queueSpan = s.hub.Tracer().StartSpan("cluster", "queue_wait",
-		telemetry.L("app", j.appID))
 	s.insts.jobsArrived.Inc()
 	// Insert into the active working set keeping ID order (arrival events
 	// fire in time order, not ID order, under heterogeneous arrivals).
@@ -805,12 +793,9 @@ func (s *Scheduler) updateGauges() {
 func (s *Scheduler) admit(j *job) {
 	j.phase = jobRunning
 	j.admittedAt = s.clock.Now()
-	j.queueSpan.End()
 	s.insts.queueWait.ObserveDuration(s.clock.Since(j.arrivalAt))
 	s.emit(eventlog.ClusterAdmit, j, func(ev *eventlog.Event) { ev.Cores = j.target })
 
-	lg := metrics.NewWithTelemetry(s.clock.Now(), s.hub)
-	lg.SetApp(j.appID)
 	j.backend = newJobBackend(s, j)
 	co := &coroutine{wake: make(chan bool)}
 	j.co = co
@@ -821,7 +806,7 @@ func (s *Scheduler) admit(j *job) {
 		Provider:            s.provider,
 		Store:               s.store,
 		Backend:             j.backend,
-		Log:                 lg,
+		Telem:               s.hub,
 		Events:              s.bus,
 		Alloc:               engine.DefaultAllocConfig(engine.AllocStatic, j.spec.Cores, j.spec.Cores),
 		SLO:                 j.allowance(s.cfg.SLOFactor),
@@ -846,7 +831,6 @@ func (s *Scheduler) admit(j *job) {
 		return
 	}
 	j.cluster = c
-	j.log = lg
 	s.clock.After(0, func() { s.runJob(j) })
 }
 
@@ -908,9 +892,6 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 	j.finishedAt = now
 	j.report = rep
 	j.err = err
-	if j.jobSpan != nil {
-		j.jobSpan.End()
-	}
 	if err != nil {
 		j.phase = jobFailed
 		s.insts.jobsFailed.Inc()
@@ -947,15 +928,14 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 		j.meter.AddLambda(l.ID, s.cfg.LambdaMemoryMB, l.BilledDuration(now))
 	}
 	// The job is settled: release its simulation state. At 10k concurrent
-	// jobs the retained engines (executor/task records) and metric logs
-	// are what inflate the live heap — and with it GC pause tails in the
+	// jobs the retained engines (executor/task records) are what inflate
+	// the live heap — and with it GC pause tails in the
 	// clock loop — so dropping them here is part of the run-queue perf
 	// work, not just tidiness. Launch callbacks still in flight hold their
 	// own references and self-release on the done flag.
 	s.settled++
 	j.cluster = nil
 	j.backend = nil
-	j.log = nil
 	j.lambdas = nil
 	j.co = nil
 	s.kick()

@@ -146,10 +146,6 @@ func (s *Scheduler) shed(j *job, reason string) {
 	j.finishedAt = s.clock.Now()
 	j.shedReason = reason
 	s.settled++
-	j.queueSpan.End()
-	if j.jobSpan != nil {
-		j.jobSpan.End()
-	}
 	s.insts.jobsShed.Inc()
 	s.emit(eventlog.ClusterShed, j, func(ev *eventlog.Event) {
 		ev.Cores = j.spec.Cores

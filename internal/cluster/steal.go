@@ -21,17 +21,6 @@ func (s *Scheduler) Pool() *cloud.CorePool { return s.pool }
 // PoolFree returns how many pool cores are currently unleased.
 func (s *Scheduler) PoolFree() int { return s.pool.Free() }
 
-// QueuedJobs returns how many arrived jobs are waiting for admission.
-func (s *Scheduler) QueuedJobs() int {
-	n := 0
-	for _, j := range s.active {
-		if j.phase == jobQueued {
-			n++
-		}
-	}
-	return n
-}
-
 // stealCandidate is the oldest queued job that was not itself stolen in
 // (injected jobs never migrate twice — that would let a job ping-pong
 // between two saturated shards forever).
@@ -65,10 +54,6 @@ func (s *Scheduler) Steal() (JobSpec, time.Time, bool) {
 	}
 	j.phase = jobMigrated
 	j.finishedAt = s.clock.Now()
-	j.queueSpan.End()
-	if j.jobSpan != nil {
-		j.jobSpan.End()
-	}
 	s.settled++
 	s.kick() // compact the active set and refresh gauges next pass
 	return j.spec, j.arrivalAt, true

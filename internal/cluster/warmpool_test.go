@@ -140,6 +140,36 @@ func TestWarmPoolRunEventsAndBilling(t *testing.T) {
 	}
 }
 
+// TestClusterRunRecordsNoSpans: cluster reports and -report prom export the
+// registry only, so a cluster run records no spans or marks at all — not
+// even a bridged day whose jobs launch VM, Lambda and warm-pool executors
+// and read through the /tmp cache. Its metrics are still recorded.
+func TestClusterRunRecordsNoSpans(t *testing.T) {
+	s, err := New(warmConfig(t))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	vmExecs := 0
+	for _, j := range rep.JobReports {
+		vmExecs += j.VMExecutors
+	}
+	if rep.WarmHits == 0 || rep.TmpCacheHits == 0 || vmExecs == 0 {
+		t.Fatalf("premise: want warm hits, /tmp cache hits and VM executors, got %d, %d, %d",
+			rep.WarmHits, rep.TmpCacheHits, vmExecs)
+	}
+	telem := s.hub.Report()
+	if len(telem.Spans) != 0 || len(telem.Marks) != 0 {
+		t.Errorf("cluster run recorded %d spans and %d marks, want none", len(telem.Spans), len(telem.Marks))
+	}
+	if len(telem.Counters) == 0 || len(telem.Histograms) == 0 {
+		t.Error("cluster run recorded no metrics")
+	}
+}
+
 // TestWarmPoolConfigValidation: a negative pool target is a config error,
 // and the tmp cache without a warm pool is accepted (it simply fronts the
 // store for ambient lambda executors).

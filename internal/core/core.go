@@ -28,7 +28,7 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
-	"splitserve/internal/metrics"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/spark/engine"
 	"splitserve/internal/telemetry"
 )
@@ -392,16 +392,13 @@ func (b *SplitServe) JobSubmitted(_ string, slo time.Duration) {
 	if t.VCPUs == 0 {
 		t, _ = cloud.SmallestFor(needed)
 	}
-	b.c.Log().Add(metrics.Event{
-		At: b.c.Clock().Now(), Kind: metrics.VMRequested, Stage: -1, Task: -1,
+	b.c.Emit(eventlog.Event{
+		Type: eventlog.VMRequest, Stage: -1, Task: -1,
 		Note: fmt.Sprintf("segue %s for %d cores", t.Name, needed),
 	})
 	b.seguePendingCores = needed
 	b.c.Provider().RequestVM(t, b.cfg.SegueBootOverride, func(vm *cloud.VM) {
-		b.c.Log().Add(metrics.Event{
-			At: b.c.Clock().Now(), Kind: metrics.VMReady, Stage: -1, Task: -1,
-			Note: vm.ID,
-		})
+		b.c.Emit(eventlog.Event{Type: eventlog.VMReady, Stage: -1, Task: -1, Note: vm.ID})
 		b.onSegueCapacity(vm, b.seguePendingCores)
 	})
 }
@@ -427,10 +424,7 @@ func (b *SplitServe) onSegueCapacity(vm *cloud.VM, cores int) {
 	}
 	slot := &vmSlot{vm: vm, capacity: capacity}
 	b.slots = append(b.slots, slot)
-	b.c.Log().Add(metrics.Event{
-		At: b.c.Clock().Now(), Kind: metrics.SegueCommence, Stage: -1, Task: -1,
-		Note: vm.ID,
-	})
+	b.c.Emit(eventlog.Event{Type: eventlog.Segue, Stage: -1, Task: -1, Note: vm.ID})
 	b.segueCommenced = true
 	// Launch replacements beyond `desired` so work can move over before
 	// the Lambdas finish draining.

@@ -5,8 +5,8 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/hdfs"
-	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -16,7 +16,7 @@ import (
 )
 
 // fixture is a SplitServe cluster: a master m4.xlarge hosting HDFS, plus
-// optional worker VMs.
+// optional worker VMs. Its engine emits onto bus.
 type fixture struct {
 	clock    *simclock.Clock
 	net      *netsim.Network
@@ -25,6 +25,18 @@ type fixture struct {
 	backend  *SplitServe
 	cluster  *engine.Cluster
 	ctx      *rdd.Context
+	bus      *eventlog.Bus
+}
+
+// count returns how many events of type typ the engine emitted.
+func (f *fixture) count(typ eventlog.Type) int {
+	n := 0
+	for _, e := range f.bus.Events() {
+		if e.Type == typ {
+			n++
+		}
+	}
+	return n
 }
 
 func newFixture(t *testing.T, cfg Config, execs int, slo time.Duration, store storage.Store) *fixture {
@@ -39,6 +51,7 @@ func newFixture(t *testing.T, cfg Config, execs int, slo time.Duration, store st
 		store = fs.Store()
 	}
 	backend := New(cfg)
+	bus := eventlog.NewBus(simclock.Epoch)
 	cluster, err := engine.New(engine.Config{
 		AppID:    "ss-test",
 		Clock:    clock,
@@ -46,6 +59,7 @@ func newFixture(t *testing.T, cfg Config, execs int, slo time.Duration, store st
 		Provider: provider,
 		Store:    store,
 		Backend:  backend,
+		Events:   bus,
 		Alloc:    engine.DefaultAllocConfig(engine.AllocStatic, execs, execs),
 		SLO:      slo,
 	})
@@ -54,7 +68,7 @@ func newFixture(t *testing.T, cfg Config, execs int, slo time.Duration, store st
 	}
 	return &fixture{
 		clock: clock, net: net, provider: provider, fs: fs,
-		backend: backend, cluster: cluster, ctx: rdd.NewContext(),
+		backend: backend, cluster: cluster, ctx: rdd.NewContext(), bus: bus,
 	}
 }
 
@@ -136,6 +150,7 @@ func mustCluster(t *testing.T, f *fixture, cfg Config, execs int, slo time.Durat
 		Provider: f.provider,
 		Store:    store,
 		Backend:  f.backend,
+		Events:   f.bus,
 		Alloc:    engine.DefaultAllocConfig(engine.AllocStatic, execs, execs),
 		SLO:      slo,
 	})
@@ -203,15 +218,14 @@ func TestSegueMovesWorkToVMs(t *testing.T) {
 		checkSum(t, job, 400_000)
 	}
 
-	log := f.cluster.Log()
-	if len(log.ByKind(metrics.SegueCommence)) == 0 {
+	if f.count(eventlog.Segue) == 0 {
 		t.Fatal("segue never commenced")
 	}
-	if len(log.ByKind(metrics.ExecutorDraining)) == 0 {
+	if f.count(eventlog.ExecutorDrain) == 0 {
 		t.Fatal("no lambda was drained")
 	}
 	// Graceful segue: no task failures.
-	if got := len(log.ByKind(metrics.TaskFailed)); got != 0 {
+	if got := f.count(eventlog.TaskFailed); got != 0 {
 		t.Fatalf("segue caused %d task failures (rollback)", got)
 	}
 	// All lambdas must be decommissioned and released.
@@ -238,7 +252,7 @@ func TestNoSegueWhenSLOWithinVMStartup(t *testing.T) {
 	if _, err := f.cluster.RunJob(workJob(f.ctx, 4_000, 4, 100), "short"); err != nil {
 		t.Fatal(err)
 	}
-	if len(f.cluster.Log().ByKind(metrics.VMRequested)) != 0 {
+	if f.count(eventlog.VMRequest) != 0 {
 		t.Fatal("segue VM requested for a short-SLO job")
 	}
 }
@@ -255,7 +269,7 @@ func TestTTLSafetyDrainAvoidsExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	drained := len(f.cluster.Log().ByKind(metrics.ExecutorDraining))
+	drained := f.count(eventlog.ExecutorDrain)
 	if drained == 0 {
 		t.Fatal("TTL safety margin never drained a lambda")
 	}
@@ -298,7 +312,7 @@ func TestLambdaExpiryCausesRecoveryButJobCompletes(t *testing.T) {
 	if expired == 0 {
 		t.Fatal("no lambda expired; test premise broken")
 	}
-	if got := len(f.cluster.Log().ByKind(metrics.TaskFailed)); got == 0 {
+	if got := f.count(eventlog.TaskFailed); got == 0 {
 		t.Fatal("expiry should have failed running tasks")
 	}
 }

@@ -29,7 +29,7 @@ type Type string
 
 // Event types, grouped by emitting subsystem.
 const (
-	// Engine (bridged from the metrics timeline).
+	// Engine (spark/engine and its backends).
 	JobStart         Type = "job_start"
 	JobEnd           Type = "job_end"
 	StageStart       Type = "stage_start"
@@ -174,7 +174,7 @@ type Bus struct {
 	mu     sync.Mutex
 	origin time.Time
 	events []Event
-	subs   []func(Event)
+	subs   []*func(Event)
 }
 
 // NewBus returns a Bus whose time zero is origin; every emitted event's TS
@@ -190,14 +190,26 @@ func (b *Bus) Origin() time.Time {
 }
 
 // Subscribe registers fn to observe every subsequent event, in emission
-// order, synchronously under the bus lock (keep fn cheap).
-func (b *Bus) Subscribe(fn func(Event)) {
+// order, synchronously under the bus lock (keep fn cheap). The returned
+// detach stops fn observing; call it outside fn.
+func (b *Bus) Subscribe(fn func(Event)) (detach func()) {
 	if b == nil {
-		return
+		return func() {}
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.subs = append(b.subs, fn)
+	sub := &fn
+	b.subs = append(b.subs, sub)
+	return func() {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		for i, s := range b.subs {
+			if s == sub {
+				b.subs = append(b.subs[:i], b.subs[i+1:]...)
+				return
+			}
+		}
+	}
 }
 
 // Emit stamps e with the offset of at from the origin, validates its type,
@@ -215,7 +227,7 @@ func (b *Bus) Emit(at time.Time, e Event) {
 	e.TS = at.Sub(b.origin).Microseconds()
 	b.events = append(b.events, e)
 	for _, fn := range b.subs {
-		fn(e)
+		(*fn)(e)
 	}
 }
 

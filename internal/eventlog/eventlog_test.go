@@ -151,6 +151,22 @@ func TestSubscribeSeesEvents(t *testing.T) {
 	}
 }
 
+func TestDetachStopsOnlyThatSubscriber(t *testing.T) {
+	b := NewBus(testOrigin)
+	var first, second int
+	detach := b.Subscribe(func(Event) { first++ })
+	b.Subscribe(func(Event) { second++ })
+	b.Emit(at(time.Second), Ev(JobStart))
+	detach()
+	detach() // idempotent
+	b.Emit(at(2*time.Second), Ev(JobEnd))
+	if first != 1 || second != 2 {
+		t.Fatalf("after detach: first saw %d, second saw %d; want 1 and 2", first, second)
+	}
+	var nilBus *Bus
+	nilBus.Subscribe(func(Event) {})() // a nil bus hands back a no-op detach
+}
+
 // TestChromeTraceSchema asserts the Perfetto-required fields — ph, ts,
 // pid, tid — are present on every emitted trace event.
 func TestChromeTraceSchema(t *testing.T) {

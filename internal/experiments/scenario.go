@@ -152,8 +152,9 @@ type Result struct {
 	CostUSD  float64
 	ByKind   map[string]float64
 	Answer   string
-	// Log gives access to the event timeline (Figure 7).
-	Log *metrics.Log
+	// View gives access to the execution timeline (Figure 7) and the
+	// task and stage spans.
+	View *metrics.View
 	// Telem is the run's telemetry hub: every counter, histogram, span and
 	// mark the stack recorded, ready for -report export.
 	Telem *telemetry.Hub
@@ -332,6 +333,10 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Only single-job runs export spans (-report json, Figure 7), so this
+	// is the one place that rebuilds them from the engine's events.
+	view := metrics.Attach(bus, clock, hub, appID)
+	defer view.Detach()
 
 	report, err := w.Run(cluster)
 	if err != nil {
@@ -348,7 +353,7 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 		// (JVM boot, SparkContext init) every scenario pays identically.
 		ExecTime: report.Elapsed + appStartup,
 		Answer:   report.Answer,
-		Log:      cluster.Log(),
+		View:     view,
 		Telem:    hub,
 		Events:   bus,
 	}

@@ -1,13 +1,13 @@
-// Package metrics records the simulation event timeline: executor
+// Package metrics is the span view of one engine's event stream: executor
 // registrations, task and stage spans, segue commencement, and job
 // boundaries. Figure 7 of the paper — per-scenario execution timelines with
-// executor start markers and the segue instant — is rendered from this log.
+// executor start markers and the segue instant — is rendered from it.
 //
-// Since the telemetry refactor the Log is a *view builder* over the span
-// tracer in internal/telemetry: every Add bridges the event into spans and
-// marks on the Log's Hub, and TaskSpans/StageSpans/RenderTimeline read the
-// tracer back. There is no parallel bookkeeping path — the Figure-7
-// timeline and the -report exports are two projections of one trace.
+// The engine records each event once, on the eventlog bus. A View
+// subscribes to that bus and rebuilds the events of one app as spans and
+// marks in a telemetry tracer; TaskSpans/StageSpans/RenderTimeline read the
+// tracer back. Only single-job runs attach a View, because only their
+// outputs (-report json, Figure 7) export spans.
 package metrics
 
 import (
@@ -21,63 +21,14 @@ import (
 	"splitserve/internal/telemetry"
 )
 
-// Kind enumerates event types.
-type Kind string
-
-// Event kinds.
-const (
-	JobStart           Kind = "job_start"
-	JobEnd             Kind = "job_end"
-	StageStart         Kind = "stage_start"
-	StageEnd           Kind = "stage_end"
-	TaskStart          Kind = "task_start"
-	TaskEnd            Kind = "task_end"
-	TaskFailed         Kind = "task_failed"
-	ExecutorRegistered Kind = "executor_registered"
-	ExecutorRemoved    Kind = "executor_removed"
-	ExecutorDraining   Kind = "executor_draining"
-	SegueCommence      Kind = "segue_commence"
-	VMRequested        Kind = "vm_requested"
-	VMReady            Kind = "vm_ready"
-	StageResubmitted   Kind = "stage_resubmitted"
-	TaskSpeculated     Kind = "task_speculated"
-)
-
-// String returns the kind's wire name.
-func (k Kind) String() string { return string(k) }
-
-// Valid reports whether k is a known event kind.
-func (k Kind) Valid() bool {
-	switch k {
-	case JobStart, JobEnd, StageStart, StageEnd, TaskStart, TaskEnd,
-		TaskFailed, ExecutorRegistered, ExecutorRemoved, ExecutorDraining,
-		SegueCommence, VMRequested, VMReady, StageResubmitted, TaskSpeculated:
-		return true
-	}
-	return false
-}
-
-// Event is one timeline entry.
-type Event struct {
-	At       time.Time
-	Kind     Kind
-	Exec     string // executor ID if applicable
-	ExecKind string // "vm" or "lambda"
-	Stage    int    // -1 if n/a
-	Task     int    // -1 if n/a
-	Note     string
-}
-
-// Log is an append-only event log bridging into a telemetry Hub.
-// The zero value is unusable; call New or NewWithTelemetry.
-type Log struct {
-	start    time.Time
-	hub      *telemetry.Hub
-	app      string
-	events   []Event
-	end      time.Time // latest event instant, for clamping open spans
-	bus      *eventlog.Bus
-	eventApp string
+// View bridges one app's engine events into a tracer's spans and marks.
+type View struct {
+	clock  telemetry.Clock
+	tr     *telemetry.Tracer
+	app    string
+	start  time.Time
+	end    time.Time // latest bridged event instant, for clamping open spans
+	detach func()
 
 	openTasks  map[taskKey]*telemetry.Span
 	openStages map[int]*telemetry.Span
@@ -92,176 +43,94 @@ type taskKey struct {
 	task  int
 }
 
-// New returns a Log whose relative timestamps are measured from start. It
-// owns a private telemetry Hub; use NewWithTelemetry to share one with the
-// rest of the stack.
-func New(start time.Time) *Log {
-	return NewWithTelemetry(start, telemetry.New(telemetry.StaticClock(start)))
-}
-
-// NewWithTelemetry returns a Log that bridges its events into hub's
-// tracer. Events carry explicit timestamps, so the hub's clock is never
-// consulted by the Log itself.
-func NewWithTelemetry(start time.Time, hub *telemetry.Hub) *Log {
-	if hub == nil {
-		hub = telemetry.New(telemetry.StaticClock(start))
-	}
-	return &Log{
-		start:      start,
-		hub:        hub,
-		end:        start,
+// Attach subscribes a View to bus that bridges the events of app into
+// hub's tracer, stamped with clock's instants. Timeline offsets are
+// measured from clock's current instant. Call Detach when the run ends.
+func Attach(bus *eventlog.Bus, clock telemetry.Clock, hub *telemetry.Hub, app string) *View {
+	v := &View{
+		clock:      clock,
+		tr:         hub.Tracer(),
+		app:        app,
+		start:      clock.Now(),
+		end:        clock.Now(),
 		openTasks:  make(map[taskKey]*telemetry.Span),
 		openStages: make(map[int]*telemetry.Span),
 		openJobs:   make(map[string]*telemetry.Span),
 		openExecs:  make(map[string]*telemetry.Span),
 		openDrains: make(map[string]*telemetry.Span),
 	}
+	v.detach = bus.Subscribe(v.bridge)
+	return v
 }
 
-// Start returns the log's origin instant.
-func (l *Log) Start() time.Time { return l.start }
+// Detach stops the View bridging events; its spans stay readable.
+func (v *View) Detach() { v.detach() }
 
-// Telemetry returns the hub this log bridges into.
-func (l *Log) Telemetry() *telemetry.Hub { return l.hub }
-
-// SetApp labels every span and mark this log bridges with app, and scopes
-// TaskSpans/StageSpans/RenderTimeline to that app. Required when several
-// engine clusters share one telemetry hub (the cluster layer): without
-// the label, two concurrent jobs that both run "stage 0" would collide in
-// the shared tracer and bleed into each other's timelines.
-func (l *Log) SetApp(app string) { l.app = app }
-
-// App returns the log's app scope ("" = unscoped).
-func (l *Log) App() string { return l.app }
-
-// SetEventLog mirrors every subsequent Add into bus as structured eventlog
-// events stamped app. The app name is explicit (not taken from SetApp)
-// because event-log scoping is orthogonal to span labeling: a single-job
-// sim wants app-tagged events without growing app labels on its spans,
-// which would change existing report bytes.
-func (l *Log) SetEventLog(bus *eventlog.Bus, app string) {
-	l.bus = bus
-	l.eventApp = app
+// markNames are the timeline mark names of the instant engine events.
+var markNames = map[eventlog.Type]string{
+	eventlog.Segue:            "segue_commence",
+	eventlog.VMRequest:        "vm_requested",
+	eventlog.VMReady:          "vm_ready",
+	eventlog.StageResubmitted: "stage_resubmitted",
+	eventlog.TaskSpeculated:   "task_speculated",
 }
 
-// attrs appends the app label (when set) to a span's base attributes.
-func (l *Log) attrs(base ...telemetry.Label) []telemetry.Label {
-	if l.app == "" {
-		return base
-	}
-	return append(base, telemetry.L("app", l.app))
-}
-
-// scoped reports whether a tracer span belongs to this log's app scope.
-func (l *Log) scoped(app string) bool { return l.app == "" || app == l.app }
-
-// Add appends an event and mirrors it into the tracer. Unknown kinds are
-// rejected with an error and not recorded (guards against typo'd event
-// names as call sites multiply).
-func (l *Log) Add(e Event) error {
-	if !e.Kind.Valid() {
-		return fmt.Errorf("metrics: unknown event kind %q", string(e.Kind))
-	}
-	l.events = append(l.events, e)
-	if e.At.After(l.end) {
-		l.end = e.At
-	}
-	l.bridge(e)
-	l.emitEvent(e)
-	return nil
-}
-
-// kindToEventType maps timeline kinds onto the eventlog vocabulary.
-var kindToEventType = map[Kind]eventlog.Type{
-	JobStart:           eventlog.JobStart,
-	JobEnd:             eventlog.JobEnd,
-	StageStart:         eventlog.StageStart,
-	StageEnd:           eventlog.StageEnd,
-	TaskStart:          eventlog.TaskStart,
-	TaskEnd:            eventlog.TaskEnd,
-	TaskFailed:         eventlog.TaskFailed,
-	ExecutorRegistered: eventlog.ExecutorAdd,
-	ExecutorDraining:   eventlog.ExecutorDrain,
-	ExecutorRemoved:    eventlog.ExecutorRemove,
-	SegueCommence:      eventlog.Segue,
-	VMRequested:        eventlog.VMRequest,
-	VMReady:            eventlog.VMReady,
-	StageResubmitted:   eventlog.StageResubmitted,
-	TaskSpeculated:     eventlog.TaskSpeculated,
-}
-
-// emitEvent forwards one timeline event to the event-log bus (no-op when
-// no bus is attached).
-func (l *Log) emitEvent(e Event) {
-	if l.bus == nil {
+// bridge translates one engine event of the View's app into tracer spans
+// and marks. The provider's own vm_request/vm_ready carry no app, and
+// shuffle, HDFS and cluster events fall through the switch.
+func (v *View) bridge(e eventlog.Event) {
+	if e.App != v.app {
 		return
 	}
-	t, ok := kindToEventType[e.Kind]
-	if !ok {
-		return
-	}
-	ev := eventlog.Ev(t)
-	ev.App = l.eventApp
-	ev.Exec = e.Exec
-	ev.Kind = e.ExecKind
-	ev.Stage = e.Stage
-	ev.Task = e.Task
-	ev.Note = e.Note
-	if e.Kind == ExecutorRegistered {
-		ev.Cores = 1 // executors are one core each, as in the paper
-	}
-	l.bus.Emit(e.At, ev)
-}
-
-// bridge translates one event into tracer spans and marks.
-func (l *Log) bridge(e Event) {
-	tr := l.hub.Tracer()
-	switch e.Kind {
-	case JobStart:
-		l.openJobs[e.Note] = tr.StartSpanAt(e.At, "job", "run", l.attrs(telemetry.L("job", e.Note))...)
-	case JobEnd:
-		if s, ok := l.openJobs[e.Note]; ok {
-			s.EndAt(e.At)
-			delete(l.openJobs, e.Note)
+	now := v.clock.Now()
+	switch e.Type {
+	case eventlog.JobStart:
+		v.openJobs[e.Note] = v.tr.StartSpanAt(now, "job", "run", telemetry.L("job", e.Note))
+	case eventlog.JobEnd:
+		if s, ok := v.openJobs[e.Note]; ok {
+			s.EndAt(now)
+			delete(v.openJobs, e.Note)
 		}
-	case StageStart:
-		l.openStages[e.Stage] = tr.StartSpanAt(e.At, "stage", "run",
-			l.attrs(telemetry.L("stage", strconv.Itoa(e.Stage)))...)
-	case StageEnd:
-		if s, ok := l.openStages[e.Stage]; ok {
-			s.EndAt(e.At)
-			delete(l.openStages, e.Stage)
+	case eventlog.StageStart:
+		v.openStages[e.Stage] = v.tr.StartSpanAt(now, "stage", "run",
+			telemetry.L("stage", strconv.Itoa(e.Stage)))
+	case eventlog.StageEnd:
+		if s, ok := v.openStages[e.Stage]; ok {
+			s.EndAt(now)
+			delete(v.openStages, e.Stage)
 		}
-	case TaskStart:
+	case eventlog.TaskStart:
+		v.openTasks[taskKey{e.Exec, e.Stage, e.Task}] = v.tr.StartSpanAt(now, "task", "run",
+			telemetry.L("exec", e.Exec),
+			telemetry.L("kind", e.Kind),
+			telemetry.L("stage", strconv.Itoa(e.Stage)),
+			telemetry.L("task", strconv.Itoa(e.Task)))
+	case eventlog.TaskEnd, eventlog.TaskFailed:
 		k := taskKey{e.Exec, e.Stage, e.Task}
-		l.openTasks[k] = tr.StartSpanAt(e.At, "task", "run",
-			l.attrs(
-				telemetry.L("exec", e.Exec),
-				telemetry.L("kind", e.ExecKind),
-				telemetry.L("stage", strconv.Itoa(e.Stage)),
-				telemetry.L("task", strconv.Itoa(e.Task)))...)
-	case TaskEnd, TaskFailed:
-		k := taskKey{e.Exec, e.Stage, e.Task}
-		if s, ok := l.openTasks[k]; ok {
-			s.EndAt(e.At)
-			delete(l.openTasks, k)
+		if s, ok := v.openTasks[k]; ok {
+			s.EndAt(now)
+			delete(v.openTasks, k)
 		}
-	case ExecutorRegistered:
-		l.openExecs[e.Exec] = tr.StartSpanAt(e.At, "executor", "lifetime",
-			l.attrs(telemetry.L("exec", e.Exec), telemetry.L("kind", e.ExecKind))...)
-	case ExecutorDraining:
-		l.openDrains[e.Exec] = tr.StartSpanAt(e.At, "executor", "drain",
-			l.attrs(telemetry.L("exec", e.Exec), telemetry.L("kind", e.ExecKind))...)
-	case ExecutorRemoved:
-		if s, ok := l.openDrains[e.Exec]; ok {
-			s.EndAt(e.At)
-			delete(l.openDrains, e.Exec)
+	case eventlog.ExecutorAdd:
+		v.openExecs[e.Exec] = v.tr.StartSpanAt(now, "executor", "lifetime",
+			telemetry.L("exec", e.Exec), telemetry.L("kind", e.Kind))
+	case eventlog.ExecutorDrain:
+		v.openDrains[e.Exec] = v.tr.StartSpanAt(now, "executor", "drain",
+			telemetry.L("exec", e.Exec), telemetry.L("kind", e.Kind))
+	case eventlog.ExecutorRemove:
+		if s, ok := v.openDrains[e.Exec]; ok {
+			s.EndAt(now)
+			delete(v.openDrains, e.Exec)
 		}
-		if s, ok := l.openExecs[e.Exec]; ok {
-			s.EndAt(e.At)
-			delete(l.openExecs, e.Exec)
+		if s, ok := v.openExecs[e.Exec]; ok {
+			s.EndAt(now)
+			delete(v.openExecs, e.Exec)
 		}
-	case SegueCommence, VMRequested, VMReady, StageResubmitted, TaskSpeculated:
+	default:
+		name, ok := markNames[e.Type]
+		if !ok {
+			return
+		}
 		attrs := make([]telemetry.Label, 0, 3)
 		if e.Exec != "" {
 			attrs = append(attrs, telemetry.L("exec", e.Exec))
@@ -272,34 +141,16 @@ func (l *Log) bridge(e Event) {
 		if e.Task >= 0 {
 			attrs = append(attrs, telemetry.L("task", strconv.Itoa(e.Task)))
 		}
-		tr.MarkAt(e.At, "timeline", string(e.Kind), l.attrs(attrs...)...)
+		v.tr.MarkAt(now, "timeline", name, attrs...)
+	}
+	if now.After(v.end) {
+		v.end = now
 	}
 }
-
-// Events returns a copy of all events in insertion order.
-func (l *Log) Events() []Event { return append([]Event(nil), l.events...) }
-
-// ByKind returns the events of one kind.
-func (l *Log) ByKind(k Kind) []Event {
-	var out []Event
-	for _, e := range l.events {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Rel returns t as an offset from the log start.
-func (l *Log) Rel(t time.Time) time.Duration { return t.Sub(l.start) }
-
-// End returns the instant of the latest event recorded so far (the log
-// start if no events have been added).
-func (l *Log) End() time.Time { return l.end }
 
 // Span is one task execution on one executor. Open marks a task that
 // started but never finished (e.g. its Lambda drained mid-run); its End
-// is clamped to the log end.
+// is clamped to the latest bridged event.
 type Span struct {
 	Exec     string
 	ExecKind string
@@ -312,12 +163,12 @@ type Span struct {
 
 // TaskSpans projects the tracer's task spans, ordered by start time then
 // executor. Tasks with a task_start but no matching end are emitted as
-// open spans clamped to the log end, so drained-Lambda tasks still
-// render.
-func (l *Log) TaskSpans() []Span {
+// open spans clamped to the latest bridged event, so drained-Lambda tasks
+// still render.
+func (v *View) TaskSpans() []Span {
 	var spans []Span
-	for _, s := range l.hub.Tracer().Spans() {
-		if s.Component != "task" || s.Name != "run" || !l.scoped(s.Attr("app")) {
+	for _, s := range v.tr.Spans() {
+		if s.Component != "task" || s.Name != "run" {
 			continue
 		}
 		stage, _ := strconv.Atoi(s.Attr("stage"))
@@ -330,7 +181,7 @@ func (l *Log) TaskSpans() []Span {
 			Start:    s.Start,
 		}
 		if s.Open {
-			sp.End = l.end
+			sp.End = v.end
 			sp.Open = true
 		} else {
 			sp.End = s.Finish
@@ -354,10 +205,10 @@ type StageSpan struct {
 }
 
 // StageSpans projects the tracer's completed stage spans.
-func (l *Log) StageSpans() []StageSpan {
+func (v *View) StageSpans() []StageSpan {
 	var out []StageSpan
-	for _, s := range l.hub.Tracer().Spans() {
-		if s.Component != "stage" || s.Name != "run" || s.Open || !l.scoped(s.Attr("app")) {
+	for _, s := range v.tr.Spans() {
+		if s.Component != "stage" || s.Name != "run" || s.Open {
 			continue
 		}
 		stage, _ := strconv.Atoi(s.Attr("stage"))
@@ -373,26 +224,26 @@ func (l *Log) StageSpans() []StageSpan {
 // header tick row marks segue ('S') and VM-ready ('V') columns
 // unconditionally, so those instants stay visible even when every
 // executor row is dense with task activity.
-func (l *Log) RenderTimeline(width int) string {
+func (v *View) RenderTimeline(width int) string {
 	if width <= 10 {
 		width = 80
 	}
-	spans := l.TaskSpans()
+	spans := v.TaskSpans()
 	if len(spans) == 0 {
 		return "(no task activity)\n"
 	}
-	end := l.start
+	end := v.start
 	for _, s := range spans {
 		if s.End.After(end) {
 			end = s.End
 		}
 	}
-	total := end.Sub(l.start)
+	total := end.Sub(v.start)
 	if total <= 0 {
 		return "(zero-length timeline)\n"
 	}
 	col := func(t time.Time) int {
-		c := int(float64(t.Sub(l.start)) / float64(total) * float64(width-1))
+		c := int(float64(t.Sub(v.start)) / float64(total) * float64(width-1))
 		if c < 0 {
 			c = 0
 		}
@@ -404,10 +255,14 @@ func (l *Log) RenderTimeline(width int) string {
 
 	var execs []string
 	seen := map[string]string{}
-	for _, e := range l.ByKind(ExecutorRegistered) {
-		if _, ok := seen[e.Exec]; !ok {
-			seen[e.Exec] = e.ExecKind
-			execs = append(execs, e.Exec)
+	for _, s := range v.tr.Spans() {
+		if s.Component != "executor" || s.Name != "lifetime" {
+			continue
+		}
+		id := s.Attr("exec")
+		if _, dup := seen[id]; !dup {
+			seen[id] = s.Attr("kind")
+			execs = append(execs, id)
 		}
 	}
 	rows := make(map[string][]byte, len(execs))
@@ -432,8 +287,12 @@ func (l *Log) RenderTimeline(width int) string {
 	for i := range tick {
 		tick[i] = ' '
 	}
-	for _, e := range l.ByKind(SegueCommence) {
-		c := col(e.At)
+	marks := v.tr.Marks()
+	for _, m := range marks {
+		if m.Component != "timeline" || m.Name != markNames[eventlog.Segue] {
+			continue
+		}
+		c := col(m.At)
 		tick[c] = 'S'
 		for _, row := range rows {
 			if row[c] == '.' {
@@ -441,8 +300,11 @@ func (l *Log) RenderTimeline(width int) string {
 			}
 		}
 	}
-	for _, e := range l.ByKind(VMReady) {
-		if c := col(e.At); tick[c] == ' ' {
+	for _, m := range marks {
+		if m.Component != "timeline" || m.Name != markNames[eventlog.VMReady] {
+			continue
+		}
+		if c := col(m.At); tick[c] == ' ' {
 			tick[c] = 'V'
 		}
 	}

@@ -4,38 +4,65 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"splitserve/internal/eventlog"
+	"splitserve/internal/telemetry"
 )
 
 var t0 = time.Date(2020, 12, 7, 0, 0, 0, 0, time.UTC)
 
 func at(d time.Duration) time.Time { return t0.Add(d) }
 
-func TestAddAndByKind(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: JobStart, Stage: -1, Task: -1})
-	l.Add(Event{At: at(time.Second), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(2 * time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	if len(l.Events()) != 3 {
-		t.Fatalf("events = %d", len(l.Events()))
-	}
-	if got := l.ByKind(TaskStart); len(got) != 1 || got[0].Exec != "e1" {
-		t.Fatalf("ByKind = %+v", got)
-	}
-	if l.Rel(at(2*time.Second)) != 2*time.Second {
-		t.Fatal("Rel broken")
-	}
-	if !l.Start().Equal(t0) {
-		t.Fatal("Start broken")
-	}
+// testClock is a clock the test sets before each event.
+type testClock struct{ now time.Time }
+
+func (c *testClock) Now() time.Time { return c.now }
+
+// feed is a View of app "app" attached to a fresh bus.
+type feed struct {
+	clock *testClock
+	bus   *eventlog.Bus
+	hub   *telemetry.Hub
+	view  *View
+}
+
+func newFeed() *feed {
+	clock := &testClock{now: t0}
+	bus := eventlog.NewBus(t0)
+	hub := telemetry.New(clock)
+	return &feed{clock: clock, bus: bus, hub: hub, view: Attach(bus, clock, hub, "app")}
+}
+
+// emit puts e on the bus at offset d, the way the engine does: with the
+// clock already at that instant.
+func (f *feed) emit(d time.Duration, e eventlog.Event) {
+	f.clock.now = at(d)
+	f.bus.Emit(f.clock.now, e)
+}
+
+func taskEv(typ eventlog.Type, exec, kind string, stage, task int) eventlog.Event {
+	return eventlog.Event{Type: typ, App: "app", Exec: exec, Kind: kind, Stage: stage, Task: task}
+}
+
+func execEv(typ eventlog.Type, exec, kind string) eventlog.Event {
+	return eventlog.Event{Type: typ, App: "app", Exec: exec, Kind: kind, Stage: -1, Task: -1}
+}
+
+func stageEv(typ eventlog.Type, stage int) eventlog.Event {
+	return eventlog.Event{Type: typ, App: "app", Stage: stage, Task: -1}
+}
+
+func instantEv(typ eventlog.Type) eventlog.Event {
+	return eventlog.Event{Type: typ, App: "app", Stage: -1, Task: -1}
 }
 
 func TestTaskSpansPairing(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(1 * time.Second), Kind: TaskStart, Exec: "e1", ExecKind: "vm", Stage: 0, Task: 0})
-	l.Add(Event{At: at(2 * time.Second), Kind: TaskStart, Exec: "e2", ExecKind: "lambda", Stage: 0, Task: 1})
-	l.Add(Event{At: at(3 * time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(5 * time.Second), Kind: TaskFailed, Exec: "e2", Stage: 0, Task: 1})
-	spans := l.TaskSpans()
+	f := newFeed()
+	f.emit(1*time.Second, taskEv(eventlog.TaskStart, "e1", "vm", 0, 0))
+	f.emit(2*time.Second, taskEv(eventlog.TaskStart, "e2", "lambda", 0, 1))
+	f.emit(3*time.Second, taskEv(eventlog.TaskEnd, "e1", "vm", 0, 0))
+	f.emit(5*time.Second, taskEv(eventlog.TaskFailed, "e2", "lambda", 0, 1))
+	spans := f.view.TaskSpans()
 	if len(spans) != 2 {
 		t.Fatalf("spans = %d", len(spans))
 	}
@@ -48,10 +75,10 @@ func TestTaskSpansPairing(t *testing.T) {
 }
 
 func TestTaskSpansUnmatchedStartEmitsOpenSpan(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(time.Second), Kind: TaskStart, Exec: "e1", ExecKind: "lambda", Stage: 0, Task: 0})
-	l.Add(Event{At: at(9 * time.Second), Kind: ExecutorRemoved, Exec: "e1", ExecKind: "lambda"})
-	spans := l.TaskSpans()
+	f := newFeed()
+	f.emit(time.Second, taskEv(eventlog.TaskStart, "e1", "lambda", 0, 0))
+	f.emit(9*time.Second, execEv(eventlog.ExecutorRemove, "e1", "lambda"))
+	spans := f.view.TaskSpans()
 	if len(spans) != 1 {
 		t.Fatalf("spans = %+v", spans)
 	}
@@ -60,45 +87,32 @@ func TestTaskSpansUnmatchedStartEmitsOpenSpan(t *testing.T) {
 		t.Fatalf("span not marked open: %+v", s)
 	}
 	if !s.End.Equal(at(9 * time.Second)) {
-		t.Fatalf("open span not clamped to log end: %+v", s)
+		t.Fatalf("open span not clamped to the latest event: %+v", s)
 	}
 	if s.Exec != "e1" || s.ExecKind != "lambda" {
 		t.Fatalf("span identity lost: %+v", s)
 	}
 }
 
-func TestAddRejectsUnknownKind(t *testing.T) {
-	l := New(t0)
-	if err := l.Add(Event{At: at(0), Kind: Kind("task_strat")}); err == nil {
-		t.Fatal("typo'd kind accepted")
-	}
-	if len(l.Events()) != 0 {
-		t.Fatal("rejected event was recorded")
-	}
-	if err := l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1"}); err != nil {
-		t.Fatalf("valid kind rejected: %v", err)
-	}
-}
-
-func TestKindStringAndValid(t *testing.T) {
-	if TaskStart.String() != "task_start" {
-		t.Fatalf("String = %q", TaskStart.String())
-	}
-	if !SegueCommence.Valid() {
-		t.Fatal("SegueCommence invalid")
-	}
-	if Kind("bogus").Valid() {
-		t.Fatal("bogus kind valid")
+// TestSpansKeepClockNanoseconds: spans take their instants from the clock,
+// not from the bus's microsecond ts_us.
+func TestSpansKeepClockNanoseconds(t *testing.T) {
+	f := newFeed()
+	f.emit(1500*time.Nanosecond, taskEv(eventlog.TaskStart, "e1", "vm", 0, 0))
+	f.emit(2999*time.Nanosecond, taskEv(eventlog.TaskEnd, "e1", "vm", 0, 0))
+	spans := f.view.TaskSpans()
+	if len(spans) != 1 || !spans[0].Start.Equal(at(1500)) || !spans[0].End.Equal(at(2999)) {
+		t.Fatalf("spans = %+v, want [1.5µs, 2.999µs]", spans)
 	}
 }
 
 func TestStageSpans(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: StageStart, Stage: 1})
-	l.Add(Event{At: at(time.Second), Kind: StageStart, Stage: 2})
-	l.Add(Event{At: at(3 * time.Second), Kind: StageEnd, Stage: 2})
-	l.Add(Event{At: at(4 * time.Second), Kind: StageEnd, Stage: 1})
-	spans := l.StageSpans()
+	f := newFeed()
+	f.emit(0, stageEv(eventlog.StageStart, 1))
+	f.emit(time.Second, stageEv(eventlog.StageStart, 2))
+	f.emit(3*time.Second, stageEv(eventlog.StageEnd, 2))
+	f.emit(4*time.Second, stageEv(eventlog.StageEnd, 1))
+	spans := f.view.StageSpans()
 	if len(spans) != 2 {
 		t.Fatalf("stage spans = %d", len(spans))
 	}
@@ -107,14 +121,51 @@ func TestStageSpans(t *testing.T) {
 	}
 }
 
+// TestViewBridgesOnlyItsAppUntilDetached: on a shared bus the View ignores
+// the provider's app-less vm_request/vm_ready and every other app's events,
+// bridges its own app's instants as timeline marks, and bridges nothing
+// once detached.
+func TestViewBridgesOnlyItsAppUntilDetached(t *testing.T) {
+	f := newFeed()
+	provider := eventlog.Ev(eventlog.VMRequest)
+	f.emit(0, provider)
+	provider.Type = eventlog.VMReady
+	f.emit(time.Second, provider)
+	other := taskEv(eventlog.TaskStart, "x1", "vm", 0, 0)
+	other.App = "other"
+	f.emit(time.Second, other)
+	f.emit(2*time.Second, taskEv(eventlog.TaskStart, "e1", "vm", 0, 0))
+	f.emit(3*time.Second, instantEv(eventlog.Segue))
+	f.emit(4*time.Second, taskEv(eventlog.TaskEnd, "e1", "vm", 0, 0))
+
+	spans := f.view.TaskSpans()
+	if len(spans) != 1 || spans[0].Exec != "e1" {
+		t.Fatalf("task spans = %+v, want only e1's", spans)
+	}
+	marks := f.hub.Tracer().Marks()
+	if len(marks) != 1 || marks[0].Component != "timeline" || marks[0].Name != "segue_commence" || !marks[0].At.Equal(at(3*time.Second)) {
+		t.Fatalf("marks = %+v, want one segue_commence at 3s", marks)
+	}
+
+	f.view.Detach()
+	f.emit(5*time.Second, taskEv(eventlog.TaskStart, "e1", "vm", 0, 1))
+	f.emit(6*time.Second, instantEv(eventlog.VMReady))
+	if n := len(f.hub.Tracer().Spans()); n != 1 {
+		t.Fatalf("detached view bridged events: %d spans, want 1", n)
+	}
+	if n := len(f.hub.Tracer().Marks()); n != 1 {
+		t.Fatalf("detached view bridged events: %d marks, want 1", n)
+	}
+}
+
 func TestRenderTimeline(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e2", ExecKind: "lambda"})
-	l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(10 * time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(5 * time.Second), Kind: SegueCommence})
-	out := l.RenderTimeline(40)
+	f := newFeed()
+	f.emit(0, execEv(eventlog.ExecutorAdd, "e1", "vm"))
+	f.emit(0, execEv(eventlog.ExecutorAdd, "e2", "lambda"))
+	f.emit(0, taskEv(eventlog.TaskStart, "e1", "vm", 0, 0))
+	f.emit(10*time.Second, taskEv(eventlog.TaskEnd, "e1", "vm", 0, 0))
+	f.emit(5*time.Second, instantEv(eventlog.Segue))
+	out := f.view.RenderTimeline(40)
 	if !strings.Contains(out, "e1 [vm]") || !strings.Contains(out, "e2 [lambda]") {
 		t.Fatalf("missing rows:\n%s", out)
 	}
@@ -127,15 +178,17 @@ func TestRenderTimeline(t *testing.T) {
 }
 
 func TestRenderTimelineHeaderTicks(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
+	f := newFeed()
+	f.emit(0, execEv(eventlog.ExecutorAdd, "e1", "vm"))
 	// Dense activity covering the whole row: the in-row segue marker can't
 	// land on a '.', so only the header tick row can show it.
-	l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(10 * time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(5 * time.Second), Kind: SegueCommence})
-	l.Add(Event{At: at(8 * time.Second), Kind: VMReady, Exec: "vm-1"})
-	out := l.RenderTimeline(40)
+	f.emit(0, taskEv(eventlog.TaskStart, "e1", "vm", 0, 0))
+	f.emit(10*time.Second, taskEv(eventlog.TaskEnd, "e1", "vm", 0, 0))
+	f.emit(5*time.Second, instantEv(eventlog.Segue))
+	ready := instantEv(eventlog.VMReady)
+	ready.Note = "vm-1"
+	f.emit(8*time.Second, ready)
+	out := f.view.RenderTimeline(40)
 	if !strings.Contains(out, "S") {
 		t.Fatalf("header missing segue tick:\n%s", out)
 	}
@@ -150,30 +203,34 @@ func TestRenderTimelineHeaderTicks(t *testing.T) {
 }
 
 func TestRenderTimelineEmpty(t *testing.T) {
-	l := New(t0)
-	if got := l.RenderTimeline(40); !strings.Contains(got, "no task activity") {
+	f := newFeed()
+	if got := f.view.RenderTimeline(40); !strings.Contains(got, "no task activity") {
 		t.Fatalf("empty render = %q", got)
 	}
 }
 
 func TestRenderTimelineTinyWidthDefaults(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
-	l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	out := l.RenderTimeline(1) // clamps to 80
-	if len(out) == 0 {
-		t.Fatal("no output")
+	f := newFeed()
+	f.emit(0, execEv(eventlog.ExecutorAdd, "e1", "vm"))
+	f.emit(0, taskEv(eventlog.TaskStart, "e1", "vm", 0, 0))
+	f.emit(time.Second, taskEv(eventlog.TaskEnd, "e1", "vm", 0, 0))
+	out := f.view.RenderTimeline(1) // clamps to 80
+	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("want header, tick row and one executor row:\n%s", out)
+	}
+	if row := lines[2]; len(row) != 22+1+80 {
+		t.Fatalf("executor row is %d bytes, want 80 columns after the label:\n%s", len(row), out)
 	}
 }
 
 func TestDuplicateRegistrationIgnored(t *testing.T) {
-	l := New(t0)
-	l.Add(Event{At: at(0), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
-	l.Add(Event{At: at(1), Kind: ExecutorRegistered, Exec: "e1", ExecKind: "vm"})
-	l.Add(Event{At: at(0), Kind: TaskStart, Exec: "e1", Stage: 0, Task: 0})
-	l.Add(Event{At: at(time.Second), Kind: TaskEnd, Exec: "e1", Stage: 0, Task: 0})
-	out := l.RenderTimeline(40)
+	f := newFeed()
+	f.emit(0, execEv(eventlog.ExecutorAdd, "e1", "vm"))
+	f.emit(1, execEv(eventlog.ExecutorAdd, "e1", "vm"))
+	f.emit(0, taskEv(eventlog.TaskStart, "e1", "vm", 0, 0))
+	f.emit(time.Second, taskEv(eventlog.TaskEnd, "e1", "vm", 0, 0))
+	out := f.view.RenderTimeline(40)
 	if strings.Count(out, "e1 [vm]") != 1 {
 		t.Fatalf("duplicate rows:\n%s", out)
 	}

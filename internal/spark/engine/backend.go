@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
-	"splitserve/internal/metrics"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/netsim"
 	"splitserve/internal/storage"
 	"splitserve/internal/telemetry"
@@ -170,17 +170,11 @@ func (b *Standalone) reconcile() {
 		}
 		b.pendingVMCores += t.VCPUs
 		shortfall -= t.VCPUs
-		b.c.Log().Add(metrics.Event{
-			At: b.c.Clock().Now(), Kind: metrics.VMRequested, Stage: -1, Task: -1,
-			Note: t.Name,
-		})
+		b.c.Emit(eventlog.Event{Type: eventlog.VMRequest, Stage: -1, Task: -1, Note: t.Name})
 		b.c.Provider().RequestVM(t, b.cfg.BootOverride, func(vm *cloud.VM) {
 			b.pendingVMCores -= vm.Type.VCPUs
 			b.slots = append(b.slots, &vmSlot{vm: vm, capacity: vm.Type.VCPUs})
-			b.c.Log().Add(metrics.Event{
-				At: b.c.Clock().Now(), Kind: metrics.VMReady, Stage: -1, Task: -1,
-				Note: vm.ID,
-			})
+			b.c.Emit(eventlog.Event{Type: eventlog.VMReady, Stage: -1, Task: -1, Note: vm.ID})
 			b.reconcile()
 		})
 	}

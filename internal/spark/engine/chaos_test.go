@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -159,9 +160,10 @@ func TestChaosDurableStoreVsLocal(t *testing.T) {
 			store = durableWrap{local}
 		}
 		backend := NewStandalone(StandaloneConfig{VMs: []*cloud.VM{vm}})
+		bus := eventlog.NewBus(simclock.Epoch)
 		cluster, err := New(Config{
 			AppID: "chaos3", Clock: clock, Net: net, Provider: provider,
-			Store: store, Backend: backend,
+			Store: store, Backend: backend, Events: bus,
 			Alloc:           DefaultAllocConfig(AllocStatic, 8, 8),
 			MaxTaskAttempts: 10,
 		})
@@ -182,7 +184,7 @@ func TestChaosDurableStoreVsLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkChaosResult(t, job, 5200)
-		return len(cluster.Log().TaskSpans())
+		return countEvents(bus, eventlog.TaskStart)
 	}
 	durable := taskCount(true)
 	lossy := taskCount(false)

@@ -7,7 +7,6 @@ import (
 
 	"splitserve/internal/cloud"
 	"splitserve/internal/eventlog"
-	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/spark/rdd"
@@ -68,14 +67,13 @@ type Config struct {
 	Store   storage.Store
 	Backend Backend
 	Perf    PerfModel
-	Log     *metrics.Log
-	// Telem is the telemetry hub the engine records into. Defaults to the
-	// Log's hub (so the event timeline and the metrics share one trace);
-	// nil with no Log means a fresh hub is created.
+	// Telem is the telemetry hub the engine records its metrics and
+	// backend launch spans into. Nil records nothing.
 	Telem *telemetry.Hub
-	// Events, when set, receives the structured event stream: the metrics
-	// Log bridges its timeline into it (tagged AppID) and the shuffle
-	// tracker emits read/write events. Nil disables event logging.
+	// Events, when set, receives the structured event stream: the engine
+	// and its backends emit their job, stage, task and executor events on
+	// it (tagged AppID) and the shuffle tracker emits read/write events.
+	// Nil disables event logging.
 	Events *eventlog.Bus
 	Alloc  AllocConfig
 	// LocalityWait is how long a task holds out for the executor caching
@@ -169,16 +167,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Perf == (PerfModel{}) {
 		cfg.Perf = DefaultPerfModel()
 	}
-	if cfg.Log == nil {
-		if cfg.Telem != nil {
-			cfg.Log = metrics.NewWithTelemetry(cfg.Clock.Now(), cfg.Telem)
-		} else {
-			cfg.Log = metrics.New(cfg.Clock.Now())
-		}
-	}
-	if cfg.Telem == nil {
-		cfg.Telem = cfg.Log.Telemetry()
-	}
 	if cfg.LocalityWait == 0 {
 		cfg.LocalityWait = 3 * time.Second
 	}
@@ -199,7 +187,6 @@ func New(cfg Config) (*Cluster, error) {
 		cacheWhere: make(map[cachedPart]string),
 	}
 	if cfg.Events != nil {
-		cfg.Log.SetEventLog(cfg.Events, cfg.AppID)
 		c.tracker.SetEventLog(cfg.Events, cfg.Clock.Now, cfg.AppID)
 	}
 	c.insts = newEngineInstruments(cfg.Telem)
@@ -222,8 +209,13 @@ func (c *Cluster) Provider() *cloud.Provider { return c.cfg.Provider }
 // Store returns the shuffle store.
 func (c *Cluster) Store() storage.Store { return c.cfg.Store }
 
-// Log returns the metrics log.
-func (c *Cluster) Log() *metrics.Log { return c.cfg.Log }
+// Emit records one engine event on the event bus, stamped with the app ID
+// and the current virtual time. Every job, stage, task and executor event
+// of the engine and its backends goes through here, exactly once.
+func (c *Cluster) Emit(ev eventlog.Event) {
+	ev.App = c.cfg.AppID
+	c.cfg.Events.Emit(c.cfg.Clock.Now(), ev)
+}
 
 // Telemetry returns the cluster's telemetry hub.
 func (c *Cluster) Telemetry() *telemetry.Hub { return c.cfg.Telem }
@@ -292,9 +284,9 @@ func (c *Cluster) RegisterExecutor(spec ExecutorSpec) *Executor {
 	if local, ok := c.cfg.Store.(*storage.Local); ok {
 		local.RegisterHost(spec.HostID, spec.Serve)
 	}
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.ExecutorRegistered,
-		Exec: spec.ID, ExecKind: spec.Kind.String(), Stage: -1, Task: -1,
+	c.Emit(eventlog.Event{
+		Type: eventlog.ExecutorAdd, Exec: spec.ID, Kind: spec.Kind.String(), Stage: -1, Task: -1,
+		Cores: 1, // executors are one core each, as in the paper
 	})
 	c.insts.execLive[kindIdx(spec.Kind)].Inc()
 	c.sched.onExecutorUp(e)
@@ -313,9 +305,8 @@ func (c *Cluster) RemoveExecutor(id string, hostLost bool, reason string) {
 	}
 	e.State = ExecDead
 	e.RemovedAt = c.cfg.Clock.Now()
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.ExecutorRemoved,
-		Exec: id, ExecKind: e.Kind.String(), Stage: -1, Task: -1, Note: reason,
+	c.Emit(eventlog.Event{
+		Type: eventlog.ExecutorRemove, Exec: id, Kind: e.Kind.String(), Stage: -1, Task: -1, Note: reason,
 	})
 	c.insts.execLive[kindIdx(e.Kind)].Dec()
 	if !e.DrainingAt.IsZero() {
@@ -347,9 +338,8 @@ func (c *Cluster) DrainExecutor(id string) {
 	if prev == ExecDraining {
 		return
 	}
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.ExecutorDraining,
-		Exec: id, ExecKind: e.Kind.String(), Stage: -1, Task: -1,
+	c.Emit(eventlog.Event{
+		Type: eventlog.ExecutorDrain, Exec: id, Kind: e.Kind.String(), Stage: -1, Task: -1,
 	})
 	e.DrainingAt = c.cfg.Clock.Now()
 	if prev == ExecBusy {
@@ -386,9 +376,7 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 		results:           make([][]rdd.Row, target.Parts),
 	}
 	c.job = job
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.JobStart, Stage: -1, Task: -1, Note: name,
-	})
+	c.Emit(eventlog.Event{Type: eventlog.JobStart, Stage: -1, Task: -1, Note: name})
 	for sid, st := range job.mapStageByShuffle {
 		c.tracker.Register(sid, st.Target.Parts, st.Wide.Parts)
 	}
@@ -411,9 +399,7 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 		job.err = fmt.Errorf("%w: %q after %v (pending tasks=%d, live executors=%d)",
 			ErrStalled, name, c.cfg.MaxSimTime, c.sched.pendingCount(), len(c.Executors()))
 	}
-	c.cfg.Log.Add(metrics.Event{
-		At: c.cfg.Clock.Now(), Kind: metrics.JobEnd, Stage: -1, Task: -1, Note: name,
-	})
+	c.Emit(eventlog.Event{Type: eventlog.JobEnd, Stage: -1, Task: -1, Note: name})
 	c.cfg.Backend.JobFinished()
 	c.alloc.onJobEnd()
 	return job, job.err

@@ -8,15 +8,18 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
 	"splitserve/internal/spark/rdd"
 	"splitserve/internal/storage"
+	"splitserve/internal/telemetry"
 )
 
-// harness bundles a small cluster for engine tests.
+// harness bundles a small cluster for engine tests. Its engine emits onto
+// bus, and view rebuilds the spans from it.
 type harness struct {
 	clock    *simclock.Clock
 	net      *netsim.Network
@@ -25,6 +28,19 @@ type harness struct {
 	cluster  *Cluster
 	backend  *Standalone
 	ctx      *rdd.Context
+	bus      *eventlog.Bus
+	view     *metrics.View
+}
+
+// countEvents returns how many events of type typ are on bus.
+func countEvents(bus *eventlog.Bus, typ eventlog.Type) int {
+	n := 0
+	for _, e := range bus.Events() {
+		if e.Type == typ {
+			n++
+		}
+	}
+	return n
 }
 
 type harnessOpt func(*Config, *StandaloneConfig)
@@ -53,12 +69,16 @@ func newHarness(t *testing.T, execs int, opts ...harnessOpt) *harness {
 	provider := cloud.NewProvider(clock, net, simrand.New(7), cloud.DefaultOptions())
 	vm := provider.ProvisionReadyVM(cloud.M44XLarge)
 	store := storage.NewLocal(clock, net)
+	hub := telemetry.New(clock)
+	bus := eventlog.NewBus(simclock.Epoch)
 	cfg := Config{
 		AppID:    "test-app",
 		Clock:    clock,
 		Net:      net,
 		Provider: provider,
 		Store:    store,
+		Telem:    hub,
+		Events:   bus,
 		Alloc:    DefaultAllocConfig(AllocStatic, execs, execs),
 	}
 	scfg := StandaloneConfig{VMs: []*cloud.VM{vm}}
@@ -74,6 +94,7 @@ func newHarness(t *testing.T, execs int, opts ...harnessOpt) *harness {
 	return &harness{
 		clock: clock, net: net, provider: provider, store: store,
 		cluster: cluster, backend: backend, ctx: rdd.NewContext(),
+		bus: bus, view: metrics.Attach(bus, clock, hub, cfg.AppID),
 	}
 }
 
@@ -187,14 +208,13 @@ func TestStageCountAndEvents(t *testing.T) {
 	if len(job.Stages) != 2 {
 		t.Fatalf("stages = %d, want 2", len(job.Stages))
 	}
-	log := h.cluster.Log()
-	if got := len(log.ByKind(metrics.StageStart)); got != 2 {
+	if got := countEvents(h.bus, eventlog.StageStart); got != 2 {
 		t.Fatalf("stage starts = %d", got)
 	}
-	if got := len(log.ByKind(metrics.StageEnd)); got != 2 {
+	if got := countEvents(h.bus, eventlog.StageEnd); got != 2 {
 		t.Fatalf("stage ends = %d", got)
 	}
-	spans := log.TaskSpans()
+	spans := h.view.TaskSpans()
 	if len(spans) != 4 { // 2 map + 2 reduce
 		t.Fatalf("task spans = %d", len(spans))
 	}
@@ -280,13 +300,13 @@ func TestShuffleReuseAcrossJobs(t *testing.T) {
 	if _, err := h.cluster.RunJob(red, "first"); err != nil {
 		t.Fatal(err)
 	}
-	spansBefore := len(h.cluster.Log().TaskSpans())
+	spansBefore := len(h.view.TaskSpans())
 	// Second job over the same shuffled dataset: map stage must be skipped.
 	out := red.Map("ident", func(r rdd.Row) rdd.Row { return r }, 1, 16)
 	if _, err := h.cluster.RunJob(out, "second"); err != nil {
 		t.Fatal(err)
 	}
-	spansAfter := len(h.cluster.Log().TaskSpans())
+	spansAfter := len(h.view.TaskSpans())
 	// Second job should only run its 4 result tasks, not the 4 map tasks.
 	if spansAfter-spansBefore != 4 {
 		t.Fatalf("second job ran %d tasks, want 4 (shuffle reuse)", spansAfter-spansBefore)
@@ -347,7 +367,7 @@ func TestHostLossTriggersStageResubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(h.cluster.Log().ByKind(metrics.StageResubmitted)) == 0 {
+	if countEvents(h.bus, eventlog.StageResubmitted) == 0 {
 		// The stage may be directly resubmitted at submit time (tracker
 		// already incomplete) rather than via fetch failure; both are fine
 		// as long as results are correct.
@@ -385,7 +405,7 @@ func TestAutoscaleRequestsVMs(t *testing.T) {
 	if _, err := h.cluster.RunJob(m, "autoscale"); err != nil {
 		t.Fatal(err)
 	}
-	if len(h.cluster.Log().ByKind(metrics.VMRequested)) == 0 {
+	if countEvents(h.bus, eventlog.VMRequest) == 0 {
 		t.Fatal("autoscale never requested a VM")
 	}
 	if len(h.provider.VMs()) < 2 {
@@ -437,7 +457,7 @@ func TestDrainExecutorFinishesCurrentTask(t *testing.T) {
 		t.Fatalf("rows = %d", len(job.Rows()))
 	}
 	// No task should have failed: draining is graceful.
-	if got := len(h.cluster.Log().ByKind(metrics.TaskFailed)); got != 0 {
+	if got := countEvents(h.bus, eventlog.TaskFailed); got != 0 {
 		t.Fatalf("graceful drain failed %d tasks", got)
 	}
 }
@@ -540,11 +560,11 @@ func TestLocalityPrefersCacheOwner(t *testing.T) {
 	if len(owners) != 4 {
 		t.Fatalf("cache owners = %v", owners)
 	}
-	before := len(h.cluster.Log().TaskSpans())
+	before := len(h.view.TaskSpans())
 	if _, err := h.cluster.RunJob(count, "reuse"); err != nil {
 		t.Fatal(err)
 	}
-	spans := h.cluster.Log().TaskSpans()[before:]
+	spans := h.view.TaskSpans()[before:]
 	for _, s := range spans {
 		if owners[s.Task] != s.Exec {
 			t.Fatalf("task %d ran on %s, cache owner %s", s.Task, s.Exec, owners[s.Task])
@@ -559,7 +579,7 @@ func TestTimelineRenders(t *testing.T) {
 	if _, err := h.cluster.RunJob(m, "tl"); err != nil {
 		t.Fatal(err)
 	}
-	out := h.cluster.Log().RenderTimeline(60)
+	out := h.view.RenderTimeline(60)
 	if len(out) == 0 || out == "(no task activity)\n" {
 		t.Fatalf("timeline empty:\n%s", out)
 	}

@@ -3,7 +3,7 @@ package engine
 import (
 	"time"
 
-	"splitserve/internal/metrics"
+	"splitserve/internal/eventlog"
 )
 
 // scheduler is the combined DAG + task scheduler: it submits stages whose
@@ -113,10 +113,7 @@ func (s *scheduler) submitStage(job *Job, st *Stage) {
 	}
 	st.pendingParts = len(parts)
 	s.stageStats[st] = &stageStats{total: len(parts)}
-	s.c.cfg.Log.Add(metrics.Event{
-		At: s.c.cfg.Clock.Now(), Kind: metrics.StageStart,
-		Stage: st.ID, Task: -1, Note: st.Target.Name,
-	})
+	s.c.Emit(eventlog.Event{Type: eventlog.StageStart, Stage: st.ID, Task: -1, Note: st.Target.Name})
 	enqueue := func() {
 		for _, p := range parts {
 			s.enqueue(&Task{Job: job, Stage: st, Part: p, State: TaskPending})
@@ -264,9 +261,8 @@ func (s *scheduler) onExecutorDown(e *Executor) {
 		e.current = nil
 		t.cancelled = true
 		t.State = TaskFailedState
-		s.c.cfg.Log.Add(metrics.Event{
-			At: s.c.cfg.Clock.Now(), Kind: metrics.TaskFailed,
-			Exec: e.ID, ExecKind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
+		s.c.Emit(eventlog.Event{
+			Type: eventlog.TaskFailed, Exec: e.ID, Kind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
 			Note: "executor lost",
 		})
 		s.c.insts.tasksFailed[kindIdx(e.Kind)].Inc()
@@ -323,9 +319,8 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 	}
 	if !winner {
 		// The twin already completed this partition; just free the executor.
-		s.c.cfg.Log.Add(metrics.Event{
-			At: s.c.cfg.Clock.Now(), Kind: metrics.TaskEnd,
-			Exec: e.ID, ExecKind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
+		s.c.Emit(eventlog.Event{
+			Type: eventlog.TaskEnd, Exec: e.ID, Kind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
 			Note: "lost speculation race",
 		})
 		switch e.State {
@@ -338,9 +333,8 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 		s.trySchedule()
 		return
 	}
-	s.c.cfg.Log.Add(metrics.Event{
-		At: s.c.cfg.Clock.Now(), Kind: metrics.TaskEnd,
-		Exec: e.ID, ExecKind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
+	s.c.Emit(eventlog.Event{
+		Type: eventlog.TaskEnd, Exec: e.ID, Kind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
 	})
 	switch e.State {
 	case ExecBusy:
@@ -356,10 +350,7 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 	if st.Kind == StageShuffleMap {
 		if s.c.tracker.Complete(st.ShuffleID) {
 			st.done = true
-			s.c.cfg.Log.Add(metrics.Event{
-				At: s.c.cfg.Clock.Now(), Kind: metrics.StageEnd,
-				Stage: st.ID, Task: -1, Note: st.Target.Name,
-			})
+			s.c.Emit(eventlog.Event{Type: eventlog.StageEnd, Stage: st.ID, Task: -1, Note: st.Target.Name})
 			s.maybeSubmitStages(t.Job)
 		}
 	} else {
@@ -373,10 +364,7 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 		}
 		if allDone {
 			st.done = true
-			s.c.cfg.Log.Add(metrics.Event{
-				At: s.c.cfg.Clock.Now(), Kind: metrics.StageEnd,
-				Stage: st.ID, Task: -1, Note: st.Target.Name,
-			})
+			s.c.Emit(eventlog.Event{Type: eventlog.StageEnd, Stage: st.ID, Task: -1, Note: st.Target.Name})
 			job.done = true
 		}
 	}
@@ -391,9 +379,8 @@ func (s *scheduler) alloc() *allocManager { return s.c.alloc }
 // requeued, blocked until the parent completes again — the "execution
 // roll-back" path the paper's segueing facility exists to avoid.
 func (s *scheduler) onFetchFailed(t *Task, e *Executor, shuffleID int) {
-	s.c.cfg.Log.Add(metrics.Event{
-		At: s.c.cfg.Clock.Now(), Kind: metrics.TaskFailed,
-		Exec: e.ID, ExecKind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
+	s.c.Emit(eventlog.Event{
+		Type: eventlog.TaskFailed, Exec: e.ID, Kind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
 		Note: "fetch failed",
 	})
 	s.c.insts.tasksFailed[kindIdx(e.Kind)].Inc()
@@ -410,10 +397,7 @@ func (s *scheduler) onFetchFailed(t *Task, e *Executor, shuffleID int) {
 	if parent != nil && parent.done {
 		parent.done = false
 		parent.submitted = false
-		s.c.cfg.Log.Add(metrics.Event{
-			At: s.c.cfg.Clock.Now(), Kind: metrics.StageResubmitted,
-			Stage: parent.ID, Task: -1, Note: parent.Target.Name,
-		})
+		s.c.Emit(eventlog.Event{Type: eventlog.StageResubmitted, Stage: parent.ID, Task: -1, Note: parent.Target.Name})
 	}
 	// Requeue without charging an attempt: fetch failures are the
 	// producer's fault, as in Spark.

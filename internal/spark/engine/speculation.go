@@ -3,7 +3,7 @@ package engine
 import (
 	"time"
 
-	"splitserve/internal/metrics"
+	"splitserve/internal/eventlog"
 )
 
 // Speculative execution (spark.speculation): once a configurable fraction
@@ -85,9 +85,8 @@ func (s *scheduler) maybeSpeculate(st *Stage, job *Job) {
 				speculative: true, twin: t,
 			}
 			t.twin = copyTask
-			s.c.cfg.Log.Add(metrics.Event{
-				At: now, Kind: metrics.TaskSpeculated,
-				Exec: e.ID, ExecKind: e.Kind.String(), Stage: st.ID, Task: t.Part,
+			s.c.Emit(eventlog.Event{
+				Type: eventlog.TaskSpeculated, Exec: e.ID, Kind: e.Kind.String(), Stage: st.ID, Task: t.Part,
 			})
 			s.c.insts.tasksSpeculated.Inc()
 			s.enqueue(copyTask)

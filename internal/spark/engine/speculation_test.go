@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"splitserve/internal/cloud"
-	"splitserve/internal/metrics"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -41,6 +41,7 @@ func speculationHarness(t *testing.T, n int, speculation bool) (*Cluster, *simcl
 		AppID: "spec-test", Clock: clock, Net: net, Provider: provider,
 		Store:       storage.NewLocal(clock, net),
 		Backend:     backend,
+		Events:      eventlog.NewBus(simclock.Epoch),
 		Alloc:       DefaultAllocConfig(AllocStatic, n+1, n+1),
 		Speculation: spec,
 	})
@@ -84,7 +85,7 @@ func TestSpeculationRescuesStraggler(t *testing.T) {
 		if len(job.Rows()) != 1000 {
 			t.Fatalf("rows = %d", len(job.Rows()))
 		}
-		return clock.Since(simclock.Epoch), len(cluster.Log().ByKind(metrics.TaskSpeculated))
+		return clock.Since(simclock.Epoch), countEvents(cluster.cfg.Events, eventlog.TaskSpeculated)
 	}
 	slow, specEvents0 := run(false)
 	fast, specEvents1 := run(true)

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 
-	"splitserve/internal/metrics"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/spark/rdd"
 	"splitserve/internal/spark/shuffle"
 	"splitserve/internal/storage"
@@ -36,9 +36,8 @@ func (s *scheduler) runTask(t *Task, e *Executor) {
 // has dispatched the task.
 func (s *scheduler) startTaskBody(t *Task, e *Executor) {
 	s.taskStarts[t] = s.c.cfg.Clock.Now()
-	s.c.cfg.Log.Add(metrics.Event{
-		At: s.c.cfg.Clock.Now(), Kind: metrics.TaskStart,
-		Exec: e.ID, ExecKind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
+	s.c.Emit(eventlog.Event{
+		Type: eventlog.TaskStart, Exec: e.ID, Kind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
 	})
 	s.c.insts.tasksStarted[kindIdx(e.Kind)].Inc()
 

@@ -28,16 +28,6 @@ type Clock interface {
 	Now() time.Time
 }
 
-// staticClock is a Clock pinned at one instant (for logs replayed from
-// explicit event timestamps, where the convenience Now is never the
-// authority).
-type staticClock time.Time
-
-func (c staticClock) Now() time.Time { return time.Time(c) }
-
-// StaticClock returns a Clock frozen at t.
-func StaticClock(t time.Time) Clock { return staticClock(t) }
-
 // Label is one key=value metric or span dimension.
 type Label struct {
 	Key   string
@@ -86,6 +76,10 @@ type Hub struct {
 func New(clock Clock) *Hub {
 	return &Hub{reg: NewRegistry(), tr: NewTracer(clock)}
 }
+
+// NewUntraced returns a Hub that keeps metrics but no spans or marks: its
+// Tracer is nil, on which every span call is a no-op.
+func NewUntraced() *Hub { return &Hub{reg: NewRegistry()} }
 
 // Registry returns the metrics registry (nil on a nil hub).
 func (h *Hub) Registry() *Registry {

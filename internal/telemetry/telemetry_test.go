@@ -12,7 +12,7 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-func testClock(at time.Time) Clock { return StaticClock(at) }
+func testClock(at time.Time) Clock { return &steppingClock{now: at} }
 
 var origin = time.Date(2020, 1, 1, 0, 0, 0, 0, time.UTC)
 
@@ -118,6 +118,18 @@ func TestNilHubIsNoOp(t *testing.T) {
 	rep := hub.Report()
 	if len(rep.Counters) != 0 || len(rep.Spans) != 0 {
 		t.Error("nil hub produced a non-empty report")
+	}
+}
+
+func TestUntracedHubKeepsMetricsOnly(t *testing.T) {
+	hub := NewUntraced()
+	hub.Counter("x").Inc()
+	hub.Tracer().StartSpan("c", "s").End()
+	hub.Tracer().Mark("c", "m")
+	rep := hub.Report()
+	if len(rep.Counters) != 1 || len(rep.Spans) != 0 || len(rep.Marks) != 0 {
+		t.Errorf("untraced hub report: %d counters, %d spans, %d marks; want 1, 0, 0",
+			len(rep.Counters), len(rep.Spans), len(rep.Marks))
 	}
 }
 

@@ -5,21 +5,27 @@ import (
 	"testing"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
+	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
 	"splitserve/internal/spark/engine"
 	"splitserve/internal/storage"
+	"splitserve/internal/telemetry"
 )
 
-func testCluster(t *testing.T, execs, execMemMB int) (*engine.Cluster, *simclock.Clock) {
+func testCluster(t *testing.T, execs, execMemMB int) (*engine.Cluster, *simclock.Clock, *metrics.View) {
 	t.Helper()
 	clock := simclock.New(simclock.Epoch)
 	net := netsim.New(clock)
 	provider := cloud.NewProvider(clock, net, simrand.New(5), cloud.DefaultOptions())
 	vm := provider.ProvisionReadyVM(cloud.M44XLarge)
+	hub := telemetry.New(clock)
+	bus := eventlog.NewBus(simclock.Epoch)
 	cluster, err := engine.New(engine.Config{
 		AppID: "km-test", Clock: clock, Net: net, Provider: provider,
+		Telem: hub, Events: bus,
 		Store: storage.NewLocal(clock, net),
 		Backend: engine.NewStandalone(engine.StandaloneConfig{
 			VMs:          []*cloud.VM{vm},
@@ -30,7 +36,7 @@ func testCluster(t *testing.T, execs, execMemMB int) (*engine.Cluster, *simclock
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster, clock
+	return cluster, clock, metrics.Attach(bus, clock, hub, "km-test")
 }
 
 func smallConfig() Config {
@@ -43,7 +49,7 @@ func smallConfig() Config {
 }
 
 func TestKMeansConverges(t *testing.T) {
-	cluster, _ := testCluster(t, 8, 0)
+	cluster, _, _ := testCluster(t, 8, 0)
 	rep, err := New(smallConfig()).Run(cluster)
 	if err != nil {
 		t.Fatal(err)
@@ -57,7 +63,7 @@ func TestKMeansConverges(t *testing.T) {
 }
 
 func TestKMeansIterationsReuseCache(t *testing.T) {
-	cluster, clock := testCluster(t, 8, 0)
+	cluster, clock, view := testCluster(t, 8, 0)
 	cfg := smallConfig()
 	cfg.ConvergenceDist = -1 // force all 5 iterations
 	w := New(cfg)
@@ -72,7 +78,7 @@ func TestKMeansIterationsReuseCache(t *testing.T) {
 	_ = start
 	// With the source cached, later iterations must be much cheaper than
 	// the first: check that > 35% of total time is the first job.
-	spans := cluster.Log().StageSpans()
+	spans := view.StageSpans()
 	if len(spans) == 0 {
 		t.Fatal("no stage spans")
 	}
@@ -94,7 +100,7 @@ func TestKMeansMemoryPressureSlowsDown(t *testing.T) {
 	cfg.ConvergenceDist = -1
 
 	run := func(memMB int) float64 {
-		cluster, clock := testCluster(t, 4, memMB)
+		cluster, clock, _ := testCluster(t, 4, memMB)
 		if _, err := New(cfg).Run(cluster); err != nil {
 			t.Fatal(err)
 		}
@@ -109,7 +115,7 @@ func TestKMeansMemoryPressureSlowsDown(t *testing.T) {
 
 func TestKMeansDeterministic(t *testing.T) {
 	run := func() string {
-		cluster, _ := testCluster(t, 8, 0)
+		cluster, _, _ := testCluster(t, 8, 0)
 		rep, err := New(smallConfig()).Run(cluster)
 		if err != nil {
 			t.Fatal(err)

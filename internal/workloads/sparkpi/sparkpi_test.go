@@ -5,21 +5,27 @@ import (
 	"testing"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
+	"splitserve/internal/metrics"
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
 	"splitserve/internal/spark/engine"
 	"splitserve/internal/storage"
+	"splitserve/internal/telemetry"
 )
 
-func testCluster(t *testing.T, execs int) (*engine.Cluster, *simclock.Clock) {
+func testCluster(t *testing.T, execs int) (*engine.Cluster, *simclock.Clock, *metrics.View) {
 	t.Helper()
 	clock := simclock.New(simclock.Epoch)
 	net := netsim.New(clock)
 	provider := cloud.NewProvider(clock, net, simrand.New(5), cloud.DefaultOptions())
 	vm := provider.ProvisionReadyVM(cloud.M416XLarge)
+	hub := telemetry.New(clock)
+	bus := eventlog.NewBus(simclock.Epoch)
 	cluster, err := engine.New(engine.Config{
 		AppID: "pi-test", Clock: clock, Net: net, Provider: provider,
+		Telem: hub, Events: bus,
 		Store:   storage.NewLocal(clock, net),
 		Backend: engine.NewStandalone(engine.StandaloneConfig{VMs: []*cloud.VM{vm}}),
 		Alloc:   engine.DefaultAllocConfig(engine.AllocStatic, execs, execs),
@@ -27,11 +33,11 @@ func testCluster(t *testing.T, execs int) (*engine.Cluster, *simclock.Clock) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster, clock
+	return cluster, clock, metrics.Attach(bus, clock, hub, "pi-test")
 }
 
 func TestPiEstimateAccurate(t *testing.T) {
-	cluster, _ := testCluster(t, 16)
+	cluster, _, _ := testCluster(t, 16)
 	cfg := DefaultConfig()
 	cfg.Partitions = 16
 	cfg.Darts = 1e9
@@ -48,12 +54,12 @@ func TestModeledTimeMatchesDartBudget(t *testing.T) {
 	// 1e10 darts at 0.4 units/dart over 64 tasks at 50e6 units/s
 	// = 1.25s of modelled compute per task; wall-clock for the test
 	// stays small because only 1e6 darts per task are really thrown.
-	cluster, clock := testCluster(t, 64)
+	cluster, clock, view := testCluster(t, 64)
 	rep, err := New(DefaultConfig()).Run(cluster)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := cluster.Log().TaskSpans()
+	spans := view.TaskSpans()
 	if len(spans) != 64 {
 		t.Fatalf("spans = %d", len(spans))
 	}
@@ -70,7 +76,7 @@ func TestModeledTimeMatchesDartBudget(t *testing.T) {
 
 func TestHalfExecutorsDoublesTime(t *testing.T) {
 	elapsed := func(execs int) float64 {
-		cluster, clock := testCluster(t, execs)
+		cluster, clock, _ := testCluster(t, execs)
 		cfg := DefaultConfig()
 		cfg.CostPerDart = 3 // compute-dominated so parallelism shows
 		if _, err := New(cfg).Run(cluster); err != nil {

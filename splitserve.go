@@ -170,7 +170,7 @@ type Result struct {
 // Timeline renders the run's per-executor execution timeline (the paper's
 // Figure 7 view) as ASCII, width columns wide.
 func (r *Result) Timeline(width int) string {
-	return r.inner.Log.RenderTimeline(width)
+	return r.inner.View.RenderTimeline(width)
 }
 
 // ReportJSON returns the run's full telemetry report — counters, gauges,
