@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race fuzz sim bench benchtest smoke attrib warmsweep shardreplay loadbench
+.PHONY: build test check vet race fuzz sim bench benchtest smoke attrib warmsweep shardreplay
 
 build:
 	$(GO) build ./...
@@ -133,12 +133,3 @@ bench:
 	BENCH_JSON=bench-metrics.json $(GO) test -run '^$$' \
 		-bench '^Benchmark(Fig|Ablation|Extension)' -benchtime 1x .
 	@test -s bench-metrics.json && echo "bench: custom metrics written to bench-metrics.json"
-
-# loadbench measures the simulator's own event-loop throughput and writes
-# the BENCH_<label>.json trajectory point (see OBSERVABILITY.md, Layer 3).
-# CI runs it with small counts; the committed BENCH_baseline.json uses the
-# full 100,1000,10000.
-LOADBENCH_JOBS ?= 100,1000,10000
-LOADBENCH_LABEL ?= dev
-loadbench:
-	$(GO) run ./cmd/splitserve-loadbench -jobs $(LOADBENCH_JOBS) -label $(LOADBENCH_LABEL)

@@ -160,7 +160,7 @@ func (b *jobBackend) launchLambdaExecutor() {
 	b.lambdaPending++
 	b.execSeq++
 	id := fmt.Sprintf("%s-l%02d", b.j.execPrefix, b.execSeq)
-	cfg := cloud.LambdaConfig{MemoryMB: b.s.cfg.LambdaMemoryMB}
+	cfg := cloud.LambdaConfig{MemoryMB: lambdaMemoryMB}
 	l, err := b.c.Provider().Invoke(cfg,
 		func(l *cloud.Lambda) {
 			b.c.Clock().After(lambdaExecLaunchDelay, func() {
@@ -196,7 +196,7 @@ func (b *jobBackend) launchProvisionedExecutor(env *warmpool.Env) {
 	b.lambdaPending++
 	b.execSeq++
 	id := fmt.Sprintf("%s-w%02d", b.j.execPrefix, b.execSeq)
-	cfg := cloud.LambdaConfig{MemoryMB: b.s.cfg.LambdaMemoryMB}
+	cfg := cloud.LambdaConfig{MemoryMB: lambdaMemoryMB}
 	l, err := b.c.Provider().InvokeProvisioned(cfg,
 		func(l *cloud.Lambda) {
 			b.c.Clock().After(lambdaExecLaunchDelay, func() {

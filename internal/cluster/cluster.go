@@ -39,6 +39,15 @@ const (
 	dispatchCost  = 4 * time.Millisecond
 )
 
+const (
+	// lambdaMemoryMB sizes bridged Lambda executors (one vCPU).
+	lambdaMemoryMB = 1536
+	// hybridSlowdown is the fluid-model execution multiplier of a bridged
+	// job, used by deadline admission's ETA (the calibrated daysim
+	// constant).
+	hybridSlowdown = 1.10
+)
+
 // newClock builds the simulation clock. A package variable so the
 // cross-implementation determinism tests can swap in
 // simclock.NewHeapBacked and assert that the timer wheel produces
@@ -130,12 +139,6 @@ type Config struct {
 	// the provider after they have been fully idle this long (0 keeps
 	// them pooled for the rest of the run, the pre-elasticity behavior).
 	ScaleDownIdle time.Duration
-	// HybridSlowdown is the fluid-model execution multiplier of a bridged
-	// job, used by deadline admission's ETA (default 1.10, matching the
-	// calibrated daysim constant).
-	HybridSlowdown float64
-	// LambdaMemoryMB sizes bridged Lambda executors (default 1536).
-	LambdaMemoryMB int
 	// WarmPool, when > 0, provisions a target-tracked pool of that many
 	// pre-initialized Lambda environments (provisioned concurrency):
 	// bridged executors launched on them start warm, and their idle time
@@ -202,16 +205,17 @@ const (
 // schedToken only when the batch is drained, so resuming a batch of N
 // workloads costs N+1 channel operations instead of 2N. Every transfer is
 // a channel send/receive, so the token chain is also the happens-before
-// chain that keeps runs deterministic and race-free.
+// chain that keeps runs deterministic and race-free. A parked workload
+// joins the run-queue when its engine job completes: the engine calls the
+// wake it registered through engine.Config.Yield.
 type coroutine struct {
 	// wake hands the execution token to the parked workload; false aborts
-	// it as stalled.
+	// it as stalled. Its one-slot buffer lets a workload whose engine job
+	// was already done when it parked hand the token to itself.
 	wake chan bool
-	// ready reports whether the parked workload's engine job completed;
-	// set before every park. Ready probes are monotone (an engine job
-	// never un-completes), which is what makes the batched drain resume
-	// workloads in exactly the order the old scan-per-job loop did.
-	ready func() bool
+	// parkSeq numbers the workload's current park (0 while it runs), so
+	// Finalize can abort still-parked workloads in park order.
+	parkSeq uint64
 	// resumedAt is the host instant the workload last received the token
 	// (set only when profiling): the next park or finish observes the
 	// burst as one handoff.
@@ -337,12 +341,14 @@ type Scheduler struct {
 	// settled counts jobs that reached a terminal phase (done, failed,
 	// shed), so the run loop's exit test is O(1).
 	settled int
-	// parkedJobs are running jobs whose workload goroutine is blocked in
-	// engine.RunJob waiting for its engine job to complete. Workloads
-	// append themselves while holding the execution token.
-	parkedJobs []*job
-	// runq is the batch of parked jobs whose engine jobs completed,
-	// resumed by chaining the execution token job-to-job (see coroutine).
+	// parked counts running jobs whose workload goroutine is blocked in
+	// engine.RunJob waiting for its engine job to complete; parks numbers
+	// every park so far (see coroutine.parkSeq).
+	parked int
+	parks  uint64
+	// runq is the batch of parked jobs whose engine jobs completed, in
+	// completion order, resumed by chaining the execution token
+	// job-to-job (see coroutine).
 	runq []*job
 	// schedToken returns the execution token to the scheduler goroutine
 	// once a workload batch is drained.
@@ -386,15 +392,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if cfg.WarmPool < 0 {
 		return nil, errors.New("cluster: WarmPool must be >= 0")
-	}
-	if cfg.HybridSlowdown == 0 {
-		cfg.HybridSlowdown = 1.10
-	}
-	if cfg.HybridSlowdown < 1 {
-		return nil, errors.New("cluster: HybridSlowdown must be >= 1")
-	}
-	if cfg.LambdaMemoryMB == 0 {
-		cfg.LambdaMemoryMB = 1536
 	}
 	if cfg.PoolVMType.VCPUs == 0 {
 		cfg.PoolVMType = cloud.M4XLarge
@@ -465,7 +462,7 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.WarmPool > 0 {
 		var err error
 		warm, err = warmpool.NewPool(clock, bus, warmpool.Config{
-			MemoryMB:    cfg.LambdaMemoryMB,
+			MemoryMB:    lambdaMemoryMB,
 			Target:      cfg.WarmPool,
 			EnvLifetime: provider.Limits().MaxLifetime,
 		})
@@ -560,10 +557,14 @@ func (s *Scheduler) Done() bool { return s.settled >= len(s.jobs) }
 func (s *Scheduler) Finalize() *Report {
 	// An aborted workload settles itself through finish before handing the
 	// token back.
-	for len(s.parkedJobs) > 0 {
-		j := s.parkedJobs[0]
-		s.parkedJobs[0] = nil
-		s.parkedJobs = s.parkedJobs[1:]
+	var parked []*job
+	for _, j := range s.jobs {
+		if j.co != nil && j.co.parkSeq != 0 {
+			parked = append(parked, j)
+		}
+	}
+	sort.Slice(parked, func(a, b int) bool { return parked[a].co.parkSeq < parked[b].co.parkSeq })
+	for _, j := range parked {
 		j.co.wake <- false
 		<-s.schedToken
 	}
@@ -787,7 +788,7 @@ func (s *Scheduler) updateGauges() {
 	s.insts.jobsRunning.Set(float64(running))
 	// Run-queue depth for the self-profiler: jobs waiting for cores plus
 	// workloads parked awaiting resume.
-	s.prof.SampleQueueDepth(queued + len(s.parkedJobs))
+	s.prof.SampleQueueDepth(queued + s.parked)
 }
 
 func (s *Scheduler) admit(j *job) {
@@ -797,8 +798,9 @@ func (s *Scheduler) admit(j *job) {
 	s.emit(eventlog.ClusterAdmit, j, func(ev *eventlog.Event) { ev.Cores = j.target })
 
 	j.backend = newJobBackend(s, j)
-	co := &coroutine{wake: make(chan bool)}
+	co := &coroutine{wake: make(chan bool, 1)}
 	j.co = co
+	wake := func() { s.runq = append(s.runq, j) }
 	c, err := engine.New(engine.Config{
 		AppID:               j.appID,
 		Clock:               s.clock,
@@ -813,13 +815,17 @@ func (s *Scheduler) admit(j *job) {
 		StageLaunchOverhead: stageOverhead,
 		TaskDispatchCost:    dispatchCost,
 		MaxSimTime:          s.cfg.MaxSimTime,
-		Yield: func(ready func() bool) bool {
+		Yield: func(register func(wake func())) bool {
 			s.prof.CountYield()
 			s.observeHandoff(co)
-			co.ready = ready
-			s.parkedJobs = append(s.parkedJobs, j)
+			s.parks++
+			co.parkSeq = s.parks
+			s.parked++
+			register(wake)
 			s.passToken()
 			ok := <-co.wake
+			co.parkSeq = 0
+			s.parked--
 			if s.prof != nil {
 				co.resumedAt = time.Now()
 			}
@@ -856,35 +862,18 @@ func (s *Scheduler) runJob(j *job) {
 	<-s.schedToken
 }
 
-// Pump resumes every parked workload whose engine job has completed: it
-// collects the resumable batch in park order, then releases the execution
-// token into the chain with one sync point for the whole batch, repeating
-// until no more progress is possible (a resumed workload can finish,
-// unblocking cores that complete another job at the same instant).
-// Because ready probes are monotone, collect-then-chain resumes workloads
-// in exactly the order the old resume-one-rescan loop did. Exported for
-// the sharded control plane's lockstep drive loop; Run calls it after
-// every clock step.
+// Pump resumes the workloads whose engine jobs completed since the last
+// call. Their wakes queued them on the run-queue as the jobs completed, so
+// Pump only releases the execution token into the chain and waits for it
+// to come back; the chain runs until the run-queue is empty, including
+// any workload queued on the way. Exported for the sharded control
+// plane's lockstep drive loop; Run calls it after every clock step.
 func (s *Scheduler) Pump() {
-	for {
-		kept := s.parkedJobs[:0]
-		for _, j := range s.parkedJobs {
-			if j.co.ready != nil && j.co.ready() {
-				s.runq = append(s.runq, j)
-			} else {
-				kept = append(kept, j)
-			}
-		}
-		for i := len(kept); i < len(s.parkedJobs); i++ {
-			s.parkedJobs[i] = nil
-		}
-		s.parkedJobs = kept
-		if len(s.runq) == 0 {
-			return
-		}
-		s.passToken()
-		<-s.schedToken
+	if len(s.runq) == 0 {
+		return
 	}
+	s.passToken()
+	<-s.schedToken
 }
 
 func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
@@ -925,7 +914,7 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 		j.workDist = j.cluster.WorkDistribution()
 	}
 	for _, l := range j.lambdas {
-		j.meter.AddLambda(l.ID, s.cfg.LambdaMemoryMB, l.BilledDuration(now))
+		j.meter.AddLambda(l.ID, lambdaMemoryMB, l.BilledDuration(now))
 	}
 	// The job is settled: release its simulation state. At 10k concurrent
 	// jobs the retained engines (executor/task records) are what inflate

@@ -73,7 +73,7 @@ func (s *Scheduler) fluidETA(j *job, cores int) (time.Duration, bool) {
 	case StrategyBridge:
 		// The launching facility covers any shortfall with Δ = R − r
 		// Lambdas at the calibrated hybrid slowdown.
-		return time.Duration(s.cfg.HybridSlowdown * float64(j.spec.Baseline)), true
+		return time.Duration(hybridSlowdown * float64(j.spec.Baseline)), true
 	case StrategyAutoscale:
 		if cores >= j.spec.Cores {
 			return j.spec.Baseline, true

@@ -332,7 +332,7 @@ func (s *Scheduler) buildReport() *Report {
 		r.WarmResizes = s.warm.Resizes()
 		r.WarmRecycled = s.warm.Recycled()
 		for _, e := range s.warm.IdleBreakdown(end) {
-			r.LambdaIdleUSD += billing.LambdaIdleCost(s.cfg.LambdaMemoryMB, e.Idle)
+			r.LambdaIdleUSD += billing.LambdaIdleCost(lambdaMemoryMB, e.Idle)
 		}
 	}
 	if s.tmpCache != nil {

@@ -27,7 +27,7 @@ import (
 // to 20k darts/task (the smallest count whose fixed-seed estimate passes
 // the workload's plausibility check) so a 1k-job stream costs fractions
 // of a second, while the modelled cost keeps tasks sub-millisecond like
-// the loadbench shape.
+// the benchmark's steady shape.
 func runqueuePi() workloads.Workload {
 	return sparkpi.New(sparkpi.Config{
 		Darts:               100_000,
@@ -38,7 +38,7 @@ func runqueuePi() workloads.Workload {
 	})
 }
 
-// runqueueSpecs is a loadbench-shaped stream: n 2-core jobs arriving every
+// runqueueSpecs is a steady-benchmark-shaped stream: n 2-core jobs arriving every
 // 100ms.
 func runqueueSpecs(t *testing.T, n int) []JobSpec {
 	t.Helper()

@@ -98,7 +98,7 @@ func (m *Manager) buildReport(reps []*cluster.Report) *Report {
 	r := &Report{
 		Schema:    SchemaV1,
 		Shards:    m.cfg.Shards,
-		Stealing:  m.cfg.Shards > 1 && !m.cfg.DisableStealing,
+		Stealing:  m.cfg.Shards > 1,
 		Seed:      m.cfg.Cluster.Seed,
 		PoolCores: m.cfg.Cluster.PoolCores,
 

@@ -54,9 +54,6 @@ type Config struct {
 	// cluster core pool is split evenly: Cluster.PoolCores must be
 	// divisible by Shards with at least one core per shard.
 	Shards int
-	// DisableStealing turns the inter-shard work-stealing pass off, for
-	// A/B runs isolating what stealing buys.
-	DisableStealing bool
 	// Cluster is the scheduler template every shard is built from. Jobs
 	// is the global tenant-labelled stream (the manager partitions it);
 	// PoolCores is the total pool. Clock and IDPrefix are owned by the
@@ -222,7 +219,6 @@ func (m *Manager) Run() (*Report, error) {
 	}
 
 	deadline := simclock.Epoch.Add(m.maxSim)
-	steal := m.cfg.Shards > 1 && !m.cfg.DisableStealing
 	for !m.done() && m.clock.Now().Before(deadline) {
 		if !m.clock.Step() {
 			break
@@ -232,7 +228,7 @@ func (m *Manager) Run() (*Report, error) {
 				st.sched.Pump()
 			}
 		}
-		if steal {
+		if m.cfg.Shards > 1 {
 			m.stealPass()
 		}
 	}

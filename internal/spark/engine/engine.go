@@ -99,12 +99,14 @@ type Config struct {
 	MaxSimTime time.Duration
 	// Yield, when set, makes RunJob cooperative: instead of stepping the
 	// shared clock itself (which nests event loops when several engines
-	// run concurrently), RunJob parks by calling Yield with a readiness
-	// probe that turns true once the job completes, and an external
-	// driver pumps the clock and wakes it. Yield returning false aborts
-	// the job as stalled. Used by internal/cluster to interleave many
-	// engines on one clock.
-	Yield func(ready func() bool) bool
+	// run concurrently), RunJob parks by calling Yield while an external
+	// driver steps the clock. Yield's argument registers one wake
+	// function, which the engine calls exactly once, when it marks the
+	// job done — at once if the job is already done; the driver resumes
+	// the parked caller from it. Yield returning false aborts the job as
+	// stalled. Used by internal/cluster to interleave many engines on one
+	// clock.
+	Yield func(register func(wake func())) bool
 }
 
 // Cluster is the driver/session: it owns executors, the stage and task
@@ -385,7 +387,7 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 	c.sched.submitJob(job)
 
 	if c.cfg.Yield != nil {
-		c.cfg.Yield(func() bool { return job.done })
+		c.cfg.Yield(job.onDone)
 	} else {
 		deadline := c.cfg.Clock.Now().Add(c.cfg.MaxSimTime)
 		for !job.done && c.cfg.Clock.Now().Before(deadline) {
@@ -395,6 +397,7 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 		}
 	}
 	if !job.done {
+		// Stalled. The waiter has already resumed, so no wake fires.
 		job.done = true
 		job.err = fmt.Errorf("%w: %q after %v (pending tasks=%d, live executors=%d)",
 			ErrStalled, name, c.cfg.MaxSimTime, c.sched.pendingCount(), len(c.Executors()))

@@ -61,6 +61,16 @@ func withUsableCores(n int) harnessOpt {
 	return func(_ *Config, s *StandaloneConfig) { s.UsableCores = n }
 }
 
+func withMaxTaskAttempts(n int) harnessOpt {
+	return func(c *Config, _ *StandaloneConfig) { c.MaxTaskAttempts = n }
+}
+
+// withYield makes RunJob cooperative: it parks in y instead of stepping
+// the clock itself.
+func withYield(y func(register func(wake func())) bool) harnessOpt {
+	return func(c *Config, _ *StandaloneConfig) { c.Yield = y }
+}
+
 // newHarness builds a cluster with one ready m4.4xlarge and a local store.
 func newHarness(t *testing.T, execs int, opts ...harnessOpt) *harness {
 	t.Helper()
@@ -434,6 +444,112 @@ func TestStalledJobReturnsError(t *testing.T) {
 	_, err = cluster.RunJob(src, "stall")
 	if !errors.Is(err, ErrStalled) {
 		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+}
+
+// The Yield tests stand in for the cluster scheduler: a fake Yield
+// registers a counting wake and steps the clock the way the scheduler's
+// drive loop would while the caller is parked.
+
+// TestYieldWakesOnceWhenResultStageCompletes: the wake fires exactly
+// once, at the result stage's completion.
+func TestYieldWakesOnceWhenResultStageCompletes(t *testing.T) {
+	var h *harness
+	wakes := 0
+	var lastAtWake eventlog.Type
+	h = newHarness(t, 4, withYield(func(register func(wake func())) bool {
+		register(func() {
+			wakes++
+			evs := h.bus.Events()
+			lastAtWake = evs[len(evs)-1].Type
+		})
+		h.clock.Run()
+		return true
+	}))
+	job, err := h.cluster.RunJob(intSource(h.ctx, 100, 4), "collect")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wakes != 1 {
+		t.Fatalf("wake fired %d times, want 1", wakes)
+	}
+	if lastAtWake != eventlog.StageEnd {
+		t.Errorf("wake fired after a %s event, want the result stage's %s", lastAtWake, eventlog.StageEnd)
+	}
+	if got := len(job.Rows()); got != 100 {
+		t.Errorf("got %d rows, want 100", got)
+	}
+}
+
+// TestYieldWakesOnAbortWhileParked: a job aborted on MaxTaskAttempts while
+// its caller is parked wakes the caller, once, with the abort error.
+func TestYieldWakesOnAbortWhileParked(t *testing.T) {
+	var h *harness
+	wakes := 0
+	h = newHarness(t, 4, withMaxTaskAttempts(1), withYield(func(register func(wake func())) bool {
+		register(func() { wakes++ })
+		h.clock.RunWhile(func() bool { return wakes == 0 })
+		return true
+	}))
+	// Every executor dies mid-task; with one attempt allowed, the first
+	// lost task aborts the job.
+	h.clock.After(3*time.Second, func() {
+		for _, e := range h.cluster.Executors() {
+			h.cluster.RemoveExecutor(e.ID, false, "injected loss")
+		}
+	})
+	slow := intSource(h.ctx, 1000, 4).Map("slow", func(r rdd.Row) rdd.Row { return r }, 1e6, 8)
+	_, err := h.cluster.RunJob(slow, "abort")
+	if !errors.Is(err, ErrTaskRetriesExhausted) {
+		t.Fatalf("err = %v, want ErrTaskRetriesExhausted", err)
+	}
+	if wakes != 1 {
+		t.Fatalf("wake fired %d times, want 1", wakes)
+	}
+}
+
+// TestYieldWakesAtOnceWhenAlreadyDone: registering after the job completed
+// fires the wake inside the registration call.
+func TestYieldWakesAtOnceWhenAlreadyDone(t *testing.T) {
+	var h *harness
+	wakes, duringRegister := 0, 0
+	h = newHarness(t, 4, withYield(func(register func(wake func())) bool {
+		h.clock.RunWhile(func() bool { return !h.cluster.job.Done() })
+		registering := true
+		register(func() {
+			wakes++
+			if registering {
+				duringRegister++
+			}
+		})
+		registering = false
+		return true
+	}))
+	if _, err := h.cluster.RunJob(intSource(h.ctx, 100, 4), "early"); err != nil {
+		t.Fatal(err)
+	}
+	if wakes != 1 || duringRegister != 1 {
+		t.Fatalf("wakes=%d during registration=%d, want 1/1", wakes, duringRegister)
+	}
+}
+
+// TestYieldFalseStalls: a Yield that returns false still fails the job
+// with ErrStalled, and the stall fires no wake — neither then nor when the
+// clock later finishes the job's tasks.
+func TestYieldFalseStalls(t *testing.T) {
+	var h *harness
+	wakes := 0
+	h = newHarness(t, 4, withYield(func(register func(wake func())) bool {
+		register(func() { wakes++ })
+		return false
+	}))
+	_, err := h.cluster.RunJob(intSource(h.ctx, 100, 4), "stall")
+	if !errors.Is(err, ErrStalled) {
+		t.Fatalf("err = %v, want ErrStalled", err)
+	}
+	h.clock.Run()
+	if wakes != 0 {
+		t.Fatalf("wake fired %d times for a stalled job, want 0", wakes)
 	}
 }
 

@@ -274,7 +274,7 @@ func (s *scheduler) onExecutorDown(e *Executor) {
 // retry requeues a failed task attempt or aborts the job.
 func (s *scheduler) retry(t *Task) {
 	if t.Attempt+1 >= s.c.cfg.MaxTaskAttempts {
-		s.abort(t.Job, &TaskError{Task: t})
+		t.Job.complete(&TaskError{Task: t})
 		return
 	}
 	s.c.insts.taskRetries.Inc()
@@ -293,14 +293,6 @@ func (e *TaskError) Error() string {
 
 // Unwrap lets errors.Is match ErrTaskRetriesExhausted.
 func (e *TaskError) Unwrap() error { return ErrTaskRetriesExhausted }
-
-func (s *scheduler) abort(job *Job, err error) {
-	if job.done {
-		return
-	}
-	job.done = true
-	job.err = err
-}
 
 // onTaskFinished handles successful completion of either task kind.
 func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
@@ -365,7 +357,7 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 		if allDone {
 			st.done = true
 			s.c.Emit(eventlog.Event{Type: eventlog.StageEnd, Stage: st.ID, Task: -1, Note: st.Target.Name})
-			job.done = true
+			job.complete(nil)
 		}
 	}
 	s.alloc().onBacklogChange()

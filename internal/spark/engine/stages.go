@@ -215,6 +215,33 @@ type Job struct {
 	results [][]rdd.Row
 	done    bool
 	err     error
+	// wake is the parked caller's resume hook (see Config.Yield).
+	wake func()
+}
+
+// complete marks the job done with err and fires the registered wake.
+// Only the first completion counts: a job aborted earlier keeps its error
+// and wakes nobody twice.
+func (j *Job) complete(err error) {
+	if j.done {
+		return
+	}
+	j.done = true
+	j.err = err
+	if wake := j.wake; wake != nil {
+		j.wake = nil
+		wake()
+	}
+}
+
+// onDone registers wake to run once, when the job completes — at once if
+// it already has.
+func (j *Job) onDone(wake func()) {
+	if j.done {
+		wake()
+		return
+	}
+	j.wake = wake
 }
 
 // Done reports job completion.

@@ -131,14 +131,14 @@ func (s *scheduler) fetchSide(t *Task, e *Executor, shuffleID int, k func(bucket
 				s.onFetchFailed(t, e, shuffleID)
 				return
 			}
-			s.abort(t.Job, fmt.Errorf("engine: shuffle fetch: %w", err))
+			t.Job.complete(fmt.Errorf("engine: shuffle fetch: %w", err))
 			return
 		}
 		buckets := make([][]rdd.Row, len(blocks))
 		for i, b := range blocks {
 			rows, okRows := b.Payload.([]rdd.Row)
 			if !okRows && b.Payload != nil {
-				s.abort(t.Job, fmt.Errorf("engine: shuffle block %s has payload %T", b.ID, b.Payload))
+				t.Job.complete(fmt.Errorf("engine: shuffle block %s has payload %T", b.ID, b.Payload))
 				return
 			}
 			buckets[i] = rows
@@ -207,7 +207,7 @@ func (s *scheduler) computeAndWrite(t *Task, e *Executor, chain []*rdd.RDD, star
 					return
 				}
 				if err != nil {
-					s.abort(t.Job, fmt.Errorf("engine: shuffle write: %w", err))
+					t.Job.complete(fmt.Errorf("engine: shuffle write: %w", err))
 					return
 				}
 				s.c.tracker.AddMapOutput(t.Stage.ShuffleID, status)
