@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check vet race fuzz sim bench benchtest smoke attrib warmsweep shardreplay
+.PHONY: build test check fmt vet race fuzz sim bench benchtest smoke attrib warmsweep shardreplay
 
 build:
 	$(GO) build ./...
@@ -10,6 +10,12 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when gofmt would reformat any Go file in the tree (bench/
+# included), listing the offenders.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "gofmt: these files need formatting (run gofmt -w):"; echo "$$out"; exit 1; fi
 
 race:
 	$(GO) test -race ./...
@@ -24,12 +30,14 @@ fuzz:
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
 
-# check is the full pre-commit gate: static analysis, the whole test suite
-# under the race detector (twice, to shake out ordering dependence), the
-# benchmark module's tests, a short fuzz budget per target, then the
-# event-log smoke round-trip. Under the race detector internal/experiments
-# outlasts go test's 10-minute default on a 2-core host, hence -timeout.
+# check is the full pre-commit gate: the gofmt gate, static analysis, the
+# whole test suite under the race detector (twice, to shake out ordering
+# dependence), the benchmark module's tests, a short fuzz budget per
+# target, then the event-log smoke round-trip. Under the race detector
+# internal/experiments outlasts go test's 10-minute default on a 2-core
+# host, hence -timeout.
 check:
+	$(MAKE) fmt
 	$(GO) vet ./... && $(GO) test -race -count=2 -timeout 30m ./...
 	$(MAKE) benchtest
 	$(MAKE) fuzz

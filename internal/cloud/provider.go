@@ -101,8 +101,8 @@ type Lambda struct {
 	// warm-reuse accounting.
 	Provisioned bool
 	InvokedAt   time.Time
-	ReadyAt   time.Time
-	EndedAt   time.Time
+	ReadyAt     time.Time
+	EndedAt     time.Time
 	// Egress is the invocation's private uplink pool (Lambdas do not share
 	// a NIC with co-tenants in our model; their bandwidth cap is the
 	// memory-proportional egress limit).
@@ -170,11 +170,11 @@ type Provider struct {
 	// warm is the single source of truth for ambient warm-environment
 	// availability (memoryMB -> count), shared bookkeeping with the
 	// provisioned-concurrency layer in internal/warmpool.
-	warm *warmpool.Accounting
-	vms  []*VM
-	lambdas   []*Lambda
-	insts     providerInstruments
-	bus       *eventlog.Bus
+	warm    *warmpool.Accounting
+	vms     []*VM
+	lambdas []*Lambda
+	insts   providerInstruments
+	bus     *eventlog.Bus
 }
 
 // SetEventLog attaches an event-log bus; the provider emits control-plane

@@ -116,7 +116,14 @@ func (b *jobBackend) reconcile() {
 		return
 	}
 	for b.live()+b.inFlight() < b.desired {
-		b.launchLambdaExecutor()
+		// The launching facility prefers the provisioned-concurrency pool:
+		// a warm environment starts in ~100 ms instead of a cold start, and
+		// its /tmp cache may already hold shuffle blocks from earlier work.
+		var env *warmpool.Env
+		if b.s.warm != nil {
+			env = b.s.warm.Acquire()
+		}
+		b.launchLambdaExecutor(env)
 	}
 }
 
@@ -147,33 +154,41 @@ func (b *jobBackend) launchVMExecutor(lease *cloud.CoreLease) {
 	})
 }
 
-func (b *jobBackend) launchLambdaExecutor() {
-	// The launching facility prefers the provisioned-concurrency pool: a
-	// warm environment starts in ~100 ms instead of a cold start, and its
-	// /tmp cache may already hold shuffle blocks from earlier work.
-	if b.s.warm != nil {
-		if env := b.s.warm.Acquire(); env != nil {
-			b.launchProvisionedExecutor(env)
-			return
-		}
-	}
+// launchLambdaExecutor starts a Lambda executor: on-demand when env is
+// nil, otherwise on that warm-pool environment. A provisioned executor's
+// HostID is the *environment* ID, not the invocation ID, so /tmp-cached
+// shuffle blocks keyed by host survive across the invocations (and jobs)
+// the environment serves.
+func (b *jobBackend) launchLambdaExecutor(env *warmpool.Env) {
 	b.lambdaPending++
 	b.execSeq++
-	id := fmt.Sprintf("%s-l%02d", b.j.execPrefix, b.execSeq)
+	letter, invoke := 'l', b.c.Provider().Invoke
+	if env != nil {
+		letter, invoke = 'w', b.c.Provider().InvokeProvisioned
+	}
+	id := fmt.Sprintf("%s-%c%02d", b.j.execPrefix, letter, b.execSeq)
 	cfg := cloud.LambdaConfig{MemoryMB: lambdaMemoryMB}
-	l, err := b.c.Provider().Invoke(cfg,
+	l, err := invoke(cfg,
 		func(l *cloud.Lambda) {
 			b.c.Clock().After(lambdaExecLaunchDelay, func() {
 				b.lambdaPending--
 				if b.done || b.live() >= b.desired {
 					b.c.Provider().Release(l)
+					b.releaseEnv(env)
 					return
 				}
 				b.lambdaLive++
 				b.lambdaByExec[id] = l
 				cl := engine.LambdaExecutorClient(l)
+				if env != nil {
+					b.envByExec[id] = env
+					if b.s.tmpCache != nil {
+						b.s.tmpCache.Track(env.ID)
+					}
+					cl.HostID = env.ID
+				}
 				b.c.RegisterExecutor(engine.ExecutorSpec{
-					ID: id, Kind: engine.ExecLambda, HostID: l.ID,
+					ID: id, Kind: engine.ExecLambda, HostID: cl.HostID,
 					MemoryMB: cfg.MemoryMB,
 					CPUShare: cfg.CPUShare(b.c.Provider().Limits()) * lambdaCPUFactor,
 					IO:       cl, Serve: cl, Lambda: l,
@@ -183,52 +198,18 @@ func (b *jobBackend) launchLambdaExecutor() {
 		func(l *cloud.Lambda) { b.onLambdaExpired(id) })
 	if err != nil {
 		b.lambdaPending--
+		b.releaseEnv(env)
 		return
 	}
 	b.j.lambdas = append(b.j.lambdas, l)
 }
 
-// launchProvisionedExecutor hosts a Lambda executor on a warm-pool
-// environment. The executor's HostID is the *environment* ID, not the
-// invocation ID, so /tmp-cached shuffle blocks keyed by host survive
-// across the invocations (and jobs) the environment serves.
-func (b *jobBackend) launchProvisionedExecutor(env *warmpool.Env) {
-	b.lambdaPending++
-	b.execSeq++
-	id := fmt.Sprintf("%s-w%02d", b.j.execPrefix, b.execSeq)
-	cfg := cloud.LambdaConfig{MemoryMB: lambdaMemoryMB}
-	l, err := b.c.Provider().InvokeProvisioned(cfg,
-		func(l *cloud.Lambda) {
-			b.c.Clock().After(lambdaExecLaunchDelay, func() {
-				b.lambdaPending--
-				if b.done || b.live() >= b.desired {
-					b.c.Provider().Release(l)
-					b.s.warm.Release(env)
-					return
-				}
-				b.lambdaLive++
-				b.lambdaByExec[id] = l
-				b.envByExec[id] = env
-				if b.s.tmpCache != nil {
-					b.s.tmpCache.Track(env.ID)
-				}
-				cl := engine.LambdaExecutorClient(l)
-				cl.HostID = env.ID
-				b.c.RegisterExecutor(engine.ExecutorSpec{
-					ID: id, Kind: engine.ExecLambda, HostID: env.ID,
-					MemoryMB: cfg.MemoryMB,
-					CPUShare: cfg.CPUShare(b.c.Provider().Limits()) * lambdaCPUFactor,
-					IO:       cl, Serve: cl, Lambda: l,
-				})
-			})
-		},
-		func(l *cloud.Lambda) { b.onLambdaExpired(id) })
-	if err != nil {
-		b.lambdaPending--
+// releaseEnv returns env to the warm pool (no-op for nil, an on-demand
+// launch).
+func (b *jobBackend) releaseEnv(env *warmpool.Env) {
+	if env != nil {
 		b.s.warm.Release(env)
-		return
 	}
-	b.j.lambdas = append(b.j.lambdas, l)
 }
 
 // releaseEnvFor returns a provisioned executor's environment to the warm
@@ -279,7 +260,7 @@ func (b *jobBackend) reclaim(n int) {
 		lease := b.spare[len(b.spare)-1]
 		b.spare = b.spare[:len(b.spare)-1]
 		lease.Release()
-		b.s.onCoresFreed()
+		b.s.kick()
 		n--
 	}
 	if n <= 0 || b.c == nil {
@@ -357,7 +338,7 @@ func (b *jobBackend) releaseLeaseFor(id string) {
 	if lease := b.leaseByExec[id]; lease != nil {
 		delete(b.leaseByExec, id)
 		lease.Release()
-		b.s.onCoresFreed()
+		b.s.kick()
 	}
 }
 
@@ -392,5 +373,5 @@ func (b *jobBackend) shutdown() {
 		lease.Release()
 	}
 	b.spare = nil
-	b.s.onCoresFreed()
+	b.s.kick()
 }

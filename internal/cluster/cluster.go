@@ -121,10 +121,9 @@ type CostPick struct {
 // Config assembles a Scheduler.
 type Config struct {
 	Jobs []JobSpec
-	// PoolCores sizes the shared VM pool; PoolVMType is the instance type
-	// it is built from (and that autoscaling procures).
-	PoolCores  int
-	PoolVMType cloud.VMType
+	// PoolCores sizes the shared VM pool, built from m4.xlarge instances
+	// (the type autoscaling procures too).
+	PoolCores int
 	// Policy divides pool cores among active jobs (FIFO or FairShare).
 	Policy Policy
 	// Strategy is the response to a job's core shortfall.
@@ -186,7 +185,9 @@ type Config struct {
 type jobPhase int
 
 const (
-	jobQueued jobPhase = iota + 1
+	// jobPending (the zero phase): submitted but not yet arrived.
+	jobPending jobPhase = iota
+	jobQueued
 	jobRunning
 	jobDone
 	jobFailed
@@ -196,6 +197,7 @@ const (
 	// pass while queued; it settles here (excluded from this scheduler's
 	// report) and re-runs on the destination shard.
 	jobMigrated
+	numPhases
 )
 
 // coroutine is one job's workload goroutine. Exactly one goroutine — the
@@ -333,14 +335,16 @@ type Scheduler struct {
 
 	baseVMs  []*cloud.VM
 	procured []*cloud.VM
-	// active is the ID-ordered list of arrived, unsettled jobs — the
-	// scheduling pass's working set, compacted lazily so a pass costs
-	// O(active), not O(total jobs). ID order matches the former
-	// iterate-all-jobs order, which admission and policy grants depend on.
+	// active is the ID-ordered list of arrived jobs that were unsettled at
+	// the last scheduling pass — the pass's working set, compacted only
+	// when some job settled since, so a pass costs O(active), not O(total
+	// jobs). ID order matches the former iterate-all-jobs order, which
+	// admission and policy grants depend on.
 	active []*job
-	// settled counts jobs that reached a terminal phase (done, failed,
-	// shed), so the run loop's exit test is O(1).
-	settled int
+	// inPhase counts the jobs in each phase (see setPhase), so the exit
+	// test, the gauges, scale-down and the steal probe read counts
+	// instead of scanning the working set.
+	inPhase [numPhases]int
 	// parked counts running jobs whose workload goroutine is blocked in
 	// engine.RunJob waiting for its engine job to complete; parks numbers
 	// every park so far (see coroutine.parkSeq).
@@ -393,9 +397,6 @@ func New(cfg Config) (*Scheduler, error) {
 	if cfg.WarmPool < 0 {
 		return nil, errors.New("cluster: WarmPool must be >= 0")
 	}
-	if cfg.PoolVMType.VCPUs == 0 {
-		cfg.PoolVMType = cloud.M4XLarge
-	}
 	if cfg.Alloc == "" {
 		cfg.Alloc = "fixed"
 	}
@@ -441,7 +442,7 @@ func New(cfg Config) (*Scheduler, error) {
 	pool.SetEventLog(bus, clock.Now)
 	var baseVMs []*cloud.VM
 	for pool.Capacity() < cfg.PoolCores {
-		vm := provider.ProvisionReadyVM(cfg.PoolVMType)
+		vm := provider.ProvisionReadyVM(cloud.M4XLarge)
 		pool.AddVM(vm)
 		baseVMs = append(baseVMs, vm)
 	}
@@ -484,17 +485,41 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	s.prof.AttachClock(clock)
 	s.prof.ObserveBus(bus)
-	for i, spec := range cfg.Jobs {
+	for _, spec := range cfg.Jobs {
 		if spec.Name == "" {
 			spec.Name = spec.Workload.Name()
 		}
-		j := &job{spec: spec, id: i,
-			appID:      fmt.Sprintf("%sj%03d-%s", cfg.IDPrefix, i, spec.Name),
-			execPrefix: fmt.Sprintf("%sj%03d", cfg.IDPrefix, i)}
-		j.meter.SetTelemetry(hub)
-		s.jobs = append(s.jobs, j)
+		s.addJob(spec)
 	}
 	return s, nil
+}
+
+// AppID is the app ID of the id-th job submitted to a scheduler whose
+// Config.IDPrefix is idPrefix: "<idPrefix>j<id>-<name>", with id
+// zero-padded to three digits. The job's executor IDs share the part
+// before the dash.
+func AppID(idPrefix string, id int, name string) string {
+	return execPrefix(idPrefix, id) + "-" + name
+}
+
+func execPrefix(idPrefix string, id int) string { return fmt.Sprintf("%sj%03d", idPrefix, id) }
+
+// addJob numbers spec as the scheduler's next job, in the pending phase.
+func (s *Scheduler) addJob(spec JobSpec) *job {
+	id := len(s.jobs)
+	prefix := execPrefix(s.cfg.IDPrefix, id)
+	j := &job{spec: spec, id: id, appID: prefix + "-" + spec.Name, execPrefix: prefix}
+	j.meter.SetTelemetry(s.hub)
+	s.jobs = append(s.jobs, j)
+	s.inPhase[jobPending]++
+	return j
+}
+
+// setPhase moves j to phase p, keeping the per-phase counts.
+func (s *Scheduler) setPhase(j *job, p jobPhase) {
+	s.inPhase[j.phase]--
+	j.phase = p
+	s.inPhase[p]++
 }
 
 // Events exposes the run's structured event stream (for -eventlog/-trace).
@@ -548,7 +573,9 @@ func (s *Scheduler) Start() error {
 }
 
 // Done reports whether every submitted (or injected) job has settled.
-func (s *Scheduler) Done() bool { return s.settled >= len(s.jobs) }
+func (s *Scheduler) Done() bool {
+	return s.inPhase[jobPending]+s.inPhase[jobQueued]+s.inPhase[jobRunning] == 0
+}
 
 // Finalize ends the run: whatever is still parked is stalled (or past
 // the deadline), so abort the workload goroutines, fail still-active
@@ -570,11 +597,10 @@ func (s *Scheduler) Finalize() *Report {
 	}
 	for _, j := range s.jobs {
 		if j.active() {
-			j.phase = jobFailed
+			s.setPhase(j, jobFailed)
 			j.finishedAt = s.clock.Now()
 			j.err = fmt.Errorf("cluster: job %s never completed (queued or stalled)", j.appID)
 			s.insts.jobsFailed.Inc()
-			s.settled++
 		}
 	}
 	if s.warm != nil {
@@ -619,10 +645,8 @@ func (s *Scheduler) kick() {
 	})
 }
 
-func (s *Scheduler) onCoresFreed() { s.kick() }
-
 func (s *Scheduler) onArrival(j *job) {
-	j.phase = jobQueued
+	s.setPhase(j, jobQueued)
 	j.arrivalAt = s.clock.Now()
 	if !j.presetArrival.IsZero() {
 		// A stolen job keeps its original submission instant: the SLO
@@ -648,34 +672,27 @@ func (s *Scheduler) onArrival(j *job) {
 	s.kick()
 }
 
-// schedule is the single scheduling pass: policy targets, reclaims,
+// schedule is the single scheduling pass: policy entitlements, reclaims,
 // admissions, core grants (segue-first), and autoscale procurement.
 func (s *Scheduler) schedule() {
-	// Compact the working set: drop jobs that settled since the last pass.
-	kept := s.active[:0]
-	for _, j := range s.active {
-		if j.active() {
-			kept = append(kept, j)
+	// Compact the working set when some job settled since the last pass.
+	if len(s.active) > s.inPhase[jobQueued]+s.inPhase[jobRunning] {
+		kept := s.active[:0]
+		for _, j := range s.active {
+			if j.active() {
+				kept = append(kept, j)
+			}
 		}
+		clear(s.active[len(kept):])
+		s.active = kept
 	}
-	for i := len(kept); i < len(s.active); i++ {
-		s.active[i] = nil
-	}
-	s.active = kept
 	active := s.active
 	s.updateGauges()
 	if len(active) == 0 {
 		return
 	}
 
-	demands := make([]int, len(active))
-	for i, j := range active {
-		demands[i] = j.spec.Cores
-	}
-	targets := s.cfg.Policy.Targets(s.pool.Capacity(), demands)
-	for i, j := range active {
-		j.target = targets[i]
-	}
+	s.cfg.Policy.entitle(s.pool.Capacity(), active)
 
 	// Reclaim from running jobs holding more than their entitlement.
 	for _, j := range active {
@@ -705,35 +722,28 @@ func (s *Scheduler) schedule() {
 
 	// Grant free cores. Lambda-heavy jobs come first, longest-running
 	// first — the cross-job segue: a freed VM core is worth most to the
-	// job that has been paying the Lambda premium the longest.
-	var segueFirst, rest []*job
-	for _, j := range active {
-		if j.phase == jobRunning && j.backend.lambdaLive > 0 {
-			segueFirst = append(segueFirst, j)
-		} else {
-			rest = append(rest, j)
+	// job that has been paying the Lambda premium the longest. Admission
+	// order is not ID order when arrivals are not, hence the sort.
+	// Acquiring from a full pool is a no-op, so the phase runs only when
+	// some core is free.
+	if s.pool.Free() > 0 {
+		var segueFirst []*job
+		for _, j := range active {
+			if j.phase == jobRunning && j.backend.lambdaLive > 0 {
+				segueFirst = append(segueFirst, j)
+			}
 		}
-	}
-	sort.SliceStable(segueFirst, func(a, b int) bool {
-		return segueFirst[a].admittedAt.Before(segueFirst[b].admittedAt)
-	})
-	for _, j := range append(segueFirst, rest...) {
-		if j.phase != jobRunning {
-			continue
+		sort.SliceStable(segueFirst, func(a, b int) bool {
+			return segueFirst[a].admittedAt.Before(segueFirst[b].admittedAt)
+		})
+		for _, j := range segueFirst {
+			s.grant(j)
 		}
-		want := j.target - j.backend.vmEffective()
-		if want <= 0 {
-			continue
+		for _, j := range active {
+			if j.phase == jobRunning && j.backend.lambdaLive == 0 {
+				s.grant(j)
+			}
 		}
-		leases := s.pool.Acquire(j.appID, want)
-		if len(leases) == 0 {
-			continue
-		}
-		if j.backend.lambdaLive > 0 {
-			s.insts.segueGrants.Add(float64(len(leases)))
-			s.emit(eventlog.SegueCoreGrant, j, func(ev *eventlog.Event) { ev.Cores = len(leases) })
-		}
-		j.backend.addLeases(leases)
 	}
 
 	// Autoscale: procure VMs for the unmet demand, minus what is already
@@ -755,7 +765,7 @@ func (s *Scheduler) schedule() {
 		}
 		unmet -= s.pool.Free() + s.pendingProcureCores
 		for unmet > 0 {
-			t := s.cfg.PoolVMType
+			t := cloud.M4XLarge
 			s.pendingProcureCores += t.VCPUs
 			unmet -= t.VCPUs
 			ev := eventlog.Ev(eventlog.AutoscaleOrder)
@@ -774,25 +784,34 @@ func (s *Scheduler) schedule() {
 	s.armScaleDown()
 }
 
-func (s *Scheduler) updateGauges() {
-	queued, running := 0, 0
-	for _, j := range s.active {
-		switch j.phase {
-		case jobQueued:
-			queued++
-		case jobRunning:
-			running++
-		}
+// grant leases free pool cores to running job j, up to its entitlement.
+func (s *Scheduler) grant(j *job) {
+	want := j.target - j.backend.vmEffective()
+	if want <= 0 {
+		return
 	}
+	leases := s.pool.Acquire(j.appID, want)
+	if len(leases) == 0 {
+		return
+	}
+	if j.backend.lambdaLive > 0 {
+		s.insts.segueGrants.Add(float64(len(leases)))
+		s.emit(eventlog.SegueCoreGrant, j, func(ev *eventlog.Event) { ev.Cores = len(leases) })
+	}
+	j.backend.addLeases(leases)
+}
+
+func (s *Scheduler) updateGauges() {
+	queued := s.inPhase[jobQueued]
 	s.insts.jobsQueued.Set(float64(queued))
-	s.insts.jobsRunning.Set(float64(running))
+	s.insts.jobsRunning.Set(float64(s.inPhase[jobRunning]))
 	// Run-queue depth for the self-profiler: jobs waiting for cores plus
 	// workloads parked awaiting resume.
 	s.prof.SampleQueueDepth(queued + s.parked)
 }
 
 func (s *Scheduler) admit(j *job) {
-	j.phase = jobRunning
+	s.setPhase(j, jobRunning)
 	j.admittedAt = s.clock.Now()
 	s.insts.queueWait.ObserveDuration(s.clock.Since(j.arrivalAt))
 	s.emit(eventlog.ClusterAdmit, j, func(ev *eventlog.Event) { ev.Cores = j.target })
@@ -882,11 +901,11 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 	j.report = rep
 	j.err = err
 	if err != nil {
-		j.phase = jobFailed
+		s.setPhase(j, jobFailed)
 		s.insts.jobsFailed.Inc()
 		s.emit(eventlog.ClusterFail, j, func(ev *eventlog.Event) { ev.Note = err.Error() })
 	} else {
-		j.phase = jobDone
+		s.setPhase(j, jobDone)
 		s.insts.jobsCompleted.Inc()
 		s.emit(eventlog.ClusterFinish, j, nil)
 		stretch := float64(now.Sub(j.arrivalAt)) / float64(j.spec.Baseline)
@@ -922,7 +941,6 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 	// clock loop — so dropping them here is part of the run-queue perf
 	// work, not just tidiness. Launch callbacks still in flight hold their
 	// own references and self-release on the done flag.
-	s.settled++
 	j.cluster = nil
 	j.backend = nil
 	j.lambdas = nil

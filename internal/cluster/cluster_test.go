@@ -253,9 +253,15 @@ func TestPolicyTargets(t *testing.T) {
 		{FairShare(), 0, []int{5}, []int{0}},
 	}
 	for _, c := range cases {
-		got := c.policy.Targets(c.capacity, c.demands)
-		if len(got) != len(c.want) {
-			t.Fatalf("%s(%d, %v) = %v, want %v", c.policy.Name(), c.capacity, c.demands, got, c.want)
+		active := make([]*job, len(c.demands))
+		for i, d := range c.demands {
+			// A stale target from an earlier pass must be overwritten.
+			active[i] = &job{spec: JobSpec{Cores: d}, target: 99}
+		}
+		c.policy.entitle(c.capacity, active)
+		got := make([]int, len(active))
+		for i, j := range active {
+			got[i] = j.target
 		}
 		for i := range got {
 			if got[i] != c.want[i] {

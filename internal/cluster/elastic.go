@@ -142,10 +142,9 @@ func (s *Scheduler) delay(j *job) {
 
 // shed rejects a queued job outright; it never runs and holds no cores.
 func (s *Scheduler) shed(j *job, reason string) {
-	j.phase = jobShed
+	s.setPhase(j, jobShed)
 	j.finishedAt = s.clock.Now()
 	j.shedReason = reason
-	s.settled++
 	s.insts.jobsShed.Inc()
 	s.emit(eventlog.ClusterShed, j, func(ev *eventlog.Event) {
 		ev.Cores = j.spec.Cores
@@ -191,10 +190,8 @@ func (s *Scheduler) tryScaleDown(vm *cloud.VM) {
 	}
 	// Hold capacity while anything is queued: releasing under a backlog
 	// would trade queue wait (and SLO attainment) for VM-hours.
-	for _, j := range s.active {
-		if j.phase == jobQueued {
-			return
-		}
+	if s.inPhase[jobQueued] > 0 {
+		return
 	}
 	since, ok := s.pool.IdleSince(vm)
 	if !ok {

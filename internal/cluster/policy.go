@@ -6,14 +6,14 @@ import (
 )
 
 // Policy decides how many shared-pool cores each active job is entitled
-// to. Targets sees the demands of every queued or running job in arrival
-// order and returns the aligned per-job core entitlements; the scheduler
-// admits a queued job once its entitlement reaches one core, grants free
-// cores up to the entitlement, and (for policies that shrink a running
-// job's entitlement) reclaims the excess by draining executors.
+// to. entitle sees every queued or running job in ID order and sets each
+// one's target from its demand; the scheduler admits a queued job once its
+// entitlement reaches one core, grants free cores up to the entitlement,
+// and (for policies that shrink a running job's entitlement) reclaims the
+// excess by draining executors.
 type Policy interface {
 	Name() string
-	Targets(capacity int, demands []int) []int
+	entitle(capacity int, active []*job)
 }
 
 // PolicyByName resolves "fifo" or "fair".
@@ -37,17 +37,11 @@ type fifoPolicy struct{}
 
 func (fifoPolicy) Name() string { return "fifo" }
 
-func (fifoPolicy) Targets(capacity int, demands []int) []int {
-	out := make([]int, len(demands))
-	for i, d := range demands {
-		give := d
-		if give > capacity {
-			give = capacity
-		}
-		out[i] = give
-		capacity -= give
+func (fifoPolicy) entitle(capacity int, active []*job) {
+	for _, j := range active {
+		j.target = min(j.spec.Cores, capacity)
+		capacity -= j.target
 	}
-	return out
 }
 
 // FairShare is integer max-min fairness over cores: capacity is
@@ -61,16 +55,18 @@ type fairPolicy struct{}
 
 func (fairPolicy) Name() string { return "fair" }
 
-func (fairPolicy) Targets(capacity int, demands []int) []int {
-	out := make([]int, len(demands))
+func (fairPolicy) entitle(capacity int, active []*job) {
+	for _, j := range active {
+		j.target = 0
+	}
 	for capacity > 0 {
 		progress := false
-		for i, d := range demands {
+		for _, j := range active {
 			if capacity == 0 {
 				break
 			}
-			if out[i] < d {
-				out[i]++
+			if j.target < j.spec.Cores {
+				j.target++
 				capacity--
 				progress = true
 			}
@@ -79,5 +75,4 @@ func (fairPolicy) Targets(capacity int, demands []int) []int {
 			break // every demand is met
 		}
 	}
-	return out
 }

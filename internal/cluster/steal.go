@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"splitserve/internal/cloud"
@@ -25,6 +24,9 @@ func (s *Scheduler) PoolFree() int { return s.pool.Free() }
 // (injected jobs never migrate twice — that would let a job ping-pong
 // between two saturated shards forever).
 func (s *Scheduler) stealCandidate() *job {
+	if s.inPhase[jobQueued] == 0 {
+		return nil
+	}
 	for _, j := range s.active {
 		if j.phase == jobQueued && !j.injected {
 			return j
@@ -52,9 +54,8 @@ func (s *Scheduler) Steal() (JobSpec, time.Time, bool) {
 	if j == nil {
 		return JobSpec{}, time.Time{}, false
 	}
-	j.phase = jobMigrated
+	s.setPhase(j, jobMigrated)
 	j.finishedAt = s.clock.Now()
-	s.settled++
 	s.kick() // compact the active set and refresh gauges next pass
 	return j.spec, j.arrivalAt, true
 }
@@ -64,15 +65,9 @@ func (s *Scheduler) Steal() (JobSpec, time.Time, bool) {
 // but keeps its original arrival time for SLO and queue-wait accounting.
 // Returns the job's new app ID for the shard_steal event.
 func (s *Scheduler) Inject(spec JobSpec, arrivedAt time.Time) string {
-	i := len(s.jobs)
-	j := &job{spec: spec, id: i,
-		appID:         fmt.Sprintf("%sj%03d-%s", s.cfg.IDPrefix, i, spec.Name),
-		execPrefix:    fmt.Sprintf("%sj%03d", s.cfg.IDPrefix, i),
-		injected:      true,
-		presetArrival: arrivedAt,
-	}
-	j.meter.SetTelemetry(s.hub)
-	s.jobs = append(s.jobs, j)
+	j := s.addJob(spec)
+	j.injected = true
+	j.presetArrival = arrivedAt
 	s.onArrival(j)
 	return j.appID
 }

@@ -65,8 +65,8 @@ type Curve struct {
 
 // File is the versioned on-disk profile set.
 type File struct {
-	Version int    `json:"version"`
-	Seed    uint64 `json:"seed"`
+	Version int     `json:"version"`
+	Seed    uint64  `json:"seed"`
 	Curves  []Curve `json:"curves"`
 }
 

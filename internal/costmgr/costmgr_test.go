@@ -286,7 +286,7 @@ func TestMinCostPropertyFeasibility(t *testing.T) {
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)
 		}
-		deadline := time.Duration(rng.Uint64()%600_000_000_000) // up to 600s
+		deadline := time.Duration(rng.Uint64() % 600_000_000_000) // up to 600s
 		d, err := m.Decide(MinCost, Request{Workload: "w", Fallback: 1, Deadline: deadline})
 		if err != nil {
 			t.Fatalf("iter %d: %v", iter, err)

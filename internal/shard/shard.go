@@ -150,7 +150,7 @@ func New(cfg Config) (*Manager, error) {
 		}
 		m.assigns = append(m.assigns, assignRec{
 			arrival: spec.Arrival,
-			appID:   fmt.Sprintf("%sj%03d-%s", prefix, len(parts[sh]), spec.Name),
+			appID:   cluster.AppID(prefix, len(parts[sh]), spec.Name),
 			tenant:  spec.Tenant,
 			cores:   spec.Cores,
 			shard:   sh,
