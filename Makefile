@@ -8,8 +8,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet covers the benchmark module too: bench/ is a module of its own, so
+# `go vet ./...` never enters it.
 vet:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 
 # fmt fails when gofmt would reformat any Go file in the tree (bench/
 # included), listing the offenders.
@@ -30,15 +33,16 @@ fuzz:
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
 
-# check is the full pre-commit gate: the gofmt gate, static analysis, the
-# whole test suite under the race detector (twice, to shake out ordering
-# dependence), the benchmark module's tests, a short fuzz budget per
-# target, then the event-log smoke round-trip. Under the race detector
-# internal/experiments outlasts go test's 10-minute default on a 2-core
-# host, hence -timeout.
+# check is the full pre-commit gate: the gofmt gate, static analysis of
+# both modules, the whole test suite under the race detector (twice, to
+# shake out ordering dependence), the benchmark module's tests, a short
+# fuzz budget per target, then the event-log smoke round-trip. Under the
+# race detector internal/experiments outlasts go test's 10-minute default
+# on a 2-core host, hence -timeout.
 check:
 	$(MAKE) fmt
-	$(GO) vet ./... && $(GO) test -race -count=2 -timeout 30m ./...
+	$(GO) vet ./... && cd bench && $(GO) vet ./...
+	$(GO) test -race -count=2 -timeout 30m ./...
 	$(MAKE) benchtest
 	$(MAKE) fuzz
 	$(MAKE) smoke

@@ -154,12 +154,6 @@ func (m *Meter) AddLambda(ref string, memoryMB int, d time.Duration) {
 	m.Add(Item{Kind: "lambda", Ref: ref, Duration: d, USD: LambdaCost(memoryMB, d)})
 }
 
-// AddLambdaIdle bills the provisioned-concurrency idle time of one warm
-// environment — the dollars paid for readiness rather than compute.
-func (m *Meter) AddLambdaIdle(ref string, memoryMB int, d time.Duration) {
-	m.Add(Item{Kind: "lambda-idle", Ref: ref, Duration: d, USD: LambdaIdleCost(memoryMB, d)})
-}
-
 // AddS3 bills S3 requests.
 func (m *Meter) AddS3(ref string, puts, gets int64) {
 	m.Add(Item{Kind: "s3", Ref: ref, USD: S3RequestCost(puts, gets)})

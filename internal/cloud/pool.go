@@ -75,9 +75,6 @@ type CoreLease struct {
 // VM returns the instance hosting the leased core.
 func (l *CoreLease) VM() *VM { return l.entry.vm }
 
-// Owner returns the identifier the core was acquired under.
-func (l *CoreLease) Owner() string { return l.owner }
-
 // Release returns the core to the pool (idempotent).
 func (l *CoreLease) Release() {
 	if l.released {

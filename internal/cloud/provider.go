@@ -431,10 +431,6 @@ func (p *Provider) TimeToLive(l *Lambda) time.Duration {
 	return p.opts.Limits.MaxLifetime - used
 }
 
-// WarmAvailable returns how many ambient warm environments the given
-// memory size currently has.
-func (p *Provider) WarmAvailable(memMB int) int { return p.warm.Available(memMB) }
-
 // WarmSnapshot copies the ambient warm-environment availability map
 // (memoryMB -> count) for tests and inspection.
 func (p *Provider) WarmSnapshot() map[int]int { return p.warm.Snapshot() }

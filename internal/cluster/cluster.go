@@ -432,10 +432,9 @@ func New(cfg Config) (*Scheduler, error) {
 
 	// The master hosts the namenode and datanode; pool VMs run executors.
 	master := provider.ProvisionReadyVM(cloud.M4XLarge)
-	fs := hdfs.NewCluster(clock, net, hdfs.DefaultOptions())
+	fs := hdfs.NewCluster(clock, net, []*netsim.Pool{master.EBS})
 	fs.SetTelemetry(hub)
 	fs.SetEventLog(bus, "")
-	fs.AddDataNode("dn-"+master.ID, []*netsim.Pool{master.EBS})
 
 	pool := cloud.NewCorePool()
 	pool.SetTelemetry(hub)
@@ -958,8 +957,7 @@ func Baseline(w workloads.Workload, cores int, seed uint64) (time.Duration, erro
 	provider := cloud.NewProvider(clock, net, simrand.New(seed+1), cloud.DefaultOptions())
 
 	master := provider.ProvisionReadyVM(cloud.M4XLarge)
-	fs := hdfs.NewCluster(clock, net, hdfs.DefaultOptions())
-	fs.AddDataNode("dn-"+master.ID, []*netsim.Pool{master.EBS})
+	fs := hdfs.NewCluster(clock, net, []*netsim.Pool{master.EBS})
 
 	t, _ := cloud.SmallestFor(cores)
 	var vms []*cloud.VM

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -370,12 +371,55 @@ func quantileDur(sorted []time.Duration, q float64) time.Duration {
 }
 
 // JSON renders the report deterministically (same seed → same bytes).
+//
+// The bytes are json.MarshalIndent's plus a newline, but the job rows are
+// encoded one at a time and indented from a buffer of this function's own.
+// encoding/json keeps each Marshal's scratch buffer in a sync.Pool, so one
+// Marshal of the whole report would park a report-sized buffer there, and
+// whether it is still alive after a run would depend on when the next GC
+// cycles start. Row by row, the pooled buffer stays one row long.
 func (r *Report) JSON() ([]byte, error) {
-	buf, err := json.MarshalIndent(r, "", "  ")
+	head := *r
+	head.JobReports = nil
+	b, err := json.Marshal(&head)
 	if err != nil {
 		return nil, err
 	}
-	return append(buf, '\n'), nil
+	// JobReports is the last field: its null is replaced by the rows.
+	const tail = `null}`
+	if !bytes.HasSuffix(b, []byte(`"job_reports":`+tail)) {
+		return nil, fmt.Errorf("cluster: report JSON does not end in job_reports")
+	}
+	compact := bytes.NewBuffer(b[:len(b)-len(tail)])
+	if r.JobReports == nil {
+		compact.WriteString("null")
+	} else {
+		// Encode writes each row straight into compact; the newline it
+		// adds after each is whitespace the indent pass drops.
+		enc := json.NewEncoder(compact)
+		compact.WriteByte('[')
+		for i := range r.JobReports {
+			if i > 0 {
+				compact.WriteByte(',')
+			}
+			n := compact.Len()
+			if err := enc.Encode(&r.JobReports[i]); err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				compact.Grow((compact.Len() - n + 1) * len(r.JobReports))
+			}
+		}
+		compact.WriteByte(']')
+	}
+	compact.WriteByte('}')
+
+	var out bytes.Buffer
+	if err := json.Indent(&out, compact.Bytes(), "", "  "); err != nil {
+		return nil, err
+	}
+	out.WriteByte('\n')
+	return out.Bytes(), nil
 }
 
 // String renders a human summary table.

@@ -45,8 +45,7 @@ func newFixture(t *testing.T, cfg Config, execs int, slo time.Duration, store st
 	net := netsim.New(clock)
 	provider := cloud.NewProvider(clock, net, simrand.New(11), cloud.DefaultOptions())
 	master := provider.ProvisionReadyVM(cloud.M4XLarge)
-	fs := hdfs.NewCluster(clock, net, hdfs.DefaultOptions())
-	fs.AddDataNode("dn-master", []*netsim.Pool{master.EBS})
+	fs := hdfs.NewCluster(clock, net, []*netsim.Pool{master.EBS})
 	if store == nil {
 		store = fs.Store()
 	}

@@ -360,10 +360,3 @@ func NewSparkPi(seed uint64) workloads.Workload {
 	cfg.Seed = seed
 	return sparkpi.New(cfg)
 }
-
-// Figure6Debug runs PageRank-850k under a single scenario kind (calibration
-// tooling).
-func Figure6Debug(seed uint64, kind Kind) (*Result, error) {
-	scs := pagerankScenarios(seed, []Kind{kind})
-	return Run(scs[0], pagerank.New(pagerankConfig(seed)))
-}

@@ -97,10 +97,6 @@ type Scenario struct {
 	AppID string
 	// Perf overrides the executor performance model (zero = default).
 	Perf engine.PerfModel
-	// StageOverhead / DispatchCost override the driver overhead model
-	// (zero = the package defaults below).
-	StageOverhead time.Duration
-	DispatchCost  time.Duration
 	// S3 overrides the object-store model for the Qubole baseline
 	// (zero = s3q defaults).
 	S3 s3q.Options
@@ -215,10 +211,9 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 	// The long-running master (and, for SplitServe, the colocated HDFS
 	// datanode sharing its EBS bandwidth — the paper's bottleneck story).
 	master := provider.ProvisionReadyVM(sc.MasterVMType)
-	fs := hdfs.NewCluster(clock, net, hdfs.DefaultOptions())
+	fs := hdfs.NewCluster(clock, net, []*netsim.Pool{master.EBS})
 	fs.SetTelemetry(hub)
 	fs.SetEventLog(bus, appID)
-	fs.AddDataNode("dn-"+master.ID, []*netsim.Pool{master.EBS})
 
 	s3opts := sc.S3
 	if s3opts == (s3q.Options{}) {
@@ -307,14 +302,6 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 		return nil, fmt.Errorf("experiments: unknown scenario kind %d", sc.Kind)
 	}
 
-	stageOverhead := sc.StageOverhead
-	if stageOverhead == 0 {
-		stageOverhead = defaultStageOverhead
-	}
-	dispatch := sc.DispatchCost
-	if dispatch == 0 {
-		dispatch = defaultDispatchCost
-	}
 	cluster, err := engine.New(engine.Config{
 		AppID:               appID,
 		Clock:               clock,
@@ -327,8 +314,8 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 		Alloc:               alloc,
 		Perf:                sc.Perf,
 		SLO:                 w.SLO(),
-		StageLaunchOverhead: stageOverhead,
-		TaskDispatchCost:    dispatch,
+		StageLaunchOverhead: defaultStageOverhead,
+		TaskDispatchCost:    defaultDispatchCost,
 	})
 	if err != nil {
 		return nil, err

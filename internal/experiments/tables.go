@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 )
@@ -121,17 +120,6 @@ func ScenarioNames(results []*Result) []string {
 		}
 	}
 	return out
-}
-
-// SortResults orders results by workload then scenario (stable output for
-// golden comparisons).
-func SortResults(results []*Result) {
-	sort.SliceStable(results, func(i, j int) bool {
-		if results[i].Workload != results[j].Workload {
-			return results[i].Workload < results[j].Workload
-		}
-		return results[i].Scenario < results[j].Scenario
-	})
 }
 
 func fmtDur(d time.Duration) string {

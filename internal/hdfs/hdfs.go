@@ -1,21 +1,16 @@
 // Package hdfs implements the miniature HDFS that backs SplitServe's
-// state-transfer facility: a namenode owning a hierarchical namespace and
-// block placement, datanodes whose throughput is their host's (simulated)
-// EBS bandwidth, block-level replication with pipelined writes, and
-// re-replication when a datanode dies.
+// state-transfer facility: one namenode holding the file table and one
+// datanode whose throughput is its host's (simulated) EBS bandwidth.
 //
-// The paper colocates a single HDFS node with the Spark master on an
-// m4.xlarge (750 Mbps dedicated EBS bandwidth) — the bandwidth bottleneck
-// its PageRank discussion revolves around. That deployment is one datanode
-// whose pool is the master VM's EBS pool; larger deployments just add
-// datanodes.
+// That is the paper's deployment: a single HDFS node colocated with the
+// Spark master on an m4.xlarge (750 Mbps dedicated EBS bandwidth), the
+// bandwidth bottleneck its PageRank discussion revolves around. Every
+// transfer therefore crosses the client's own pools and the datanode's.
 package hdfs
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"splitserve/internal/eventlog"
@@ -24,74 +19,42 @@ import (
 	"splitserve/internal/storage"
 )
 
-// Namespace and placement errors.
+// Namespace errors.
 var (
-	ErrNotFound   = errors.New("hdfs: no such file")
-	ErrExists     = errors.New("hdfs: file exists")
-	ErrNoDataNode = errors.New("hdfs: no live datanodes")
-	ErrLostBlocks = errors.New("hdfs: file has lost all replicas of a block")
+	ErrNotFound = errors.New("hdfs: no such file")
+	ErrExists   = errors.New("hdfs: file exists")
 )
 
-// Options configure a Cluster.
-type Options struct {
-	// BlockSize is the HDFS block size; files larger than this are split
-	// across blocks (and thus potentially across datanodes).
-	BlockSize int64
-	// Replication is the replica count per block.
-	Replication int
-	// MetaLatency models one namenode RPC.
-	MetaLatency time.Duration
-}
-
-// DefaultOptions mirror a small HDFS 2.x deployment.
-func DefaultOptions() Options {
-	return Options{
-		BlockSize:   128 << 20,
-		Replication: 1, // the paper runs a single HDFS node
-		MetaLatency: 500 * time.Microsecond,
-	}
-}
-
-// DataNode stores block replicas; its I/O shares the host's pools.
-type DataNode struct {
-	ID    string
-	Pools []*netsim.Pool
-	alive bool
-	used  int64
-}
-
-// Alive reports whether the node is serving.
-func (d *DataNode) Alive() bool { return d.alive }
-
-// Used returns the bytes currently stored on the node.
-func (d *DataNode) Used() int64 { return d.used }
-
-type block struct {
-	id       string
-	size     int64
-	replicas []*DataNode
-}
+// metaLatency models one namenode RPC.
+const metaLatency = 500 * time.Microsecond
 
 type file struct {
-	path    string
 	size    int64
 	payload any
-	blocks  []*block
 }
 
-// Cluster is the whole filesystem: namenode state plus datanodes.
+// Cluster is the whole filesystem: the namenode's file table plus the
+// datanode's pools.
 type Cluster struct {
-	clock *simclock.Clock
-	net   *netsim.Network
-	opts  Options
+	clock    *simclock.Clock
+	net      *netsim.Network
+	datanode []*netsim.Pool
 
-	files    map[string]*file
-	nodes    []*DataNode
-	blockSeq int
-	placeRR  int
+	files    map[string]file
 	insts    hdfsInstruments
 	bus      *eventlog.Bus
 	eventApp string
+}
+
+// NewCluster returns an empty filesystem whose datanode's traffic
+// traverses the given pools (typically the hosting VM's EBS pool).
+func NewCluster(clock *simclock.Clock, net *netsim.Network, datanode []*netsim.Pool) *Cluster {
+	return &Cluster{
+		clock:    clock,
+		net:      net,
+		datanode: datanode,
+		files:    make(map[string]file),
+	}
 }
 
 // SetEventLog attaches an event-log bus: every completed write and read
@@ -112,156 +75,23 @@ func (c *Cluster) emitIO(t eventlog.Type, bytes int64) {
 	c.bus.Emit(c.clock.Now(), ev)
 }
 
-// NewCluster returns an empty filesystem with no datanodes.
-func NewCluster(clock *simclock.Clock, net *netsim.Network, opts Options) *Cluster {
-	if opts.BlockSize <= 0 {
-		opts.BlockSize = DefaultOptions().BlockSize
-	}
-	if opts.Replication <= 0 {
-		opts.Replication = 1
-	}
-	return &Cluster{
-		clock: clock,
-		net:   net,
-		opts:  opts,
-		files: make(map[string]*file),
-	}
-}
-
-// AddDataNode registers a datanode whose traffic traverses pools (typically
-// the hosting VM's EBS pool).
-func (c *Cluster) AddDataNode(id string, pools []*netsim.Pool) *DataNode {
-	dn := &DataNode{ID: id, Pools: pools, alive: true}
-	c.nodes = append(c.nodes, dn)
-	return dn
-}
-
-// liveNodes returns serving datanodes.
-func (c *Cluster) liveNodes() []*DataNode {
-	var out []*DataNode
-	for _, n := range c.nodes {
-		if n.alive {
-			out = append(out, n)
-		}
-	}
-	return out
-}
-
-// place selects replication-many distinct datanodes, preferring the least
-// used, breaking ties round-robin.
-func (c *Cluster) place() ([]*DataNode, error) {
-	live := c.liveNodes()
-	if len(live) == 0 {
-		return nil, ErrNoDataNode
-	}
-	rf := c.opts.Replication
-	if rf > len(live) {
-		rf = len(live)
-	}
-	c.placeRR++
-	rr := c.placeRR
-	sort.SliceStable(live, func(i, j int) bool {
-		if live[i].used != live[j].used {
-			return live[i].used < live[j].used
-		}
-		return (i+rr)%len(live) < (j+rr)%len(live)
-	})
-	return live[:rf], nil
-}
-
-// Write creates a file with the given payload and modelled size, charging a
-// namenode round trip plus a pipelined transfer through the client's pools
-// and every replica's pools. done is called exactly once.
-func (c *Cluster) Write(path string, payload any, size int64, cl storage.Client, done func(error)) {
-	c.insts.opWrite.Inc()
-	begun := c.clock.Now()
-	inner := done
-	done = func(err error) {
-		if err == nil {
-			c.insts.bytesWritten.Add(float64(size))
-			c.insts.writeSecs.ObserveDuration(c.clock.Since(begun))
-			c.emitIO(eventlog.HDFSWrite, size)
-		}
-		inner(err)
-	}
-	c.clock.After(c.opts.MetaLatency, func() {
-		if _, ok := c.files[path]; ok {
-			done(fmt.Errorf("writing %s: %w", path, ErrExists))
-			return
-		}
-		f := &file{path: path, size: size, payload: payload}
-		nBlocks := int((size + c.opts.BlockSize - 1) / c.opts.BlockSize)
-		if nBlocks == 0 {
-			nBlocks = 1
-		}
-		per := size / int64(nBlocks)
-		rem := size - per*int64(nBlocks)
-		for i := 0; i < nBlocks; i++ {
-			replicas, err := c.place()
-			if err != nil {
-				done(fmt.Errorf("writing %s: %w", path, err))
-				return
-			}
-			bs := per
-			if i == nBlocks-1 {
-				bs += rem
-			}
-			c.blockSeq++
-			b := &block{id: fmt.Sprintf("blk_%06d", c.blockSeq), size: bs, replicas: replicas}
-			for _, r := range replicas {
-				r.used += bs
-			}
-			f.blocks = append(f.blocks, b)
-		}
-		c.files[path] = f
-		// Pipelined write: the same bytes pass through the client path and
-		// every replica's path; the bottleneck link paces the pipeline.
-		pools := append([]*netsim.Pool(nil), cl.Net...)
-		seen := map[*netsim.Pool]bool{}
-		for _, p := range pools {
-			seen[p] = true
-		}
-		for _, b := range f.blocks {
-			for _, r := range b.replicas {
-				for _, p := range r.Pools {
-					if !seen[p] {
-						seen[p] = true
-						pools = append(pools, p)
-					}
-				}
-			}
-		}
-		c.net.StartFlow(float64(size), cl.RateCap, pools, func() { done(nil) })
-	})
+// pools returns the path of a transfer between cl and the datanode.
+func (c *Cluster) pools(cl storage.Client) []*netsim.Pool {
+	return append(append([]*netsim.Pool(nil), cl.Net...), c.datanode...)
 }
 
 // WriteBatch creates several files with one namenode round trip and a
 // single pipelined transfer of their total bytes — how a shuffle map task
-// writes its per-reducer files (sequentially over one connection). done is
-// called exactly once.
+// writes its per-reducer files (sequentially over one connection). If any
+// file already exists, none is created. done is called exactly once.
 func (c *Cluster) WriteBatch(files []storage.Block, cl storage.Client, done func(error)) {
 	c.insts.opWrite.Inc()
 	begun := c.clock.Now()
-	var batchBytes int64
+	var total int64
 	for _, blk := range files {
-		batchBytes += blk.Size
+		total += blk.Size
 	}
-	inner := done
-	done = func(err error) {
-		if err == nil {
-			c.insts.bytesWritten.Add(float64(batchBytes))
-			c.insts.writeSecs.ObserveDuration(c.clock.Since(begun))
-			c.emitIO(eventlog.HDFSWrite, batchBytes)
-		}
-		inner(err)
-	}
-	c.clock.After(c.opts.MetaLatency, func() {
-		var total int64
-		pools := append([]*netsim.Pool(nil), cl.Net...)
-		seen := map[*netsim.Pool]bool{}
-		for _, p := range pools {
-			seen[p] = true
-		}
+	c.clock.After(metaLatency, func() {
 		for _, blk := range files {
 			if _, ok := c.files[blk.ID]; ok {
 				done(fmt.Errorf("writing %s: %w", blk.ID, ErrExists))
@@ -269,242 +99,48 @@ func (c *Cluster) WriteBatch(files []storage.Block, cl storage.Client, done func
 			}
 		}
 		for _, blk := range files {
-			f := &file{path: blk.ID, size: blk.Size, payload: blk.Payload}
-			replicas, err := c.place()
-			if err != nil {
-				done(fmt.Errorf("writing %s: %w", blk.ID, err))
-				return
-			}
-			c.blockSeq++
-			b := &block{id: fmt.Sprintf("blk_%06d", c.blockSeq), size: blk.Size, replicas: replicas}
-			for _, r := range replicas {
-				r.used += blk.Size
-				for _, p := range r.Pools {
-					if !seen[p] {
-						seen[p] = true
-						pools = append(pools, p)
-					}
-				}
-			}
-			f.blocks = append(f.blocks, b)
-			c.files[blk.ID] = f
-			total += blk.Size
+			c.files[blk.ID] = file{size: blk.Size, payload: blk.Payload}
 		}
-		c.net.StartFlow(float64(total), cl.RateCap, pools, func() { done(nil) })
-	})
-}
-
-// readPlan returns, for a file, the bytes to pull from each chosen replica
-// node. It returns ErrLostBlocks if any block has no live replica.
-func (c *Cluster) readPlan(f *file, perNode map[*DataNode]int64) error {
-	for _, b := range f.blocks {
-		var chosen *DataNode
-		for _, r := range b.replicas {
-			if !r.alive {
-				continue
-			}
-			if chosen == nil || perNode[r] < perNode[chosen] {
-				chosen = r
-			}
-		}
-		if chosen == nil {
-			return fmt.Errorf("%s: %w", f.path, ErrLostBlocks)
-		}
-		perNode[chosen] += b.size
-	}
-	return nil
-}
-
-// Read fetches one file.
-func (c *Cluster) Read(path string, cl storage.Client, done func(any, int64, error)) {
-	c.ReadMany([]string{path}, cl, func(bs []storage.Block, err error) {
-		if err != nil {
-			done(nil, 0, err)
-			return
-		}
-		done(bs[0].Payload, bs[0].Size, nil)
+		c.net.StartFlow(float64(total), cl.RateCap, c.pools(cl), func() {
+			c.insts.bytesWritten.Add(float64(total))
+			c.insts.writeSecs.ObserveDuration(c.clock.Since(begun))
+			c.emitIO(eventlog.HDFSWrite, total)
+			done(nil)
+		})
 	})
 }
 
 // ReadMany fetches several files with one namenode round trip and one
-// coalesced flow per source datanode — how the engine's shuffle reader
-// consumes map outputs.
+// coalesced flow of their summed sizes — how the engine's shuffle reader
+// consumes map outputs. done is called exactly once.
 func (c *Cluster) ReadMany(paths []string, cl storage.Client, done func([]storage.Block, error)) {
 	c.insts.opRead.Inc()
 	begun := c.clock.Now()
-	inner := done
-	done = func(bs []storage.Block, err error) {
-		if err == nil {
-			var total int64
-			for _, b := range bs {
-				total += b.Size
-			}
-			c.insts.bytesRead.Add(float64(total))
-			c.insts.readSecs.ObserveDuration(c.clock.Since(begun))
-			c.emitIO(eventlog.HDFSRead, total)
-		}
-		inner(bs, err)
+	finish := func(out []storage.Block, total int64) {
+		c.insts.bytesRead.Add(float64(total))
+		c.insts.readSecs.ObserveDuration(c.clock.Since(begun))
+		c.emitIO(eventlog.HDFSRead, total)
+		done(out, nil)
 	}
-	c.clock.After(c.opts.MetaLatency, func() {
+	c.clock.After(metaLatency, func() {
 		out := make([]storage.Block, len(paths))
-		perNode := make(map[*DataNode]int64)
+		var total int64
 		for i, path := range paths {
 			f, ok := c.files[path]
 			if !ok {
 				done(nil, fmt.Errorf("reading %s: %w", path, ErrNotFound))
 				return
 			}
-			if err := c.readPlan(f, perNode); err != nil {
-				done(nil, err)
-				return
-			}
 			out[i] = storage.Block{ID: path, Payload: f.payload, Size: f.size}
+			total += f.size
 		}
-		if len(perNode) == 0 {
-			done(out, nil)
+		if len(paths) == 0 {
+			finish(out, 0)
 			return
 		}
-		pending := len(perNode)
-		nodes := make([]*DataNode, 0, len(perNode))
-		for node := range perNode {
-			nodes = append(nodes, node)
-		}
-		sort.Slice(nodes, func(i, j int) bool { return nodes[i].ID < nodes[j].ID })
-		for _, node := range nodes {
-			pools := append(append([]*netsim.Pool(nil), cl.Net...), node.Pools...)
-			c.net.StartFlow(float64(perNode[node]), cl.RateCap, pools, func() {
-				pending--
-				if pending == 0 {
-					done(out, nil)
-				}
-			})
-		}
+		c.net.StartFlow(float64(total), cl.RateCap, c.pools(cl), func() { finish(out, total) })
 	})
-}
-
-// Delete removes files immediately (metadata-only, as block reclamation is
-// asynchronous in HDFS).
-func (c *Cluster) Delete(paths []string) {
-	c.insts.opDelete.Inc()
-	for _, p := range paths {
-		if f, ok := c.files[p]; ok {
-			for _, b := range f.blocks {
-				for _, r := range b.replicas {
-					r.used -= b.size
-				}
-			}
-			delete(c.files, p)
-		}
-	}
-}
-
-// DeletePrefix removes every file under a path prefix and returns the
-// count (used to reclaim an application's shuffle directory).
-func (c *Cluster) DeletePrefix(prefix string) int {
-	var victims []string
-	for p := range c.files {
-		if strings.HasPrefix(p, prefix) {
-			victims = append(victims, p)
-		}
-	}
-	c.Delete(victims)
-	return len(victims)
-}
-
-// Exists reports whether path is a file.
-func (c *Cluster) Exists(path string) bool {
-	_, ok := c.files[path]
-	return ok
-}
-
-// List returns the files under prefix, sorted.
-func (c *Cluster) List(prefix string) []string {
-	c.insts.opList.Inc()
-	var out []string
-	for p := range c.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // FileCount returns the number of files.
 func (c *Cluster) FileCount() int { return len(c.files) }
-
-// KillDataNode marks a node dead and triggers re-replication of its blocks
-// from surviving replicas where possible. Returns the number of blocks that
-// lost their last replica.
-func (c *Cluster) KillDataNode(id string) int {
-	var dead *DataNode
-	for _, n := range c.nodes {
-		if n.ID == id {
-			dead = n
-			break
-		}
-	}
-	if dead == nil || !dead.alive {
-		return 0
-	}
-	dead.alive = false
-	lost := 0
-	for _, f := range c.files {
-		for _, b := range f.blocks {
-			hasDead := false
-			var live []*DataNode
-			for _, r := range b.replicas {
-				if r == dead {
-					hasDead = true
-				} else if r.alive {
-					live = append(live, r)
-				}
-			}
-			if !hasDead {
-				continue
-			}
-			if len(live) == 0 {
-				lost++
-				continue
-			}
-			c.reReplicate(f, b, live)
-		}
-	}
-	return lost
-}
-
-// reReplicate copies a block from a surviving replica to a fresh node,
-// charging a background flow between the two nodes' pools.
-func (c *Cluster) reReplicate(f *file, b *block, live []*DataNode) {
-	candidates := c.liveNodes()
-	var target *DataNode
-	for _, n := range candidates {
-		already := false
-		for _, r := range b.replicas {
-			if r == n && r.alive {
-				already = true
-				break
-			}
-		}
-		if already {
-			continue
-		}
-		if target == nil || n.used < target.used {
-			target = n
-		}
-	}
-	if target == nil {
-		return // nowhere to copy; the surviving replicas must suffice
-	}
-	src := live[0]
-	pools := append(append([]*netsim.Pool(nil), src.Pools...), target.Pools...)
-	size := b.size
-	c.net.StartFlow(float64(size), 0, pools, func() {
-		if !target.alive {
-			return
-		}
-		b.replicas = append(b.replicas, target)
-		target.used += size
-	})
-	_ = f
-}

@@ -3,12 +3,10 @@ package hdfs
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
-	"splitserve/internal/simrand"
 	"splitserve/internal/storage"
 )
 
@@ -16,235 +14,103 @@ type fixture struct {
 	clock *simclock.Clock
 	net   *netsim.Network
 	fs    *Cluster
-	ebs   *netsim.Pool
 	cl    storage.Client
 }
 
-func newFixture(opts Options) *fixture {
+func newFixture() *fixture {
 	c := simclock.New(simclock.Epoch)
 	n := netsim.New(c)
-	fs := NewCluster(c, n, opts)
-	ebs := n.NewPool("dn-ebs", netsim.Mbps(750))
-	fs.AddDataNode("dn1", []*netsim.Pool{ebs})
+	fs := NewCluster(c, n, []*netsim.Pool{n.NewPool("dn-ebs", netsim.Mbps(750))})
 	client := n.NewPool("client", netsim.Mbps(2000))
 	return &fixture{
-		clock: c, net: n, fs: fs, ebs: ebs,
+		clock: c, net: n, fs: fs,
 		cl: storage.Client{HostID: "exec-1", Net: []*netsim.Pool{client}},
 	}
 }
 
+// write creates one file through WriteBatch.
+func (f *fixture) write(path string, payload any, size int64, done func(error)) {
+	f.fs.WriteBatch([]storage.Block{{ID: path, Payload: payload, Size: size}}, f.cl, done)
+}
+
+// read fetches one file through ReadMany.
+func (f *fixture) read(path string, cl storage.Client, done func(storage.Block, error)) {
+	f.fs.ReadMany([]string{path}, cl, func(bs []storage.Block, err error) {
+		if err != nil {
+			done(storage.Block{}, err)
+			return
+		}
+		done(bs[0], nil)
+	})
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
-	f := newFixture(DefaultOptions())
-	var got any
-	f.fs.Write("/shuffle/app/exec-1/part0", []int{1, 2, 3}, 1<<20, f.cl, func(err error) {
+	f := newFixture()
+	var got storage.Block
+	f.write("/shuffle/app/exec-1/part0", []int{1, 2, 3}, 1<<20, func(err error) {
 		if err != nil {
 			t.Errorf("write: %v", err)
 		}
-		f.fs.Read("/shuffle/app/exec-1/part0", f.cl, func(p any, size int64, err error) {
-			if err != nil || size != 1<<20 {
-				t.Errorf("read: %v size=%d", err, size)
+		f.read("/shuffle/app/exec-1/part0", f.cl, func(b storage.Block, err error) {
+			if err != nil {
+				t.Errorf("read: %v", err)
 			}
-			got = p
+			got = b
 		})
 	})
 	f.clock.Run()
-	ints, ok := got.([]int)
-	if !ok || len(ints) != 3 {
-		t.Fatalf("payload = %#v", got)
+	ints, ok := got.Payload.([]int)
+	if !ok || len(ints) != 3 || got.Size != 1<<20 {
+		t.Fatalf("read back %#v", got)
+	}
+	if f.fs.FileCount() != 1 {
+		t.Fatalf("FileCount = %d, want 1", f.fs.FileCount())
 	}
 }
 
 func TestWriteChargesBottleneckBandwidth(t *testing.T) {
-	f := newFixture(DefaultOptions())
+	f := newFixture()
 	var doneAt time.Time
 	size := int64(netsim.Mbps(750)) * 10 // 10 seconds at EBS speed
-	f.fs.Write("/f", nil, size, f.cl, func(error) { doneAt = f.clock.Now() })
+	f.write("/f", nil, size, func(error) { doneAt = f.clock.Now() })
 	f.clock.Run()
-	want := simclock.Epoch.Add(10*time.Second + DefaultOptions().MetaLatency)
+	want := simclock.Epoch.Add(10*time.Second + metaLatency)
 	if doneAt != want {
 		t.Fatalf("write finished at %v, want %v", doneAt.Sub(simclock.Epoch), want.Sub(simclock.Epoch))
 	}
 }
 
 func TestDuplicateWriteFails(t *testing.T) {
-	f := newFixture(DefaultOptions())
+	f := newFixture()
 	var gotErr error
-	f.fs.Write("/f", nil, 10, f.cl, func(error) {
-		f.fs.Write("/f", nil, 10, f.cl, func(err error) { gotErr = err })
+	f.write("/f", nil, 10, func(error) {
+		batch := []storage.Block{{ID: "/g", Size: 10}, {ID: "/f", Size: 10}}
+		f.fs.WriteBatch(batch, f.cl, func(err error) { gotErr = err })
 	})
 	f.clock.Run()
 	if !errors.Is(gotErr, ErrExists) {
 		t.Fatalf("err = %v, want ErrExists", gotErr)
 	}
+	if f.fs.FileCount() != 1 {
+		t.Fatalf("failed batch left %d files, want 1", f.fs.FileCount())
+	}
 }
 
 func TestReadMissingFile(t *testing.T) {
-	f := newFixture(DefaultOptions())
+	f := newFixture()
 	var gotErr error
-	f.fs.Read("/nope", f.cl, func(_ any, _ int64, err error) { gotErr = err })
+	f.read("/nope", f.cl, func(_ storage.Block, err error) { gotErr = err })
 	f.clock.Run()
 	if !errors.Is(gotErr, ErrNotFound) {
 		t.Fatalf("err = %v, want ErrNotFound", gotErr)
 	}
 }
 
-func TestNoDataNodes(t *testing.T) {
-	c := simclock.New(simclock.Epoch)
-	n := netsim.New(c)
-	fs := NewCluster(c, n, DefaultOptions())
-	pool := n.NewPool("client", 1000)
-	cl := storage.Client{HostID: "x", Net: []*netsim.Pool{pool}}
-	var gotErr error
-	fs.Write("/f", nil, 10, cl, func(err error) { gotErr = err })
-	c.Run()
-	if !errors.Is(gotErr, ErrNoDataNode) {
-		t.Fatalf("err = %v, want ErrNoDataNode", gotErr)
-	}
-}
-
-func TestLargeFileSplitsAcrossBlocks(t *testing.T) {
-	opts := DefaultOptions()
-	opts.BlockSize = 1 << 20
-	f := newFixture(opts)
-	f.fs.Write("/big", nil, 5<<20, f.cl, func(error) {})
-	f.clock.Run()
-	file := f.fs.files["/big"]
-	if len(file.blocks) != 5 {
-		t.Fatalf("blocks = %d, want 5", len(file.blocks))
-	}
-	var total int64
-	for _, b := range file.blocks {
-		total += b.size
-	}
-	if total != 5<<20 {
-		t.Fatalf("block sizes sum to %d", total)
-	}
-}
-
-func TestPlacementSpreadsLoad(t *testing.T) {
-	opts := DefaultOptions()
-	f := newFixture(opts)
-	ebs2 := f.net.NewPool("dn2-ebs", netsim.Mbps(750))
-	f.fs.AddDataNode("dn2", []*netsim.Pool{ebs2})
-	for i := 0; i < 10; i++ {
-		f.fs.Write(f.fs.pathFor(i), nil, 100, f.cl, func(error) {})
-	}
-	f.clock.Run()
-	var used []int64
-	for _, n := range f.fs.nodes {
-		used = append(used, n.Used())
-	}
-	if used[0] == 0 || used[1] == 0 {
-		t.Fatalf("placement left a node empty: %v", used)
-	}
-}
-
-// pathFor is a tiny test helper on Cluster.
-func (c *Cluster) pathFor(i int) string {
-	return "/f" + string(rune('a'+i))
-}
-
-func TestReplicationSurvivesNodeDeath(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Replication = 2
-	f := newFixture(opts)
-	ebs2 := f.net.NewPool("dn2-ebs", netsim.Mbps(750))
-	f.fs.AddDataNode("dn2", []*netsim.Pool{ebs2})
-	f.fs.Write("/f", "payload", 1000, f.cl, func(error) {})
-	f.clock.Run()
-	lost := f.fs.KillDataNode("dn1")
-	if lost != 0 {
-		t.Fatalf("lost %d blocks despite RF=2", lost)
-	}
-	var got any
-	f.fs.Read("/f", f.cl, func(p any, _ int64, err error) {
-		if err != nil {
-			t.Errorf("read after node death: %v", err)
-		}
-		got = p
-	})
-	f.clock.Run()
-	if got != "payload" {
-		t.Fatalf("payload = %v", got)
-	}
-}
-
-func TestSingleReplicaLostOnNodeDeath(t *testing.T) {
-	f := newFixture(DefaultOptions()) // RF=1
-	f.fs.Write("/f", nil, 1000, f.cl, func(error) {})
-	f.clock.Run()
-	lost := f.fs.KillDataNode("dn1")
-	if lost != 1 {
-		t.Fatalf("lost = %d, want 1", lost)
-	}
-	var gotErr error
-	f.fs.Read("/f", f.cl, func(_ any, _ int64, err error) { gotErr = err })
-	f.clock.Run()
-	if !errors.Is(gotErr, ErrLostBlocks) {
-		t.Fatalf("err = %v, want ErrLostBlocks", gotErr)
-	}
-}
-
-func TestReReplicationRestoresRF(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Replication = 2
-	f := newFixture(opts)
-	for i := 2; i <= 3; i++ {
-		p := f.net.NewPool("dn-ebs-x", netsim.Mbps(750))
-		f.fs.AddDataNode(f.fs.pathFor(i), []*netsim.Pool{p})
-	}
-	f.fs.Write("/f", nil, 1000, f.cl, func(error) {})
-	f.clock.Run()
-	f.fs.KillDataNode("dn1")
-	f.clock.Run() // lets re-replication flows finish
-	file := f.fs.files["/f"]
-	for _, b := range file.blocks {
-		live := 0
-		for _, r := range b.replicas {
-			if r.Alive() {
-				live++
-			}
-		}
-		if live < 2 {
-			t.Fatalf("block has %d live replicas after re-replication", live)
-		}
-	}
-}
-
-func TestDeletePrefix(t *testing.T) {
-	f := newFixture(DefaultOptions())
-	f.fs.Write("/shuffle/app1/a", nil, 100, f.cl, func(error) {})
-	f.fs.Write("/shuffle/app1/b", nil, 100, f.cl, func(error) {})
-	f.fs.Write("/shuffle/app2/c", nil, 100, f.cl, func(error) {})
-	f.clock.Run()
-	if n := f.fs.DeletePrefix("/shuffle/app1/"); n != 2 {
-		t.Fatalf("deleted %d, want 2", n)
-	}
-	if !f.fs.Exists("/shuffle/app2/c") {
-		t.Fatal("unrelated file deleted")
-	}
-	if got := f.fs.List("/shuffle/"); len(got) != 1 {
-		t.Fatalf("List = %v", got)
-	}
-}
-
-func TestDeleteReclaimsUsage(t *testing.T) {
-	f := newFixture(DefaultOptions())
-	f.fs.Write("/f", nil, 1000, f.cl, func(error) {})
-	f.clock.Run()
-	f.fs.Delete([]string{"/f"})
-	for _, n := range f.fs.nodes {
-		if n.Used() != 0 {
-			t.Fatalf("node usage = %d after delete", n.Used())
-		}
-	}
-}
-
 func TestReadManyCoalesces(t *testing.T) {
-	f := newFixture(DefaultOptions())
+	f := newFixture()
 	sz := int64(netsim.Mbps(750)) // 1 second of EBS each
-	f.fs.Write("/a", nil, sz, f.cl, func(error) {})
-	f.fs.Write("/b", nil, sz, f.cl, func(error) {})
+	f.write("/a", nil, sz, func(error) {})
+	f.write("/b", nil, sz, func(error) {})
 	f.clock.Run()
 	start := f.clock.Now()
 	var doneAt time.Time
@@ -256,23 +122,23 @@ func TestReadManyCoalesces(t *testing.T) {
 	})
 	f.clock.Run()
 	got := doneAt.Sub(start)
-	want := 2*time.Second + DefaultOptions().MetaLatency
+	want := 2*time.Second + metaLatency
 	if got != want {
 		t.Fatalf("ReadMany took %v, want %v", got, want)
 	}
 }
 
 func TestConcurrentReadersShareEBS(t *testing.T) {
-	f := newFixture(DefaultOptions())
+	f := newFixture()
 	sz := int64(netsim.Mbps(750)) // 1s alone
-	f.fs.Write("/a", nil, sz, f.cl, func(error) {})
-	f.fs.Write("/b", nil, sz, f.cl, func(error) {})
+	f.write("/a", nil, sz, func(error) {})
+	f.write("/b", nil, sz, func(error) {})
 	f.clock.Run()
 	start := f.clock.Now()
 	cl2 := storage.Client{HostID: "exec-2", Net: []*netsim.Pool{f.net.NewPool("c2", netsim.Mbps(2000))}}
 	var t1, t2 time.Time
-	f.fs.Read("/a", f.cl, func(any, int64, error) { t1 = f.clock.Now() })
-	f.fs.Read("/b", cl2, func(any, int64, error) { t2 = f.clock.Now() })
+	f.read("/a", f.cl, func(storage.Block, error) { t1 = f.clock.Now() })
+	f.read("/b", cl2, func(storage.Block, error) { t2 = f.clock.Now() })
 	f.clock.Run()
 	// Both readers share the 750 Mbps EBS: each takes ~2s, not 1s.
 	for _, tt := range []time.Time{t1, t2} {
@@ -280,50 +146,5 @@ func TestConcurrentReadersShareEBS(t *testing.T) {
 		if d < 1900*time.Millisecond || d > 2100*time.Millisecond {
 			t.Fatalf("shared read took %v, want ~2s", d)
 		}
-	}
-}
-
-// Property: after any sequence of writes and deletes, per-node usage equals
-// the sum of live block sizes and never goes negative.
-func TestQuickUsageAccounting(t *testing.T) {
-	prop := func(seed uint64, ops []uint16) bool {
-		rng := simrand.New(seed)
-		f := newFixture(DefaultOptions())
-		var paths []string
-		for i, op := range ops {
-			if len(ops) > 60 {
-				return true
-			}
-			if op%3 != 0 || len(paths) == 0 {
-				p := "/q" + string(rune('A'+i%26)) + string(rune('a'+rng.Intn(26)))
-				if f.fs.Exists(p) {
-					continue
-				}
-				f.fs.Write(p, nil, int64(op)+1, f.cl, func(error) {})
-				paths = append(paths, p)
-			} else {
-				idx := rng.Intn(len(paths))
-				f.fs.Delete([]string{paths[idx]})
-				paths = append(paths[:idx], paths[idx+1:]...)
-			}
-			f.clock.Run()
-		}
-		var want int64
-		for _, file := range f.fs.files {
-			for _, b := range file.blocks {
-				want += b.size * int64(len(b.replicas))
-			}
-		}
-		var got int64
-		for _, n := range f.fs.nodes {
-			if n.Used() < 0 {
-				return false
-			}
-			got += n.Used()
-		}
-		return got == want
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }

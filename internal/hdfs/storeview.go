@@ -36,9 +36,6 @@ func (v *StoreView) FetchAll(ids []string, cl storage.Client, done func([]storag
 	v.fs.ReadMany(ids, cl, done)
 }
 
-// Delete implements storage.Store.
-func (v *StoreView) Delete(ids []string) { v.fs.Delete(ids) }
-
 // DropHost implements storage.Store: HDFS data does not live on executor
 // hosts, so nothing is lost.
 func (v *StoreView) DropHost(string) {}

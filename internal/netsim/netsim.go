@@ -132,9 +132,6 @@ func (n *Network) Remaining(f *Flow) float64 {
 	return math.Max(0, f.remaining-f.rate*elapsed)
 }
 
-// Rate returns the flow's current allocated rate in bytes/s.
-func (f *Flow) Rate() float64 { return f.rate }
-
 // ActiveFlows returns the number of in-flight flows network-wide.
 func (n *Network) ActiveFlows() int { return len(n.flows) }
 

@@ -180,14 +180,6 @@ func (s *Store) latencyFor(n int, per time.Duration) time.Duration {
 	return time.Duration(rounds) * per
 }
 
-// Delete removes objects (no time charged).
-func (s *Store) Delete(bucketName string, ids []string) {
-	b := s.bucket(bucketName)
-	for _, id := range ids {
-		delete(b.objects, id)
-	}
-}
-
 // Counts returns the cumulative PUT and GET request counts for billing.
 func (s *Store) Counts(bucketName string) (puts, gets int64) {
 	b := s.bucket(bucketName)
@@ -225,9 +217,6 @@ func (v *BucketView) PutAll(blocks []storage.Block, cl storage.Client, done func
 func (v *BucketView) FetchAll(ids []string, cl storage.Client, done func([]storage.Block, error)) {
 	v.store.FetchAll(v.bucket, ids, cl, done)
 }
-
-// Delete implements storage.Store.
-func (v *BucketView) Delete(ids []string) { v.store.Delete(v.bucket, ids) }
 
 // DropHost implements storage.Store; S3 objects survive host loss.
 func (v *BucketView) DropHost(string) {}

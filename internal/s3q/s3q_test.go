@@ -151,16 +151,6 @@ func TestBucketsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	c, s, cl := setup(DefaultOptions())
-	s.PutAll("b", []storage.Block{{ID: "x", Size: 1}}, cl, func(error) {})
-	c.Run()
-	s.Delete("b", []string{"x"})
-	if s.ObjectCount("b") != 0 {
-		t.Fatal("object survived delete")
-	}
-}
-
 func TestBucketViewImplementsStore(t *testing.T) {
 	c, s, cl := setup(DefaultOptions())
 	var view storage.Store = s.Bucket("shuffle")
@@ -180,10 +170,6 @@ func TestBucketViewImplementsStore(t *testing.T) {
 	view.DropHost("h1") // must be a no-op
 	if s.ObjectCount("shuffle") != 1 {
 		t.Fatal("DropHost dropped S3 objects")
-	}
-	view.Delete([]string{"k"})
-	if s.ObjectCount("shuffle") != 0 {
-		t.Fatal("Delete via view failed")
 	}
 }
 

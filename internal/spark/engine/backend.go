@@ -256,6 +256,3 @@ func (b *Standalone) JobSubmitted(string, time.Duration) {}
 
 // JobFinished implements Backend.
 func (b *Standalone) JobFinished() {}
-
-// Launched returns the current live executor count (tests).
-func (b *Standalone) Launched() int { return b.launched }

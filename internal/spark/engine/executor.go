@@ -178,9 +178,6 @@ func (e *Executor) ComputeTime(pm PerfModel, workUnits float64, workingSet int64
 	return time.Duration(fullSpeedSeconds * float64(time.Second))
 }
 
-// CacheBytes returns the bytes of cached partitions resident here.
-func (e *Executor) CacheBytes() int64 { return e.cache.bytes }
-
 // cachedPart identifies one cached partition.
 type cachedPart struct {
 	rddID int

@@ -250,9 +250,6 @@ func (j *Job) Done() bool { return j.done }
 // Err returns the job error, if any.
 func (j *Job) Err() error { return j.err }
 
-// Results returns the collected rows per result partition.
-func (j *Job) Results() [][]rdd.Row { return j.results }
-
 // Rows flattens the per-partition results in partition order.
 func (j *Job) Rows() []rdd.Row {
 	var out []rdd.Row

@@ -123,12 +123,6 @@ func (t *Tracker) Register(shuffleID, maps, reduces int) {
 	}
 }
 
-// Registered reports whether the shuffle is known.
-func (t *Tracker) Registered(shuffleID int) bool {
-	_, ok := t.shuffles[shuffleID]
-	return ok
-}
-
 // SetEventLog attaches an event-log bus: every registered map output emits
 // a shuffle_write event and every successful fetch spec a shuffle_read,
 // stamped with now() on the virtual clock and tagged app.

@@ -62,9 +62,6 @@ type Store interface {
 	// FetchAll reads blocks by ID, coalescing transfers per source, then
 	// calls done with blocks in request order.
 	FetchAll(ids []string, cl Client, done func([]Block, error))
-	// Delete removes blocks (no time charged; deletion is asynchronous
-	// metadata work in all three real systems).
-	Delete(ids []string)
 	// DropHost discards every block owned by hostID. External stores
 	// ignore it; the local store loses data, as real executor-local
 	// shuffle files are lost with the host.
@@ -179,13 +176,6 @@ func (l *Local) FetchAll(ids []string, cl Client, done func([]Block, error)) {
 		l.clock.After(l.diskLatency, func() {
 			l.net.StartFlow(float64(bytes), cl.RateCap, pools, finish)
 		})
-	}
-}
-
-// Delete implements Store.
-func (l *Local) Delete(ids []string) {
-	for _, id := range ids {
-		delete(l.blocks, id)
 	}
 }
 

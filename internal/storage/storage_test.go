@@ -126,18 +126,6 @@ func TestDropHostSparesOtherHosts(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	c, n, s := setup()
-	disk := n.NewPool("disk", 1e6)
-	cl := Client{HostID: "h1", Disk: []*netsim.Pool{disk}}
-	s.PutAll([]Block{{ID: "b1", Size: 10}}, cl, func(error) {})
-	c.Run()
-	s.Delete([]string{"b1"})
-	if s.Has("b1") {
-		t.Fatal("block survived Delete")
-	}
-}
-
 func TestFetchCoalescesPerSource(t *testing.T) {
 	c, n, s := setup()
 	disk := n.NewPool("disk", 100)

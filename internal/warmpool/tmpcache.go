@@ -151,17 +151,6 @@ func (t *TmpCache) FetchAll(ids []string, cl storage.Client, done func([]storage
 	})
 }
 
-// Delete implements Store: blocks leave the backing store and every /tmp
-// copy (a deleted shuffle must not resurrect from cache).
-func (t *TmpCache) Delete(ids []string) {
-	for _, hc := range t.hosts {
-		for _, id := range ids {
-			hc.remove(id)
-		}
-	}
-	t.backing.Delete(ids)
-}
-
 // DropHost implements Store. For a tracked host the cache survives: the
 // engine drops a host when an *executor* dies, but the environment — and
 // its /tmp — outlives any single invocation it hosts. The authoritative

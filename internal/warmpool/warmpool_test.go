@@ -290,12 +290,6 @@ func (f *fakeStore) FetchAll(ids []string, cl storage.Client, done func([]storag
 	f.clock.After(50*time.Millisecond, func() { done(out, nil) })
 }
 
-func (f *fakeStore) Delete(ids []string) {
-	for _, id := range ids {
-		delete(f.blocks, id)
-	}
-}
-
 func (f *fakeStore) DropHost(string) {}
 
 func blk(id string, size int64) storage.Block {
@@ -461,21 +455,10 @@ func TestTmpCacheLRUEviction(t *testing.T) {
 	}
 }
 
-func TestTmpCacheDropHostAndDelete(t *testing.T) {
+func TestTmpCacheDropHostAndRecycle(t *testing.T) {
 	clock, backing, tc, _ := newTestCache(t)
 	env := storage.Client{HostID: "wp-004"}
 	tc.Track(env.HostID)
-	putAll(t, clock, tc, env, blk("x", 1<<20))
-
-	// Delete purges cache and backing.
-	tc.Delete([]string{"x"})
-	if tc.BytesFor(env.HostID) != 0 {
-		t.Fatalf("Delete left cached bytes")
-	}
-	if _, ok := backing.blocks["x"]; ok {
-		t.Fatalf("Delete did not reach backing store")
-	}
-
 	putAll(t, clock, tc, env, blk("y", 1<<20))
 	// DropHost is the engine's executor-died signal: the environment (and
 	// its /tmp) survives it.
