@@ -6,6 +6,8 @@
 // Active flows share each pool max-min fairly: rates are assigned by
 // progressive filling (water-filling), honouring per-flow rate caps, and the
 // allocation is recomputed from scratch whenever a flow starts or finishes.
+// Each Network keeps one completion timer, armed for the flow that finishes
+// first and moved on every recompute, so a rate change costs no timer churn.
 // This reproduces the paper's central bandwidth story — e.g. a single
 // 750 Mbps EBS volume under a colocated master+HDFS node throttling 16
 // concurrent shuffle readers — with event-accurate completion times.
@@ -14,7 +16,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"splitserve/internal/simclock"
@@ -28,14 +30,24 @@ const epsilonBytes = 1e-6
 type Network struct {
 	clock   *simclock.Clock
 	flows   []*Flow
-	seq     int
 	poolSeq int
+
+	// pools holds every pool with an active flow, sorted by creation ID;
+	// residual and left are recompute's scratch, indexed by Pool.slot.
+	pools    []*Pool
+	residual []float64
+	left     []int
+
+	// timer is the one completion timer, armed for next.
+	timer *simclock.Timer
+	next  *Flow
+	fire  func()
 }
 
 // Pool is a shared bandwidth resource (bytes per second).
 type Pool struct {
 	id       int
-	name     string
+	slot     int // index into the Network's scratch during recompute
 	capacity float64
 	flows    []*Flow
 }
@@ -44,43 +56,37 @@ type Pool struct {
 // optionally limited by its own rate cap (e.g. a Lambda's memory-
 // proportional egress bandwidth).
 type Flow struct {
-	id        int
 	remaining float64
 	rateCap   float64 // 0 means unlimited
 	pools     []*Pool
 	rate      float64
 	settledAt time.Time
-	timer     *simclock.Timer
 	done      func()
 	finished  bool
+	pending   bool // not yet assigned a rate by the running recompute
 }
 
 // New returns a Network driven by clock.
 func New(clock *simclock.Clock) *Network {
-	return &Network{clock: clock}
+	n := &Network{clock: clock}
+	n.fire = n.finishNext
+	return n
 }
 
-// NewPool creates a bandwidth pool. Capacity must be positive.
+// NewPool creates a bandwidth pool. Capacity must be positive; name only
+// labels the panic when it is not.
 func (n *Network) NewPool(name string, capacityBytesPerSec float64) *Pool {
 	if capacityBytesPerSec <= 0 {
 		panic(fmt.Sprintf("netsim: pool %q with non-positive capacity", name))
 	}
 	n.poolSeq++
-	return &Pool{
-		id:       n.poolSeq,
-		name:     name,
-		capacity: capacityBytesPerSec,
-	}
+	return &Pool{id: n.poolSeq, capacity: capacityBytesPerSec}
 }
-
-// Name returns the pool's name.
-func (p *Pool) Name() string { return p.name }
 
 // Capacity returns the pool's capacity in bytes/s.
 func (p *Pool) Capacity() float64 { return p.capacity }
 
-// ActiveFlows returns the number of flows currently traversing the pool.
-func (p *Pool) ActiveFlows() int { return len(p.flows) }
+func byID(a, b *Pool) int { return a.id - b.id }
 
 // StartFlow begins a transfer of bytes across pools, with an optional
 // per-flow rate cap (0 = unlimited), calling done when the last byte
@@ -94,16 +100,18 @@ func (n *Network) StartFlow(bytes float64, rateCap float64, pools []*Pool, done 
 		panic("netsim: flow with neither pools nor a rate cap would be infinitely fast")
 	}
 	f := &Flow{
-		id:        n.seq,
 		remaining: bytes,
 		rateCap:   rateCap,
 		pools:     append([]*Pool(nil), pools...),
 		settledAt: n.clock.Now(),
 		done:      done,
 	}
-	n.seq++
 	n.flows = append(n.flows, f)
 	for _, p := range f.pools {
+		if len(p.flows) == 0 {
+			i, _ := slices.BinarySearchFunc(n.pools, p, byID)
+			n.pools = slices.Insert(n.pools, i, p)
+		}
 		p.flows = append(p.flows, f)
 	}
 	n.recompute()
@@ -122,30 +130,17 @@ func (n *Network) Cancel(f *Flow) bool {
 	return true
 }
 
-// Remaining returns the flow's unfinished byte count as of the current
-// virtual time.
-func (n *Network) Remaining(f *Flow) float64 {
-	if f.finished {
-		return 0
-	}
-	elapsed := n.clock.Since(f.settledAt).Seconds()
-	return math.Max(0, f.remaining-f.rate*elapsed)
-}
-
-// ActiveFlows returns the number of in-flight flows network-wide.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
-
-// detach removes a flow from the network and its pools and cancels its
-// completion timer.
+// detach removes a flow from the network and its pools. The caller
+// recomputes, which re-arms the completion timer.
 func (n *Network) detach(f *Flow) {
 	f.finished = true
-	if f.timer != nil {
-		f.timer.Cancel()
-		f.timer = nil
-	}
 	n.flows = removeFlow(n.flows, f)
 	for _, p := range f.pools {
 		p.flows = removeFlow(p.flows, f)
+		if len(p.flows) == 0 {
+			i, _ := slices.BinarySearchFunc(n.pools, p, byID)
+			n.pools = slices.Delete(n.pools, i, i+1)
+		}
 	}
 }
 
@@ -172,56 +167,45 @@ func (n *Network) settleAll() {
 }
 
 // recompute settles progress, runs progressive filling to assign max-min
-// fair rates, and reschedules completion events.
+// fair rates, and re-arms the completion timer.
 func (n *Network) recompute() {
 	n.settleAll()
 
-	// Progressive filling. Residual capacity per pool; unassigned flows.
-	// All iteration is over insertion-ordered slices (pools sorted by
-	// creation ID) so rate assignment and event scheduling are fully
+	// Progressive filling. Residual capacity and unassigned-flow count per
+	// pool live on reused scratch; unassigned flows are marked pending.
+	// All iteration is over insertion-ordered flows and pools sorted by
+	// creation ID, so rate assignment and event scheduling are fully
 	// deterministic.
-	residual := make(map[*Pool]float64)
-	remainingFlows := make(map[*Pool]int)
-	var pools []*Pool
-	seenPool := make(map[*Pool]bool)
+	residual, left := n.residual[:0], n.left[:0]
+	for i, p := range n.pools {
+		p.slot = i
+		residual = append(residual, p.capacity)
+		left = append(left, len(p.flows))
+	}
+	n.residual, n.left = residual, left
 	for _, f := range n.flows {
-		for _, p := range f.pools {
-			if !seenPool[p] {
-				seenPool[p] = true
-				pools = append(pools, p)
-			}
-		}
+		f.rate, f.pending = 0, true
 	}
-	sort.Slice(pools, func(i, j int) bool { return pools[i].id < pools[j].id })
-	for _, p := range pools {
-		residual[p] = p.capacity
-		remainingFlows[p] = len(p.flows)
-	}
-
-	unassigned := make(map[*Flow]struct{}, len(n.flows))
-	for _, f := range n.flows {
-		f.rate = 0
-		unassigned[f] = struct{}{}
-	}
+	unassigned := len(n.flows)
 
 	assign := func(f *Flow, rate float64) {
-		f.rate = rate
-		delete(unassigned, f)
+		f.rate, f.pending = rate, false
+		unassigned--
 		for _, p := range f.pools {
-			residual[p] -= rate
-			if residual[p] < 0 {
-				residual[p] = 0
+			residual[p.slot] -= rate
+			if residual[p.slot] < 0 {
+				residual[p.slot] = 0
 			}
-			remainingFlows[p]--
+			left[p.slot]--
 		}
 	}
 
-	for len(unassigned) > 0 {
+	for unassigned > 0 {
 		// Fair share at the tightest pool.
 		minShare := math.Inf(1)
-		for _, p := range pools {
-			if remainingFlows[p] > 0 {
-				share := residual[p] / float64(remainingFlows[p])
+		for i := range n.pools {
+			if left[i] > 0 {
+				share := residual[i] / float64(left[i])
 				if share < minShare {
 					minShare = share
 				}
@@ -229,14 +213,14 @@ func (n *Network) recompute() {
 		}
 		// A flow capped below the fair share takes its cap.
 		minCap := math.Inf(1)
-		for f := range unassigned {
-			if f.rateCap > 0 && f.rateCap < minCap {
+		for _, f := range n.flows {
+			if f.pending && f.rateCap > 0 && f.rateCap < minCap {
 				minCap = f.rateCap
 			}
 		}
 		if minCap < minShare {
 			for _, f := range n.flows {
-				if _, ok := unassigned[f]; ok && f.rateCap > 0 && f.rateCap <= minCap {
+				if f.pending && f.rateCap > 0 && f.rateCap <= minCap {
 					assign(f, f.rateCap)
 				}
 			}
@@ -246,7 +230,7 @@ func (n *Network) recompute() {
 			// Only capless, pool-less flows remain (cannot happen given the
 			// StartFlow invariant), or caps equal infinity; guard anyway.
 			for _, f := range n.flows {
-				if _, ok := unassigned[f]; ok {
+				if f.pending {
 					assign(f, math.Max(f.rateCap, 1))
 				}
 			}
@@ -254,14 +238,14 @@ func (n *Network) recompute() {
 		}
 		// Assign flows bottlenecked at a pool whose share equals minShare.
 		progressed := false
-		for _, p := range pools {
-			if remainingFlows[p] == 0 {
+		for i, p := range n.pools {
+			if left[i] == 0 {
 				continue
 			}
-			share := residual[p] / float64(remainingFlows[p])
+			share := residual[i] / float64(left[i])
 			if share <= minShare*(1+1e-12) {
 				for _, f := range p.flows {
-					if _, ok := unassigned[f]; !ok {
+					if !f.pending {
 						continue
 					}
 					rate := share
@@ -276,7 +260,7 @@ func (n *Network) recompute() {
 		if !progressed {
 			// Defensive: should be unreachable; avoid an infinite loop.
 			for _, f := range n.flows {
-				if _, ok := unassigned[f]; ok {
+				if f.pending {
 					assign(f, minShare)
 				}
 			}
@@ -286,48 +270,43 @@ func (n *Network) recompute() {
 	n.reschedule()
 }
 
-// reschedule replaces every flow's completion timer according to its new
-// rate.
+// reschedule arms the completion timer for the flow that finishes first,
+// the earliest-started one on a tie. That is the flow whose timer would
+// fire first if every flow held one, armed in flow order, so the single
+// timer takes the same place among the clock's other events.
 func (n *Network) reschedule() {
+	n.next = nil
+	var first time.Duration
 	for _, f := range n.flows {
-		if f.timer != nil {
-			f.timer.Cancel()
-			f.timer = nil
+		var d time.Duration
+		if f.remaining > epsilonBytes {
+			if f.rate <= 0 {
+				continue // stalled; a future recompute will revive it
+			}
+			d = max(time.Duration(f.remaining/f.rate*float64(time.Second)), 0)
 		}
-		if f.remaining <= epsilonBytes {
-			n.completeAt(f, 0)
-			continue
+		if n.next == nil || d < first {
+			n.next, first = f, d
 		}
-		if f.rate <= 0 {
-			continue // stalled; a future recompute will revive it
-		}
-		n.completeAt(f, time.Duration(f.remaining/f.rate*float64(time.Second)))
+	}
+	if n.next == nil {
+		n.timer.Cancel()
+	} else if !n.timer.Reschedule(first) {
+		n.timer = n.clock.After(first, n.fire)
 	}
 }
 
-func (n *Network) completeAt(f *Flow, d time.Duration) {
-	f.timer = n.clock.After(d, func() {
-		if f.finished {
-			return
-		}
-		n.settleAll()
-		f.remaining = 0
-		n.detach(f)
-		n.recompute()
-		if f.done != nil {
-			f.done()
-		}
-	})
-}
-
-// TransferTime is a convenience estimate: the time a transfer of bytes
-// would take alone at the given bandwidth. Useful for fixed-cost phases
-// that do not contend (e.g. local memory copies).
-func TransferTime(bytes, bytesPerSec float64) time.Duration {
-	if bytesPerSec <= 0 {
-		panic("netsim: non-positive bandwidth")
+// finishNext is the completion timer's callback: the armed flow's last
+// byte has arrived.
+func (n *Network) finishNext() {
+	f := n.next
+	n.settleAll()
+	f.remaining = 0
+	n.detach(f)
+	n.recompute()
+	if f.done != nil {
+		f.done()
 	}
-	return time.Duration(bytes / bytesPerSec * float64(time.Second))
 }
 
 // Mbps converts megabits/s to bytes/s.

@@ -1,10 +1,10 @@
 package netsim
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
@@ -157,19 +157,6 @@ func TestZeroByteFlowCompletes(t *testing.T) {
 	}
 }
 
-func TestRemainingMidFlight(t *testing.T) {
-	c, n := newNet()
-	p := n.NewPool("ebs", 100)
-	f := n.StartFlow(1000, 0, []*Pool{p}, nil)
-	c.After(3*time.Second, func() {
-		got := n.Remaining(f)
-		if math.Abs(got-700) > 1 {
-			t.Errorf("Remaining = %v, want ~700", got)
-		}
-	})
-	c.Run()
-}
-
 func TestCapOnlyFlowNoPools(t *testing.T) {
 	c, n := newNet()
 	var at time.Time
@@ -197,9 +184,46 @@ func TestMbps(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	if got := TransferTime(1000, 100); got != 10*time.Second {
-		t.Fatalf("TransferTime = %v", got)
+// TestFlowChurnAllocsFlat guards the cost of rate recomputation: a flow
+// start and a flow completion each allocate the same small constant with
+// 8 and with 64 flows active on the pool.
+func TestFlowChurnAllocsFlat(t *testing.T) {
+	const runs = 50
+	measure := func(active int) (start, finish float64) {
+		c, n := newNet()
+		pools := []*Pool{n.NewPool("ebs", 100)}
+		// Grow every slice to its peak first, then cancel back down, so
+		// append growth does not count against the runs.
+		for i := 0; i < active+runs+1; i++ {
+			n.StartFlow(1e12, 0, pools, nil)
+		}
+		for len(n.flows) > active {
+			n.Cancel(n.flows[len(n.flows)-1])
+		}
+		start = testing.AllocsPerRun(runs, func() { n.StartFlow(1, 0, pools, nil) })
+		finish = testing.AllocsPerRun(runs, func() { c.Step() })
+		if len(n.flows) != active {
+			t.Fatalf("%d flows left, want %d: a Step completed no short flow", len(n.flows), active)
+		}
+		return start, finish
+	}
+	start8, finish8 := measure(8)
+	start64, finish64 := measure(64)
+	t.Logf("allocs: start %v/%v, finish %v/%v with 8/64 flows", start8, start64, finish8, finish64)
+	if start8 != start64 || finish8 != finish64 {
+		t.Errorf("allocs grow with flow count: start %v -> %v, finish %v -> %v", start8, start64, finish8, finish64)
+	}
+	if start64 > 4 || finish64 > 2 {
+		t.Errorf("allocs per start %v (want <= 4), per completion %v (want <= 2)", start64, finish64)
+	}
+}
+
+// TestPoolSizeClass keeps Pool in the 64-byte allocation size class. The
+// pools of finished jobs stay live, so a larger Pool shows up in the
+// retained heap of every long run.
+func TestPoolSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Pool{}); size > 64 {
+		t.Fatalf("unsafe.Sizeof(Pool{}) = %d, want <= 64", size)
 	}
 }
 
@@ -308,7 +332,7 @@ func TestQuickNoOversubscription(t *testing.T) {
 			c.After(at+time.Duration(rng.Intn(2000))*time.Millisecond, check)
 		}
 		c.Run()
-		return ok && n.ActiveFlows() == 0
+		return ok && len(n.flows) == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -245,6 +246,35 @@ func TestCancelCounters(t *testing.T) {
 	_ = tm2
 	if got := c.HeapHighWater(); got != 2 {
 		t.Fatalf("HeapHighWater = %d, want 2", got)
+	}
+}
+
+// TestRescheduleOrder pins what netsim's single completion timer relies
+// on: at its new instant a rescheduled timer fires after the events queued
+// before the Reschedule and before those queued after it, and its old
+// entry becomes a ghost that Cancelled does not count.
+func TestRescheduleOrder(t *testing.T) {
+	for _, c := range []*Clock{New(Epoch), NewHeapBacked(Epoch)} {
+		name := fmt.Sprintf("%T", c.queue)
+		var got []string
+		record := func(s string) func() { return func() { got = append(got, s) } }
+		tm := c.After(5*time.Second, record("moved"))
+		c.After(time.Second, record("before"))
+		cancelled, ghosts := c.Cancelled(), c.Ghosts()
+		if !tm.Reschedule(time.Second) {
+			t.Fatalf("%s: Reschedule of a pending timer reported false", name)
+		}
+		c.After(time.Second, record("after"))
+		if c.Cancelled() != cancelled {
+			t.Errorf("%s: Cancelled = %d after Reschedule, want %d", name, c.Cancelled(), cancelled)
+		}
+		if c.Ghosts() != ghosts+1 {
+			t.Errorf("%s: Ghosts = %d after Reschedule, want %d", name, c.Ghosts(), ghosts+1)
+		}
+		c.Run()
+		if want := []string{"before", "moved", "after"}; fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: firing order %v, want %v", name, got, want)
+		}
 	}
 }
 
