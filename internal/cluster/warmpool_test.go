@@ -138,6 +138,12 @@ func TestWarmPoolRunEventsAndBilling(t *testing.T) {
 		t.Errorf("lambda_warm_hit events = %d, report WarmHits = %d",
 			counts[eventlog.LambdaWarmHit], rep.WarmHits)
 	}
+	// Every environment an executor took went back to the pool: one kept
+	// busy after its executor is gone would bill as neither invocation nor
+	// idle time.
+	if n := s.warm.InUse(); n != 0 {
+		t.Errorf("%d warm-pool environments still in use after the run", n)
+	}
 }
 
 // TestClusterRunRecordsNoSpans: cluster reports and -report prom export the

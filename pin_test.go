@@ -17,15 +17,20 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the single-job pins in testdata/")
 
-// pinnedRuns are single-job runs whose outputs are pinned byte for byte.
-// The hybrid-segue run covers segue, the SplitServe backend's
-// vm_request/vm_ready, drains (the Lambda timeout makes its Lambdas drain)
-// and removals; the autoscale run covers the standalone backend's
-// vm_request/vm_ready.
+// pinnedRuns are single-job runs whose outputs are pinned byte for byte,
+// one per scenario kind. The hybrid-segue run covers segue, the SplitServe
+// backend's vm_request/vm_ready, drains (the Lambda timeout makes its
+// Lambdas drain) and removals; the autoscale run covers the standalone
+// backend's vm_request/vm_ready. The rest cover the standalone backend's
+// owned cores (small, full), the all-Lambda launch and shutdown with an S3
+// and with an HDFS shuffle store (qubole, ss-lambda), SplitServe on VM
+// cores only (ss-vm) and the hybrid launch without segue (hybrid).
 var pinnedRuns = []struct {
 	name string
 	run  func() (*Result, error)
-	want []eventlog.Type // engine events the run must emit under its own app
+	// want lists engine events the run must emit under its own app; a
+	// "type/kind" entry also requires the executor kind.
+	want []eventlog.Type
 }{
 	{"segue", func() (*Result, error) {
 		return Run(ScenarioHybridSegue, smallPageRank(), WithCores(8, 2), WithSeed(1),
@@ -41,6 +46,24 @@ var pinnedRuns = []struct {
 		}
 		return &Result{inner: res}, nil
 	}, []eventlog.Type{eventlog.VMRequest, eventlog.VMReady}},
+	{"small", func() (*Result, error) {
+		return Run(ScenarioSparkSmall, smallPageRank(), WithCores(8, 2), WithSeed(1))
+	}, []eventlog.Type{eventlog.ExecutorAdd + "/vm", eventlog.ShuffleWrite, eventlog.ShuffleRead}},
+	{"full", func() (*Result, error) {
+		return Run(ScenarioSparkFull, smallPageRank(), WithCores(8, 2), WithSeed(1))
+	}, []eventlog.Type{eventlog.ExecutorAdd + "/vm", eventlog.ShuffleWrite, eventlog.ShuffleRead}},
+	{"qubole", func() (*Result, error) {
+		return Run(ScenarioQubole, smallPageRank(), WithCores(8, 2), WithSeed(1))
+	}, []eventlog.Type{eventlog.ExecutorAdd + "/lambda", eventlog.ExecutorRemove + "/lambda", eventlog.ShuffleWrite}},
+	{"ss-vm", func() (*Result, error) {
+		return Run(ScenarioSSFullVM, smallPageRank(), WithCores(8, 2), WithSeed(1))
+	}, []eventlog.Type{eventlog.ExecutorAdd + "/vm", eventlog.HDFSWrite, eventlog.HDFSRead}},
+	{"ss-lambda", func() (*Result, error) {
+		return Run(ScenarioSSLambda, smallPageRank(), WithCores(8, 2), WithSeed(1))
+	}, []eventlog.Type{eventlog.ExecutorAdd + "/lambda", eventlog.ExecutorRemove + "/lambda", eventlog.HDFSWrite}},
+	{"hybrid", func() (*Result, error) {
+		return Run(ScenarioHybrid, smallPageRank(), WithCores(8, 2), WithSeed(1))
+	}, []eventlog.Type{eventlog.ExecutorAdd + "/vm", eventlog.ExecutorAdd + "/lambda", eventlog.ExecutorRemove + "/lambda", eventlog.HDFSRead}},
 }
 
 // TestSingleJobPins compares each pinned run's report JSON (spans and marks
@@ -93,6 +116,7 @@ func TestSingleJobPins(t *testing.T) {
 			for _, e := range res.Events() {
 				if e.App != "" {
 					seen[e.Type] = true
+					seen[e.Type+"/"+eventlog.Type(e.Kind)] = true
 				}
 			}
 			for _, typ := range pr.want {
