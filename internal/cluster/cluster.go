@@ -728,7 +728,7 @@ func (s *Scheduler) schedule() {
 	if s.pool.Free() > 0 {
 		var segueFirst []*job
 		for _, j := range active {
-			if j.phase == jobRunning && j.backend.lambdaLive > 0 {
+			if j.phase == jobRunning && j.backend.fleet.LambdaLive > 0 {
 				segueFirst = append(segueFirst, j)
 			}
 		}
@@ -739,7 +739,7 @@ func (s *Scheduler) schedule() {
 			s.grant(j)
 		}
 		for _, j := range active {
-			if j.phase == jobRunning && j.backend.lambdaLive == 0 {
+			if j.phase == jobRunning && j.backend.fleet.LambdaLive == 0 {
 				s.grant(j)
 			}
 		}
@@ -793,7 +793,7 @@ func (s *Scheduler) grant(j *job) {
 	if len(leases) == 0 {
 		return
 	}
-	if j.backend.lambdaLive > 0 {
+	if j.backend.fleet.LambdaLive > 0 {
 		s.insts.segueGrants.Add(float64(len(leases)))
 		s.emit(eventlog.SegueCoreGrant, j, func(ev *eventlog.Event) { ev.Cores = len(leases) })
 	}
@@ -939,7 +939,7 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 	// the live heap — and with it GC pause tails in the
 	// clock loop — so dropping them here is part of the run-queue perf
 	// work, not just tidiness. Launch callbacks still in flight hold their
-	// own references and self-release on the done flag.
+	// own references and self-release on the closed fleet.
 	j.cluster = nil
 	j.backend = nil
 	j.lambdas = nil

@@ -237,7 +237,7 @@ func TestSegueMovesWorkToVMs(t *testing.T) {
 		}
 	}
 	// Post-segue executors are VM-based.
-	vmLive, laLive := f.backend.Stats()
+	vmLive, laLive := f.backend.fleet.VMLive, f.backend.fleet.LambdaLive
 	if laLive != 0 || vmLive == 0 {
 		t.Fatalf("post-segue mix = %d VM / %d Lambda", vmLive, laLive)
 	}
@@ -258,13 +258,13 @@ func TestNoSegueWhenSLOWithinVMStartup(t *testing.T) {
 
 func TestTTLSafetyDrainAvoidsExpiry(t *testing.T) {
 	f := newFixture(t, Config{}, 0, 0, nil)
-	cfg := DefaultConfig(nil, 0)
-	cfg.TTLSafetyMargin = 14*time.Minute + 40*time.Second // drain once executors pass ~20s of age
-	mustCluster(t, f, cfg, 4, 0, nil)
-	// A long multi-wave run: executors would cross the margin mid-run.
-	for i := 0; i < 4; i++ {
+	mustCluster(t, f, DefaultConfig(nil, 0), 4, 0, nil)
+	// Waves of ~47 s tasks for 16 minutes: the executors cross the 60 s
+	// margin before the 15-minute lifetime cap, and every task assigned
+	// before the margin finishes before the cap.
+	for f.clock.Since(simclock.Epoch) < 16*time.Minute {
 		ctx := rdd.NewContext()
-		if _, err := f.cluster.RunJob(workJob(ctx, 800_000, 4, 2000), "long"); err != nil {
+		if _, err := f.cluster.RunJob(workJob(ctx, 8_000, 4, 1_000_000), "long"); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -281,12 +281,11 @@ func TestTTLSafetyDrainAvoidsExpiry(t *testing.T) {
 
 func TestLambdaExpiryCausesRecoveryButJobCompletes(t *testing.T) {
 	f := newFixture(t, Config{}, 0, 0, nil)
-	cfg := DefaultConfig(nil, 0)
-	cfg.TTLSafetyMargin = time.Nanosecond // effectively disabled
-	mustCluster(t, f, cfg, 2, 0, nil)
-	// Four ~10-minute tasks on 2 executors: the second wave crosses the
-	// 15-minute lifetime, the executors expire mid-task, and recovery
-	// reruns the failed tasks on replacement Lambdas.
+	mustCluster(t, f, DefaultConfig(nil, 0), 2, 0, nil)
+	// Four ~10-minute tasks on 2 executors: the second wave starts well
+	// before the 60 s safety margin and crosses the 15-minute lifetime,
+	// the executors expire mid-task, and recovery reruns the failed tasks
+	// on replacement Lambdas.
 	ctx := rdd.NewContext()
 	src := ctx.Source("big", 4, func(p int) []rdd.Row {
 		out := make([]rdd.Row, 100)
@@ -327,7 +326,7 @@ func TestShutdownReleasesLambdas(t *testing.T) {
 			t.Fatalf("lambda %s running after Shutdown", l.ID)
 		}
 	}
-	_, la := f.backend.Stats()
+	la := f.backend.fleet.LambdaLive
 	if la != 0 {
 		t.Fatalf("lambda count = %d after Shutdown", la)
 	}
@@ -350,21 +349,6 @@ func TestHDFSShuffleSharedAcrossSubstrates(t *testing.T) {
 	}
 }
 
-func TestMaxLambdasCapsBridge(t *testing.T) {
-	f := newFixture(t, Config{}, 0, 0, nil)
-	cfg := DefaultConfig(nil, 0)
-	cfg.MaxLambdas = 5
-	mustCluster(t, f, cfg, 16, 0, nil) // wants 16, capped at 5
-	job, err := f.cluster.RunJob(workJob(f.ctx, 16_000, 16, 300), "capped")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSum(t, job, 16_000)
-	if got := len(f.cluster.AllExecutors()); got != 5 {
-		t.Fatalf("executors = %d, want MaxLambdas cap 5", got)
-	}
-}
-
 func TestNegativeFreeCoresMeansAllCores(t *testing.T) {
 	f := newFixture(t, Config{}, 0, 0, nil)
 	worker := f.provider.ProvisionReadyVM(cloud.M44XLarge)
@@ -375,7 +359,7 @@ func TestNegativeFreeCoresMeansAllCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSum(t, job, 16_000)
-	vms, las := f.backend.Stats()
+	vms, las := f.backend.fleet.VMLive, f.backend.fleet.LambdaLive
 	if vms != 16 || las != 0 {
 		t.Fatalf("mix = %d/%d, want 16 VM / 0 Lambda", vms, las)
 	}
@@ -401,15 +385,14 @@ func TestHybridWorkDistributionTracked(t *testing.T) {
 
 func TestLambdaCPUFactorApplied(t *testing.T) {
 	f := newFixture(t, Config{}, 0, 0, nil)
-	cfg := DefaultConfig(nil, 0)
-	cfg.LambdaCPUFactor = 0.5
-	mustCluster(t, f, cfg, 2, 0, nil)
+	mustCluster(t, f, DefaultConfig(nil, 0), 2, 0, nil)
 	if _, err := f.cluster.RunJob(workJob(f.ctx, 2_000, 2, 100), "derated"); err != nil {
 		t.Fatal(err)
 	}
+	// A 1536 MB Lambda is one full vCPU, derated by the 0.85 factor.
 	for _, e := range f.cluster.AllExecutors() {
-		if e.CPUShare != 0.5 {
-			t.Fatalf("CPUShare = %v, want 0.5", e.CPUShare)
+		if e.CPUShare != 0.85 {
+			t.Fatalf("CPUShare = %v, want 0.85", e.CPUShare)
 		}
 	}
 }

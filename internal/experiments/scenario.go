@@ -176,6 +176,9 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 	if sc.LambdaMemoryMB == 0 {
 		sc.LambdaMemoryMB = 1536
 	}
+	if err := (cloud.LambdaConfig{MemoryMB: sc.LambdaMemoryMB}).Validate(cloud.DefaultOptions().Limits); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	if sc.MasterVMType.VCPUs == 0 {
 		sc.MasterVMType = cloud.M4XLarge
 	}

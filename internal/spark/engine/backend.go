@@ -1,25 +1,21 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"splitserve/internal/cloud"
 	"splitserve/internal/eventlog"
 	"splitserve/internal/netsim"
 	"splitserve/internal/storage"
-	"splitserve/internal/telemetry"
 )
 
 // Backend is the scheduler-backend seam — the engine's analogue of the
 // Spark classes the paper modifies. It supplies executors (from VMs,
 // Lambdas, or both), may veto placement on specific executors (the segue
 // hook the paper adds to the scheduler: "stop directing additional tasks
-// to a long-running Lambda-based executor"), and observes job boundaries
+// to a long-running Lambda-based executor"), and observes job submission
 // (so the segueing facility can launch replacement VMs in the background).
 type Backend interface {
-	// Name identifies the backend ("standalone", "splitserve", ...).
-	Name() string
 	// Start gives the backend its cluster context. Called once.
 	Start(c *Cluster)
 	// SetDesiredTotal sets the target number of executors; the backend
@@ -32,9 +28,8 @@ type Backend interface {
 	ExecutorDrained(e *Executor)
 	// ReleaseIdle decommissions an idle executor (dynamic allocation).
 	ReleaseIdle(e *Executor)
-	// JobSubmitted/JobFinished bracket each action.
-	JobSubmitted(name string, slo time.Duration)
-	JobFinished()
+	// JobSubmitted fires as each action starts, with the job's SLO.
+	JobSubmitted(slo time.Duration)
 }
 
 // VMExecutorMemoryMB is the default per-executor memory on a VM host: the
@@ -77,8 +72,6 @@ type StandaloneConfig struct {
 	ScaleVMType cloud.VMType
 	// BootOverride pins the boot delay of autoscale VMs (0 = sample).
 	BootOverride time.Duration
-	// ExecLaunchDelay models executor JVM spin-up and registration.
-	ExecLaunchDelay time.Duration
 	// ExecMemoryMB overrides per-executor memory (0 = hostMem/vCPUs).
 	ExecMemoryMB int
 	// StandbyVMs are additional ready instances usable at full capacity
@@ -91,78 +84,56 @@ type StandaloneConfig struct {
 
 // Standalone is vanilla Spark's VM-only scheduler backend.
 type Standalone struct {
-	cfg StandaloneConfig
-	c   *Cluster
-
-	slots           []*vmSlot
-	desired         int
-	launched        int
-	pendingLaunches int
-	pendingVMCores  int
-	execSeq         int
-}
-
-type vmSlot struct {
-	vm       *cloud.VM
-	capacity int
-	used     int
+	cfg   StandaloneConfig
+	c     *Cluster
+	fleet Fleet
+	slots VMSlots
+	// pendingVMCores counts the cores of autoscale VMs still booting.
+	pendingVMCores int
 }
 
 var _ Backend = (*Standalone)(nil)
 
 // NewStandalone returns the vanilla backend.
 func NewStandalone(cfg StandaloneConfig) *Standalone {
-	if cfg.ExecLaunchDelay == 0 {
-		cfg.ExecLaunchDelay = time.Second
-	}
 	return &Standalone{cfg: cfg}
 }
-
-// Name implements Backend.
-func (b *Standalone) Name() string { return "standalone" }
 
 // Start implements Backend.
 func (b *Standalone) Start(c *Cluster) {
 	b.c = c
 	budget := b.cfg.UsableCores
-	for _, vm := range b.cfg.VMs {
-		capacity := vm.Type.VCPUs
-		if b.cfg.UsableCores > 0 {
-			if budget <= 0 {
-				break
-			}
-			if capacity > budget {
-				capacity = budget
-			}
-			budget -= capacity
-		}
-		b.slots = append(b.slots, &vmSlot{vm: vm, capacity: capacity})
+	if budget <= 0 {
+		budget = -1
 	}
+	b.slots.AddBudget(b.cfg.VMs, budget)
 	for _, vm := range b.cfg.StandbyVMs {
-		b.slots = append(b.slots, &vmSlot{vm: vm, capacity: vm.Type.VCPUs})
+		b.slots.Add(vm, vm.Type.VCPUs, 0)
 	}
+	b.fleet.Start(c, "exec", FleetHooks{FreeCore: b.slots.Free})
 }
 
 // SetDesiredTotal implements Backend.
 func (b *Standalone) SetDesiredTotal(n int) {
-	b.desired = n
+	b.fleet.Desired = n
 	b.reconcile()
 }
 
 // reconcile launches executors on free cores and, when autoscaling,
 // requests additional VMs to cover the shortfall.
 func (b *Standalone) reconcile() {
-	for b.launched+b.pendingLaunches < b.desired {
-		slot := b.freeSlot()
-		if slot == nil {
+	f := &b.fleet
+	for f.Live()+f.InFlight() < f.Desired {
+		vm := b.slots.Take()
+		if vm == nil {
 			break
 		}
-		b.launchOn(slot)
+		f.LaunchVM(vm, b.cfg.ExecMemoryMB, b.cfg.StandbyCredits[vm.ID], true)
 	}
 	if !b.cfg.Autoscale {
 		return
 	}
-	shortfall := b.desired - b.launched - b.pendingLaunches - b.pendingVMCores
+	shortfall := f.Desired - f.Live() - f.InFlight() - b.pendingVMCores
 	for shortfall > 0 {
 		t := b.cfg.ScaleVMType
 		if t.VCPUs == 0 {
@@ -173,55 +144,11 @@ func (b *Standalone) reconcile() {
 		b.c.Emit(eventlog.Event{Type: eventlog.VMRequest, Stage: -1, Task: -1, Note: t.Name})
 		b.c.Provider().RequestVM(t, b.cfg.BootOverride, func(vm *cloud.VM) {
 			b.pendingVMCores -= vm.Type.VCPUs
-			b.slots = append(b.slots, &vmSlot{vm: vm, capacity: vm.Type.VCPUs})
+			b.slots.Add(vm, vm.Type.VCPUs, 0)
 			b.c.Emit(eventlog.Event{Type: eventlog.VMReady, Stage: -1, Task: -1, Note: vm.ID})
 			b.reconcile()
 		})
 	}
-}
-
-func (b *Standalone) freeSlot() *vmSlot {
-	for _, s := range b.slots {
-		if s.vm.State == cloud.VMReady && s.used < s.capacity {
-			return s
-		}
-	}
-	return nil
-}
-
-// launchOn spins up one executor on a VM core after the launch delay.
-func (b *Standalone) launchOn(slot *vmSlot) {
-	slot.used++
-	b.pendingLaunches++
-	b.execSeq++
-	id := fmt.Sprintf("exec-v%02d", b.execSeq)
-	mem := b.cfg.ExecMemoryMB
-	if mem == 0 {
-		mem = VMExecutorMemoryMB(slot.vm.Type)
-	}
-	launch := b.c.Telemetry().Tracer().StartSpan("executor", "launch",
-		telemetry.L("exec", id), telemetry.L("kind", "vm"))
-	b.c.Clock().After(b.cfg.ExecLaunchDelay, func() {
-		b.pendingLaunches--
-		launch.End()
-		if b.launched >= b.desired {
-			slot.used-- // demand evaporated while launching
-			return
-		}
-		b.launched++
-		cl := VMExecutorClient(slot.vm)
-		b.c.RegisterExecutor(ExecutorSpec{
-			ID:       id,
-			Kind:     ExecVM,
-			HostID:   slot.vm.ID,
-			MemoryMB: mem,
-			CPUShare: 1,
-			IO:       cl,
-			Serve:    cl,
-			VM:       slot.vm,
-			Credits:  b.cfg.StandbyCredits[slot.vm.ID],
-		})
-	})
 }
 
 // AllowAssign implements Backend: vanilla Spark places tasks anywhere.
@@ -229,30 +156,13 @@ func (b *Standalone) AllowAssign(*Executor) bool { return true }
 
 // ExecutorDrained implements Backend: the standalone backend never drains,
 // but honour the contract defensively.
-func (b *Standalone) ExecutorDrained(e *Executor) { b.release(e, "drained") }
+func (b *Standalone) ExecutorDrained(e *Executor) { b.fleet.Remove(e, "drained") }
 
 // ReleaseIdle implements Backend: dynamic allocation killed an idle
 // executor. Its host VM (and the shuffle files on it) survive — the
 // external-shuffle-service semantics vanilla Spark requires for dynamic
 // allocation.
-func (b *Standalone) ReleaseIdle(e *Executor) { b.release(e, "idle timeout") }
-
-func (b *Standalone) release(e *Executor, reason string) {
-	if e.State == ExecDead {
-		return
-	}
-	b.c.RemoveExecutor(e.ID, false, reason)
-	b.launched--
-	for _, s := range b.slots {
-		if s.vm.ID == e.HostID && s.used > 0 {
-			s.used--
-			break
-		}
-	}
-}
+func (b *Standalone) ReleaseIdle(e *Executor) { b.fleet.Remove(e, "idle timeout") }
 
 // JobSubmitted implements Backend.
-func (b *Standalone) JobSubmitted(string, time.Duration) {}
-
-// JobFinished implements Backend.
-func (b *Standalone) JobFinished() {}
+func (b *Standalone) JobSubmitted(time.Duration) {}

@@ -202,9 +202,6 @@ func New(cfg Config) (*Cluster, error) {
 // Clock returns the simulation clock.
 func (c *Cluster) Clock() *simclock.Clock { return c.cfg.Clock }
 
-// Net returns the flow simulator.
-func (c *Cluster) Net() *netsim.Network { return c.cfg.Net }
-
 // Provider returns the cloud provider.
 func (c *Cluster) Provider() *cloud.Provider { return c.cfg.Provider }
 
@@ -218,15 +215,6 @@ func (c *Cluster) Emit(ev eventlog.Event) {
 	ev.App = c.cfg.AppID
 	c.cfg.Events.Emit(c.cfg.Clock.Now(), ev)
 }
-
-// Telemetry returns the cluster's telemetry hub.
-func (c *Cluster) Telemetry() *telemetry.Hub { return c.cfg.Telem }
-
-// AppID returns the application ID.
-func (c *Cluster) AppID() string { return c.cfg.AppID }
-
-// SLO returns the configured job SLO.
-func (c *Cluster) SLO() time.Duration { return c.cfg.SLO }
 
 // Tracker exposes the map-output tracker (tests, backends).
 func (c *Cluster) Tracker() *shuffle.Tracker { return c.tracker }
@@ -382,7 +370,7 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 	for sid, st := range job.mapStageByShuffle {
 		c.tracker.Register(sid, st.Target.Parts, st.Wide.Parts)
 	}
-	c.cfg.Backend.JobSubmitted(name, c.cfg.SLO)
+	c.cfg.Backend.JobSubmitted(c.cfg.SLO)
 	c.alloc.onJobStart()
 	c.sched.submitJob(job)
 
@@ -403,7 +391,6 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 			ErrStalled, name, c.cfg.MaxSimTime, c.sched.pendingCount(), len(c.Executors()))
 	}
 	c.Emit(eventlog.Event{Type: eventlog.JobEnd, Stage: -1, Task: -1, Note: name})
-	c.cfg.Backend.JobFinished()
 	c.alloc.onJobEnd()
 	return job, job.err
 }

@@ -16,14 +16,12 @@ import (
 // manualBackend lets tests register executors with custom specs.
 type manualBackend struct{ c *Cluster }
 
-func (b *manualBackend) Name() string                       { return "manual" }
-func (b *manualBackend) Start(c *Cluster)                   { b.c = c }
-func (b *manualBackend) SetDesiredTotal(int)                {}
-func (b *manualBackend) AllowAssign(*Executor) bool         { return true }
-func (b *manualBackend) ExecutorDrained(e *Executor)        { b.c.RemoveExecutor(e.ID, false, "drained") }
-func (b *manualBackend) ReleaseIdle(*Executor)              {}
-func (b *manualBackend) JobSubmitted(string, time.Duration) {}
-func (b *manualBackend) JobFinished()                       {}
+func (b *manualBackend) Start(c *Cluster)            { b.c = c }
+func (b *manualBackend) SetDesiredTotal(int)         {}
+func (b *manualBackend) AllowAssign(*Executor) bool  { return true }
+func (b *manualBackend) ExecutorDrained(e *Executor) { b.c.RemoveExecutor(e.ID, false, "drained") }
+func (b *manualBackend) ReleaseIdle(*Executor)       {}
+func (b *manualBackend) JobSubmitted(time.Duration)  {}
 
 // speculationHarness builds a cluster with n normal executors and one
 // crippled straggler (10x slower CPU).
