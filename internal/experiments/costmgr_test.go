@@ -48,7 +48,8 @@ func loadTestProfiles(t *testing.T) *costmgr.File {
 // must yield strictly lower total cost than the fixed per-job R at
 // equal-or-better SLO attainment, and the run must score its predictions.
 func TestCostManagerComparisonAcceptance(t *testing.T) {
-	runs, err := CostManagerComparison(1, loadTestProfiles(t))
+	loadTestProfiles(t) // regenerates testdata/profiles.json under -update
+	runs, err := costManagerRuns()
 	if err != nil {
 		t.Fatalf("CostManagerComparison: %v", err)
 	}

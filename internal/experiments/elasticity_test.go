@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestClusterElasticityDefaultMix is the ISSUE's acceptance criterion on
@@ -12,7 +11,7 @@ import (
 // equal-or-better SLO attainment; adding deadline admission must not
 // increase violations and must shed only jobs that never ran.
 func TestClusterElasticityDefaultMix(t *testing.T) {
-	reps, err := ClusterElasticity(1, 45*time.Second)
+	reps, err := elasticityRuns()
 	if err != nil {
 		t.Fatalf("ClusterElasticity: %v", err)
 	}
