@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race fuzz sim bench benchtest smoke attrib warmsweep shardreplay
+.PHONY: build test check fmt vet race fuzz sim bench benchtest pins smoke attrib warmsweep shardreplay
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,14 @@ check:
 # seed-1 digest of every workload's report JSON and event log.
 benchtest:
 	cd bench && $(GO) test ./...
+
+# pins runs every byte-identity pin in one command: the *Golden and *Pins
+# tests of the main module (single-job pins, cluster and CLI goldens, the
+# recipe digests), the exact BurScale rows, then the benchmark module's
+# seed-1 digests.
+pins:
+	$(GO) test -run 'Golden|Pins|TestExtensionBurScale$$' ./...
+	$(MAKE) benchtest
 
 # smoke round-trips the observability pipeline (run a small cluster day,
 # save its event log, replay it through splitserve-history, convert it to

@@ -139,7 +139,7 @@ func printFigure(fig string, seed uint64, trials int, report string, events *[]e
 		if !lambda {
 			label = "all-VM executors (4b)"
 		}
-		pts, err := experiments.Figure4(lambda, seed)
+		pts, err := experiments.Figure4(lambda, seed, experiments.Figure4Sizes, 128, 3, nil)
 		if err != nil {
 			return err
 		}

@@ -29,6 +29,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -37,11 +38,10 @@ import (
 	"splitserve/internal/cliutil"
 	"splitserve/internal/cluster"
 	"splitserve/internal/costmgr"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/experiments"
-	"splitserve/internal/perfstat"
 	"splitserve/internal/shard"
 	"splitserve/internal/tracereplay"
-	"splitserve/internal/workloads"
 )
 
 func mixNames() string { return strings.Join(experiments.MixNames(), ", ") }
@@ -64,44 +64,6 @@ func parseMix(spec string) ([]string, error) {
 		return nil, fmt.Errorf("empty -mix (accepted: %s)", mixNames())
 	}
 	return out, nil
-}
-
-// buildSpecs calibrates one baseline per (mix entry, core count) and
-// assembles the round-robin job stream. cores[i] and picks[i] size job i
-// (picks entries may be nil — fixed-cores jobs carry no decision).
-func buildSpecs(mix []string, arrivals []time.Duration, cores []int, picks []*cluster.CostPick, seed uint64) ([]cluster.JobSpec, error) {
-	type baseKey struct {
-		name  string
-		cores int
-	}
-	mk := func(name string, seed uint64) workloads.Workload {
-		factory, _ := experiments.MixWorkload(name)
-		return factory(seed)
-	}
-	baselines := make(map[baseKey]time.Duration)
-	specs := make([]cluster.JobSpec, len(arrivals))
-	for i, at := range arrivals {
-		name := mix[i%len(mix)]
-		k := baseKey{name, cores[i]}
-		base, ok := baselines[k]
-		if !ok {
-			var err error
-			base, err = cluster.Baseline(mk(name, seed), cores[i], seed)
-			if err != nil {
-				return nil, fmt.Errorf("baseline %s x%d: %w", name, cores[i], err)
-			}
-			baselines[k] = base
-		}
-		specs[i] = cluster.JobSpec{
-			Name:     name,
-			Workload: mk(name, seed+uint64(i)),
-			Cores:    cores[i],
-			Arrival:  at,
-			Baseline: base,
-			Pick:     picks[i],
-		}
-	}
-	return specs, nil
 }
 
 func main() {
@@ -278,6 +240,23 @@ func run() int {
 		return writePerf()
 	}
 
+	// Every run of the stream path shares this configuration; the job
+	// specs and the allocation label fill in below.
+	cfg := cluster.Config{
+		PoolCores:     *pool,
+		Policy:        pol,
+		Strategy:      strat,
+		SLOFactor:     *slo,
+		Seed:          *seed,
+		Admission:     adm,
+		ScaleDownIdle: *scaledown,
+		WarmPool:      *warmPool,
+		TmpCache:      *tmpCache,
+		ColdStarts:    *coldstart,
+		Prof:          prof,
+	}
+	out := outputs{report: *report, eventLog: *eventLog, trace: *trace, attrib: *attribF}
+
 	// A production-shaped trace (tenant,arrival,runtime,cores) is replayed
 	// wholesale: every row becomes a job sized to its traced runtime and
 	// demand, so -jobs/-mix/-cores do not apply.
@@ -295,14 +274,14 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 			return 1
 		}
-		return runSharded(shardedArgs{
-			shards: *shards, pool: *pool, policy: pol, strategy: strat,
-			slo: *slo, seed: *seed, admission: adm, scaledown: *scaledown,
-			warmPool: *warmPool, tmpCache: *tmpCache, coldStarts: *coldstart,
-			alloc: "trace", prof: prof, specs: specs, report: *report,
-			eventLog: *eventLog, trace: *trace, attribF: *attribF,
-			prodTrace: tr, validate: *validate, writePerf: writePerf,
-		})
+		cfg.Jobs, cfg.Alloc = specs, "trace"
+		if !*validate {
+			tr = nil
+		}
+		if code := runSharded(*shards, cfg, out, tr); code != 0 {
+			return code
+		}
+		return writePerf()
 	}
 	if *validate {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster: -validate requires a production trace (-arrival tracefile:PATH with tenant,arrival,runtime,cores rows)")
@@ -365,26 +344,15 @@ func run() int {
 			return 1
 		}
 		allocLabel = allocPol.String()
-		for i := range arrivals {
-			name := mix[i%len(mix)]
-			d, err := mgr.Decide(allocPol, costmgr.Request{
-				Workload:  name,
-				MaxCores:  *pool,
-				Fallback:  8,
-				SLOFactor: *slo,
-				BudgetUSD: *budget,
-			})
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-				return 1
-			}
-			coreList[i] = d.Cores
-			picks[i] = &cluster.CostPick{
-				Policy:           d.Policy,
-				PredictedRun:     d.PredictedRun(),
-				PredictedCostUSD: d.PredictedCostUSD,
-				Source:           d.Source,
-			}
+		coreList, picks, _, err = experiments.AutoSize(mgr, allocPol, costmgr.Request{
+			MaxCores:  *pool,
+			Fallback:  8,
+			SLOFactor: *slo,
+			BudgetUSD: *budget,
+		}, mix, len(arrivals))
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
+			return 1
 		}
 	} else {
 		for i := range coreList {
@@ -398,7 +366,7 @@ func run() int {
 		}
 	}
 
-	specs, err := buildSpecs(mix, arrivals, coreList, picks, *seed)
+	specs, err := experiments.MixSpecs(mix, arrivals, coreList, picks, *seed, cluster.NewBaselineCache(*seed))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 1
@@ -424,32 +392,15 @@ func run() int {
 	// Any tenant label routes the run through the sharded control plane —
 	// even at -shards 1 — so per-tenant reporting is uniform. Untenanted
 	// single-shard runs keep the direct scheduler path below byte for byte.
+	cfg.Jobs, cfg.Alloc = specs, allocLabel
 	if tenanted {
-		return runSharded(shardedArgs{
-			shards: *shards, pool: *pool, policy: pol, strategy: strat,
-			slo: *slo, seed: *seed, admission: adm, scaledown: *scaledown,
-			warmPool: *warmPool, tmpCache: *tmpCache, coldStarts: *coldstart,
-			alloc: allocLabel, prof: prof, specs: specs, report: *report,
-			eventLog: *eventLog, trace: *trace, attribF: *attribF,
-			writePerf: writePerf,
-		})
+		if code := runSharded(*shards, cfg, out, nil); code != 0 {
+			return code
+		}
+		return writePerf()
 	}
 
-	s, err := cluster.New(cluster.Config{
-		Jobs:          specs,
-		PoolCores:     *pool,
-		Policy:        pol,
-		Strategy:      strat,
-		SLOFactor:     *slo,
-		Seed:          *seed,
-		Admission:     adm,
-		ScaleDownIdle: *scaledown,
-		WarmPool:      *warmPool,
-		TmpCache:      *tmpCache,
-		ColdStarts:    *coldstart,
-		Alloc:         allocLabel,
-		Prof:          prof,
-	})
+	s, err := cluster.New(cfg)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 1
@@ -459,89 +410,55 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 1
 	}
-	if err := cliutil.WriteEventLog(*eventLog, s.Events().Events()); err != nil {
+	if err := out.write(s.Events().Events(), rep, s.WriteProm); err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 1
-	}
-	if err := cliutil.WriteTrace(*trace, s.Events().Events()); err != nil {
-		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-		return 1
-	}
-	if err := cliutil.WriteAttrib(*attribF, s.Events().Events()); err != nil {
-		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-		return 1
-	}
-
-	switch *report {
-	case "json":
-		buf, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-			return 1
-		}
-		os.Stdout.Write(buf)
-	case "prom":
-		if err := s.WriteProm(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-			return 1
-		}
-	default:
-		fmt.Print(rep)
 	}
 	return writePerf()
 }
 
-// shardedArgs carries the resolved flag set into the sharded
-// control-plane path.
-type shardedArgs struct {
-	shards     int
-	pool       int
-	policy     cluster.Policy
-	strategy   cluster.Strategy
-	slo        float64
-	seed       uint64
-	admission  cluster.Admission
-	scaledown  time.Duration
-	warmPool   int
-	tmpCache   bool
-	coldStarts bool
-	alloc      string
-	prof       *perfstat.Collector
-	specs      []cluster.JobSpec
-	report     string
-	eventLog   string
-	trace      string
-	attribF    string
-	prodTrace  *tracereplay.Trace
-	validate   bool
-	writePerf  func() int
+// outputs are the files and the report format a stream run writes.
+type outputs struct {
+	report, eventLog, trace, attrib string
+}
+
+// write writes the run's event log, Chrome trace and attribution, then
+// its report: JSON, Prometheus text through prom, or the summary table.
+func (o outputs) write(events []eventlog.Event, rep interface{ JSON() ([]byte, error) }, prom func(io.Writer) error) error {
+	if err := cliutil.WriteEventLog(o.eventLog, events); err != nil {
+		return err
+	}
+	if err := cliutil.WriteTrace(o.trace, events); err != nil {
+		return err
+	}
+	if err := cliutil.WriteAttrib(o.attrib, events); err != nil {
+		return err
+	}
+	switch o.report {
+	case "json":
+		buf, err := rep.JSON()
+		if err != nil {
+			return err
+		}
+		os.Stdout.Write(buf)
+	case "prom":
+		return prom(os.Stdout)
+	default:
+		fmt.Print(rep)
+	}
+	return nil
 }
 
 // runSharded drives a tenant-labelled stream through the sharded
 // control plane and emits the merged report, event log and attribution.
-func runSharded(a shardedArgs) int {
-	if a.report == "prom" {
+// Given a production trace, it then checks the report against the
+// trace's per-tenant distributions.
+func runSharded(shards int, cfg cluster.Config, out outputs, validate *tracereplay.Trace) int {
+	if out.report == "prom" {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster: -report prom is not supported on the sharded control-plane path (use json or the default table)")
 		return 2
 	}
-	m, err := shard.New(shard.Config{
-		Shards: a.shards,
-		Cluster: cluster.Config{
-			Jobs:          a.specs,
-			PoolCores:     a.pool,
-			Policy:        a.policy,
-			Strategy:      a.strategy,
-			SLOFactor:     a.slo,
-			Seed:          a.seed,
-			Admission:     a.admission,
-			ScaleDownIdle: a.scaledown,
-			WarmPool:      a.warmPool,
-			TmpCache:      a.tmpCache,
-			ColdStarts:    a.coldStarts,
-			Alloc:         a.alloc,
-			Prof:          a.prof,
-		},
-	})
+	m, err := shard.New(shard.Config{Shards: shards, Cluster: cfg})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 1
@@ -551,39 +468,18 @@ func runSharded(a shardedArgs) int {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 1
 	}
-	events := m.Events()
-	if err := cliutil.WriteEventLog(a.eventLog, events); err != nil {
+	if err := out.write(m.Events(), rep, nil); err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 1
-	}
-	if err := cliutil.WriteTrace(a.trace, events); err != nil {
-		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-		return 1
-	}
-	if err := cliutil.WriteAttrib(a.attribF, events); err != nil {
-		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-		return 1
-	}
-
-	switch a.report {
-	case "json":
-		buf, err := rep.JSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-			return 1
-		}
-		os.Stdout.Write(buf)
-	default:
-		fmt.Print(rep)
 	}
 	// The validation table goes to stderr so -report json output stays
 	// parseable; the exit code is the machine-readable verdict.
-	if a.prodTrace != nil && a.validate {
-		v := tracereplay.Validate(a.prodTrace, rep)
+	if validate != nil {
+		v := tracereplay.Validate(validate, rep)
 		fmt.Fprint(os.Stderr, v)
 		if !v.OK {
 			return 1
 		}
 	}
-	return a.writePerf()
+	return 0
 }

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"splitserve/internal/cluster"
 	"splitserve/internal/experiments"
@@ -42,33 +41,6 @@ func TestMixFactoriesBuildWorkloads(t *testing.T) {
 	}
 }
 
-func TestBuildSpecsRoundRobin(t *testing.T) {
-	arrivals := []time.Duration{0, time.Second, 2 * time.Second}
-	cores := []int{4, 4, 4}
-	picks := make([]*cluster.CostPick, 3)
-	specs, err := buildSpecs([]string{"sparkpi", "kmeans"}, arrivals, cores, picks, 1)
-	if err != nil {
-		t.Fatalf("buildSpecs: %v", err)
-	}
-	if len(specs) != 3 {
-		t.Fatalf("got %d specs, want 3", len(specs))
-	}
-	if specs[0].Name != "sparkpi" || specs[1].Name != "kmeans" || specs[2].Name != "sparkpi" {
-		t.Fatalf("round-robin broken: %s %s %s", specs[0].Name, specs[1].Name, specs[2].Name)
-	}
-	for i, s := range specs {
-		if s.Baseline <= 0 {
-			t.Errorf("spec %d has no baseline", i)
-		}
-		if s.Arrival != arrivals[i] || s.Cores != 4 || s.Workload == nil {
-			t.Errorf("spec %d malformed: %+v", i, s)
-		}
-	}
-	if specs[0].Baseline != specs[2].Baseline {
-		t.Error("same workload name should share one calibrated baseline")
-	}
-}
-
 var update = flag.Bool("update", false, "rewrite testdata/day.prom.golden")
 
 // TestPromReportGolden pins the -report prom text of the run
@@ -81,9 +53,9 @@ func TestPromReportGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ParseArrivals: %v", err)
 	}
-	specs, err := buildSpecs([]string{"sparkpi"}, arrivals, []int{8, 8, 8}, make([]*cluster.CostPick, 3), 1)
+	specs, err := experiments.MixSpecs([]string{"sparkpi"}, arrivals, []int{8, 8, 8}, nil, 1, cluster.NewBaselineCache(1))
 	if err != nil {
-		t.Fatalf("buildSpecs: %v", err)
+		t.Fatalf("MixSpecs: %v", err)
 	}
 	s, err := cluster.New(cluster.Config{
 		Jobs:      specs,

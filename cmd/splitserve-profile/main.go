@@ -23,11 +23,9 @@ import (
 	"strings"
 
 	"splitserve/internal/cliutil"
-	"splitserve/internal/cloud"
 	"splitserve/internal/eventlog"
 	"splitserve/internal/experiments"
 	"splitserve/internal/simclock"
-	"splitserve/internal/workloads/pagerank"
 )
 
 // profilePoint is one {dataset, parallelism} sweep sample in -report json.
@@ -111,7 +109,7 @@ func run() int {
 		bus = eventlog.NewBus(simclock.Epoch)
 	}
 
-	sizes := []int{25_000, 50_000, 100_000}
+	sizes := experiments.Figure4Sizes
 	if *pages > 0 {
 		sizes = []int{*pages}
 	}
@@ -124,34 +122,10 @@ func run() int {
 	}
 	var all []profilePoint
 	for _, size := range sizes {
-		var pts []experiments.ProfilePoint
-		for par := 1; par <= *maxPar; par *= 2 {
-			cfg := pagerank.DefaultConfig()
-			cfg.Pages = size
-			cfg.Partitions = par
-			cfg.Iterations = *iterations
-			cfg.Seed = *seed
-			kind := experiments.SSFullVM
-			if lambda {
-				kind = experiments.SSLambda
-			}
-			workerType, _ := cloud.SmallestFor(par)
-			res, err := experiments.Run(experiments.Scenario{
-				Kind: kind, R: par, SmallR: par,
-				WorkerVMType: workerType,
-				MasterVMType: cloud.M4XLarge,
-				Seed:         *seed,
-				Events:       bus,
-				AppID:        fmt.Sprintf("pagerank-%d-x%d", size, par),
-			}, pagerank.New(cfg))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "splitserve-profile:", err)
-				return 1
-			}
-			pts = append(pts, experiments.ProfilePoint{
-				Pages: size, Parallelism: par,
-				ExecTime: res.ExecTime, CostUSD: res.CostUSD,
-			})
+		pts, err := experiments.Figure4(lambda, *seed, []int{size}, *maxPar, *iterations, bus)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "splitserve-profile:", err)
+			return 1
 		}
 		best := pts[0].ExecTime
 		for _, p := range pts {

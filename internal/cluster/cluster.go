@@ -30,15 +30,6 @@ import (
 	"splitserve/internal/workloads"
 )
 
-// Stage/task overheads, matching the calibrated experiment defaults so a
-// job run under the cluster scheduler costs the same as in
-// internal/experiments. (Copied, not imported: experiments sits above
-// this package.)
-const (
-	stageOverhead = 1400 * time.Millisecond
-	dispatchCost  = 4 * time.Millisecond
-)
-
 const (
 	// lambdaMemoryMB sizes bridged Lambda executors (one vCPU).
 	lambdaMemoryMB = 1536
@@ -830,8 +821,8 @@ func (s *Scheduler) admit(j *job) {
 		Events:              s.bus,
 		Alloc:               engine.DefaultAllocConfig(engine.AllocStatic, j.spec.Cores, j.spec.Cores),
 		SLO:                 j.allowance(s.cfg.SLOFactor),
-		StageLaunchOverhead: stageOverhead,
-		TaskDispatchCost:    dispatchCost,
+		StageLaunchOverhead: engine.DefaultStageLaunchOverhead,
+		TaskDispatchCost:    engine.DefaultTaskDispatchCost,
 		MaxSimTime:          s.cfg.MaxSimTime,
 		Yield: func(register func(wake func())) bool {
 			s.prof.CountYield()
@@ -972,8 +963,8 @@ func Baseline(w workloads.Workload, cores int, seed uint64) (time.Duration, erro
 		Store:               fs.Store(),
 		Backend:             engine.NewStandalone(engine.StandaloneConfig{VMs: vms, UsableCores: cores}),
 		Alloc:               engine.DefaultAllocConfig(engine.AllocStatic, cores, cores),
-		StageLaunchOverhead: stageOverhead,
-		TaskDispatchCost:    dispatchCost,
+		StageLaunchOverhead: engine.DefaultStageLaunchOverhead,
+		TaskDispatchCost:    engine.DefaultTaskDispatchCost,
 	})
 	if err != nil {
 		return 0, err
@@ -983,4 +974,37 @@ func Baseline(w workloads.Workload, cores int, seed uint64) (time.Duration, erro
 		return 0, err
 	}
 	return rep.Elapsed, nil
+}
+
+// BaselineCache calibrates each job shape once per core count: every job
+// stream of one seed draws its baselines from one cache, so jobs of the
+// same shape and demand share one Baseline run.
+type BaselineCache struct {
+	seed uint64
+	m    map[baselineKey]time.Duration
+}
+
+type baselineKey struct {
+	shape string
+	cores int
+}
+
+// NewBaselineCache returns an empty cache calibrating at seed.
+func NewBaselineCache(seed uint64) *BaselineCache {
+	return &BaselineCache{seed: seed, m: map[baselineKey]time.Duration{}}
+}
+
+// Get returns the baseline of the job shape at cores, running Baseline on
+// the workload mk builds the first time the pair is asked for.
+func (c *BaselineCache) Get(shape string, cores int, mk func() workloads.Workload) (time.Duration, error) {
+	k := baselineKey{shape, cores}
+	if b, ok := c.m[k]; ok {
+		return b, nil
+	}
+	b, err := Baseline(mk(), cores, c.seed)
+	if err != nil {
+		return 0, fmt.Errorf("baseline %s x%d: %w", shape, cores, err)
+	}
+	c.m[k] = b
+	return b, nil
 }

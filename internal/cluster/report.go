@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"splitserve/internal/autoscale"
 	"splitserve/internal/billing"
 	"splitserve/internal/cloud"
 	"splitserve/internal/simclock"
@@ -269,8 +270,8 @@ func (s *Scheduler) buildReport() *Report {
 		r.QueueWaitMeanUS = us(sum / time.Duration(len(waits)))
 		sorted := append([]time.Duration(nil), waits...)
 		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		r.QueueWaitP50US = us(quantileDur(sorted, 0.50))
-		r.QueueWaitP99US = us(quantileDur(sorted, 0.99))
+		r.QueueWaitP50US = us(autoscale.Quantile(sorted, 0.50))
+		r.QueueWaitP99US = us(autoscale.Quantile(sorted, 0.99))
 	}
 	if len(stretches) > 0 {
 		sum := 0.0
@@ -280,11 +281,7 @@ func (s *Scheduler) buildReport() *Report {
 		r.MeanStretch = sum / float64(len(stretches))
 		sorted := append([]float64(nil), stretches...)
 		sort.Float64s(sorted)
-		idx := int(0.99 * float64(len(sorted)-1))
-		if float64(idx) < 0.99*float64(len(sorted)-1) {
-			idx++
-		}
-		r.P99Stretch = sorted[idx]
+		r.P99Stretch = autoscale.Quantile(sorted, 0.99)
 	}
 
 	// Capacity: base pool cores for the makespan, procured cores from
@@ -356,18 +353,6 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// quantileDur returns the q-quantile of an ascending-sorted slice.
-func quantileDur(sorted []time.Duration, q float64) time.Duration {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(q * float64(len(sorted)-1))
-	if float64(idx) < q*float64(len(sorted)-1) {
-		idx++
-	}
-	return sorted[idx]
 }
 
 // JSON renders the report deterministically (same seed → same bytes).

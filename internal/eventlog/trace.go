@@ -108,10 +108,12 @@ func BuildTrace(events []Event) *TraceFile {
 		stage int
 		task  int
 	}
-	openTasks := map[openKey]Event{}
-	openStages := map[openKey]Event{}
-	openJobs := map[openKey]Event{}
-	openExecs := map[execKey]Event{}
+	// Open intervals map to the index of their start event, so whatever
+	// is still open at the end is clamped in the order it opened.
+	openTasks := map[openKey]int{}
+	openStages := map[openKey]int{}
+	openJobs := map[openKey]int{}
+	openExecs := map[execKey]int{}
 
 	var slices, instants []TraceEvent
 
@@ -133,31 +135,34 @@ func BuildTrace(events []Event) *TraceFile {
 		})
 	}
 
-	for _, e := range events {
+	for i, e := range events {
 		switch e.Type {
 		case JobStart, ClusterAdmit:
-			openJobs[openKey{app: e.App, task: -1, stage: -1}] = e
+			openJobs[openKey{app: e.App, task: -1, stage: -1}] = i
 			pidOf(e.App)
 		case JobEnd, ClusterFinish, ClusterFail:
 			k := openKey{app: e.App, task: -1, stage: -1}
-			if s, ok := openJobs[k]; ok {
+			if si, ok := openJobs[k]; ok {
+				s := events[si]
 				delete(openJobs, k)
 				closeSlice(s, e.TS, "job "+s.Note, "job", pidOf(e.App), driverTID, "", map[string]any{"job": s.Note})
 			}
 		case StageStart:
-			openStages[openKey{app: e.App, stage: e.Stage, task: -1}] = e
+			openStages[openKey{app: e.App, stage: e.Stage, task: -1}] = i
 		case StageEnd:
 			k := openKey{app: e.App, stage: e.Stage, task: -1}
-			if s, ok := openStages[k]; ok {
+			if si, ok := openStages[k]; ok {
+				s := events[si]
 				delete(openStages, k)
 				closeSlice(s, e.TS, fmt.Sprintf("stage %d", e.Stage), "stage",
 					pidOf(e.App), driverTID, "", map[string]any{"stage": e.Stage})
 			}
 		case TaskStart:
-			openTasks[openKey{e.App, e.Exec, e.Stage, e.Task}] = e
+			openTasks[openKey{e.App, e.Exec, e.Stage, e.Task}] = i
 		case TaskEnd, TaskFailed:
 			k := openKey{e.App, e.Exec, e.Stage, e.Task}
-			if s, ok := openTasks[k]; ok {
+			if si, ok := openTasks[k]; ok {
+				s := events[si]
 				delete(openTasks, k)
 				cname := cnameVM
 				if s.Kind == "lambda" {
@@ -171,11 +176,12 @@ func BuildTrace(events []Event) *TraceFile {
 					map[string]any{"stage": e.Stage, "task": e.Task, "kind": s.Kind})
 			}
 		case ExecutorAdd:
-			openExecs[execKey{e.App, e.Exec}] = e
+			openExecs[execKey{e.App, e.Exec}] = i
 			tidOf(e.App, e.Exec, e.Kind)
 		case ExecutorRemove:
 			k := execKey{e.App, e.Exec}
-			if s, ok := openExecs[k]; ok {
+			if si, ok := openExecs[k]; ok {
+				s := events[si]
 				delete(openExecs, k)
 				closeSlice(s, e.TS, "executor "+e.Exec, "executor",
 					pidOf(e.App), tidOf(e.App, e.Exec, s.Kind), "grey",
@@ -226,26 +232,32 @@ func BuildTrace(events []Event) *TraceFile {
 		}
 	}
 
-	// Clamp whatever is still open to the end of the log.
-	for k, s := range openTasks {
+	// Clamp whatever is still open to the end of the log, each kind in
+	// the order it opened: ties at one instant keep that order through the
+	// stable sort below.
+	for _, i := range openOrder(openTasks) {
+		s := events[i]
 		cname := cnameVM
 		if s.Kind == "lambda" {
 			cname = cnameLambda
 		}
-		closeSlice(s, end, fmt.Sprintf("s%d/t%d (open)", k.stage, k.task), "task",
-			pidOf(k.app), tidOf(k.app, k.exec, s.Kind), cname,
-			map[string]any{"stage": k.stage, "task": k.task, "kind": s.Kind, "open": true})
+		closeSlice(s, end, fmt.Sprintf("s%d/t%d (open)", s.Stage, s.Task), "task",
+			pidOf(s.App), tidOf(s.App, s.Exec, s.Kind), cname,
+			map[string]any{"stage": s.Stage, "task": s.Task, "kind": s.Kind, "open": true})
 	}
-	for k, s := range openStages {
-		closeSlice(s, end, fmt.Sprintf("stage %d (open)", k.stage), "stage",
-			pidOf(k.app), driverTID, "", map[string]any{"stage": k.stage, "open": true})
+	for _, i := range openOrder(openStages) {
+		s := events[i]
+		closeSlice(s, end, fmt.Sprintf("stage %d (open)", s.Stage), "stage",
+			pidOf(s.App), driverTID, "", map[string]any{"stage": s.Stage, "open": true})
 	}
-	for k, s := range openJobs {
-		closeSlice(s, end, "job "+s.Note+" (open)", "job", pidOf(k.app), driverTID, "", nil)
+	for _, i := range openOrder(openJobs) {
+		s := events[i]
+		closeSlice(s, end, "job "+s.Note+" (open)", "job", pidOf(s.App), driverTID, "", nil)
 	}
-	for k, s := range openExecs {
-		closeSlice(s, end, "executor "+k.exec+" (open)", "executor",
-			pidOf(k.app), tidOf(k.app, k.exec, s.Kind), "grey", nil)
+	for _, i := range openOrder(openExecs) {
+		s := events[i]
+		closeSlice(s, end, "executor "+s.Exec+" (open)", "executor",
+			pidOf(s.App), tidOf(s.App, s.Exec, s.Kind), "grey", nil)
 	}
 
 	// Metadata: process and thread names, in deterministic (pid, tid) order.
@@ -298,6 +310,17 @@ func BuildTrace(events []Event) *TraceFile {
 	tf.TraceEvents = append(tf.TraceEvents, slices...)
 	tf.TraceEvents = append(tf.TraceEvents, instants...)
 	return tf
+}
+
+// openOrder returns the start-event indices of still-open intervals,
+// ascending.
+func openOrder[K comparable](open map[K]int) []int {
+	idx := make([]int, 0, len(open))
+	for _, i := range open {
+		idx = append(idx, i)
+	}
+	sort.Ints(idx)
+	return idx
 }
 
 func traceLess(a, b TraceEvent) bool {

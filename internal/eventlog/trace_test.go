@@ -193,3 +193,44 @@ func TestAllTypesIsClosed(t *testing.T) {
 		t.Errorf("closed vocabulary has %d types, want 42 — update this pin alongside AllTypes and BuildTrace", got)
 	}
 }
+
+// TestTraceClampsTiedOpenIntervalsInOrder: a log that ends with intervals
+// still open, several of them starting at the same instant (a stalled or
+// aborted job), must render the same bytes every time, the ties in the
+// order they opened.
+func TestTraceClampsTiedOpenIntervalsInOrder(t *testing.T) {
+	events := []Event{tev(JobStart, 5)}
+	for stage := 0; stage < 4; stage++ {
+		e := tev(StageStart, 5)
+		e.Stage = stage
+		events = append(events, e)
+	}
+	first, err := ChromeTrace(events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		again, err := ChromeTrace(events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(again) != string(first) {
+			t.Fatalf("call %d rendered different bytes:\n%s\nfirst:\n%s", i+2, again, first)
+		}
+	}
+	var stages []string
+	for _, te := range BuildTrace(events).TraceEvents {
+		if te.Cat == "stage" {
+			stages = append(stages, te.Name)
+		}
+	}
+	want := []string{"stage 0 (open)", "stage 1 (open)", "stage 2 (open)", "stage 3 (open)"}
+	if len(stages) != len(want) {
+		t.Fatalf("stage slices %q, want %q", stages, want)
+	}
+	for i := range want {
+		if stages[i] != want[i] {
+			t.Fatalf("stage slices %q, want %q", stages, want)
+		}
+	}
+}

@@ -95,8 +95,8 @@ func runBurstableStandby(seed uint64, w workloads.Workload, creditsSeconds float
 		Backend:             backend,
 		Alloc:               engine.DefaultAllocConfig(engine.AllocStatic, 16, 16),
 		SLO:                 w.SLO(),
-		StageLaunchOverhead: defaultStageOverhead,
-		TaskDispatchCost:    defaultDispatchCost,
+		StageLaunchOverhead: engine.DefaultStageLaunchOverhead,
+		TaskDispatchCost:    engine.DefaultTaskDispatchCost,
 	})
 	if err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"splitserve/internal/cluster"
-	"splitserve/internal/workloads"
 )
 
 // ClusterComparison reproduces the fluid day model's strategy comparison
@@ -18,63 +17,76 @@ import (
 // ordering surviving contact with real DAGs, stragglers and stage
 // barriers (cross-checked in internal/cluster's tests).
 func ClusterComparison(seed uint64) ([]*cluster.Report, error) {
-	type entry struct {
-		name string
-		mk   func(seed uint64) workloads.Workload
-	}
-	mix := []entry{
-		{"sparkpi", NewSparkPi},
-		{"pagerank", NewPageRank},
-		{"kmeans", NewKMeans},
-	}
-	const (
-		jobs     = 6
-		jobCores = 8
+	return runMixDay(seed,
+		cluster.Config{Strategy: cluster.StrategyQueue},
+		cluster.Config{Strategy: cluster.StrategyAutoscale},
+		cluster.Config{Strategy: cluster.StrategyBridge},
 	)
+}
 
-	baselines := make(map[string]time.Duration, len(mix))
-	for _, e := range mix {
-		base, err := cluster.Baseline(e.mk(seed), jobCores, seed)
-		if err != nil {
-			return nil, fmt.Errorf("cluster comparison: baseline %s: %w", e.name, err)
-		}
-		baselines[e.name] = base
-	}
+// The mixed day ClusterComparison, ClusterElasticity and
+// CostManagerComparison run: six jobs cycling SparkPi, PageRank and
+// K-means with Poisson arrivals 30 s apart on average, on one fair-shared
+// 8-core pool, with deadlines at 1.5x each job's baseline.
+const (
+	dayJobs  = 6
+	dayCores = 8
+	daySLO   = 1.5
+)
 
-	arrivals, err := cluster.ParseArrivals("poisson:30s", jobs, seed)
+var dayMix = []string{"sparkpi", "pagerank", "kmeans"}
+
+// mixDay is one seed's mixed day: its arrivals, and the baselines every
+// variant of it shares.
+type mixDay struct {
+	seed     uint64
+	arrivals []time.Duration
+	cal      *cluster.BaselineCache
+}
+
+func newMixDay(seed uint64) (*mixDay, error) {
+	arrivals, err := cluster.ParseArrivals("poisson:30s", dayJobs, seed)
 	if err != nil {
 		return nil, err
 	}
+	return &mixDay{seed: seed, arrivals: arrivals, cal: cluster.NewBaselineCache(seed)}, nil
+}
 
+// run runs the day once under cfg, which sets the variant's strategy and
+// whatever else it compares. cores sizes the jobs (nil: dayCores each)
+// and picks carries the cost-manager decisions behind them.
+func (d *mixDay) run(cfg cluster.Config, cores []int, picks []*cluster.CostPick) (*cluster.Report, error) {
+	if cores == nil {
+		cores = uniformCores(dayJobs, dayCores)
+	}
+	specs, err := MixSpecs(dayMix, d.arrivals, cores, picks, d.seed, d.cal)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Jobs, cfg.PoolCores, cfg.Policy, cfg.SLOFactor, cfg.Seed = specs, dayCores, cluster.FairShare(), daySLO, d.seed
+	s, err := cluster.New(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("mixed day %s: %w", cfg.Strategy, err)
+	}
+	rep, err := s.Run()
+	if err != nil {
+		return nil, fmt.Errorf("mixed day %s: %w", cfg.Strategy, err)
+	}
+	return rep, nil
+}
+
+// runMixDay runs the mixed day of seed once per variant, every job at
+// dayCores.
+func runMixDay(seed uint64, variants ...cluster.Config) ([]*cluster.Report, error) {
+	d, err := newMixDay(seed)
+	if err != nil {
+		return nil, err
+	}
 	var out []*cluster.Report
-	for _, strategy := range []cluster.Strategy{
-		cluster.StrategyQueue, cluster.StrategyAutoscale, cluster.StrategyBridge,
-	} {
-		specs := make([]cluster.JobSpec, jobs)
-		for i, at := range arrivals {
-			e := mix[i%len(mix)]
-			specs[i] = cluster.JobSpec{
-				Name:     e.name,
-				Workload: e.mk(seed + uint64(i)),
-				Cores:    jobCores,
-				Arrival:  at,
-				Baseline: baselines[e.name],
-			}
-		}
-		s, err := cluster.New(cluster.Config{
-			Jobs:      specs,
-			PoolCores: 8,
-			Policy:    cluster.FairShare(),
-			Strategy:  strategy,
-			SLOFactor: 1.5,
-			Seed:      seed,
-		})
+	for _, cfg := range variants {
+		rep, err := d.run(cfg, nil, nil)
 		if err != nil {
-			return nil, fmt.Errorf("cluster comparison %s: %w", strategy, err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			return nil, fmt.Errorf("cluster comparison %s: %w", strategy, err)
+			return nil, err
 		}
 		out = append(out, rep)
 	}

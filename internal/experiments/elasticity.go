@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"splitserve/internal/cluster"
-	"splitserve/internal/workloads"
 )
 
 // ClusterElasticity measures the cost side of the paper's elasticity
@@ -25,75 +24,11 @@ import (
 // attainment (the released instances were idle); deadline admission then
 // trades shed jobs for attainment on the jobs that do run.
 func ClusterElasticity(seed uint64, idle time.Duration) ([]*cluster.Report, error) {
-	type entry struct {
-		name string
-		mk   func(seed uint64) workloads.Workload
-	}
-	mix := []entry{
-		{"sparkpi", NewSparkPi},
-		{"pagerank", NewPageRank},
-		{"kmeans", NewKMeans},
-	}
-	const (
-		jobs     = 6
-		jobCores = 8
+	return runMixDay(seed,
+		cluster.Config{Strategy: cluster.StrategyAutoscale, Admission: cluster.AdmissionGreedy},
+		cluster.Config{Strategy: cluster.StrategyAutoscale, Admission: cluster.AdmissionGreedy, ScaleDownIdle: idle},
+		cluster.Config{Strategy: cluster.StrategyAutoscale, Admission: cluster.AdmissionDeadline, ScaleDownIdle: idle},
 	)
-
-	baselines := make(map[string]time.Duration, len(mix))
-	for _, e := range mix {
-		base, err := cluster.Baseline(e.mk(seed), jobCores, seed)
-		if err != nil {
-			return nil, fmt.Errorf("cluster elasticity: baseline %s: %w", e.name, err)
-		}
-		baselines[e.name] = base
-	}
-
-	arrivals, err := cluster.ParseArrivals("poisson:30s", jobs, seed)
-	if err != nil {
-		return nil, err
-	}
-
-	variants := []struct {
-		admission cluster.Admission
-		scaledown time.Duration
-	}{
-		{cluster.AdmissionGreedy, 0},
-		{cluster.AdmissionGreedy, idle},
-		{cluster.AdmissionDeadline, idle},
-	}
-	var out []*cluster.Report
-	for _, v := range variants {
-		specs := make([]cluster.JobSpec, jobs)
-		for i, at := range arrivals {
-			e := mix[i%len(mix)]
-			specs[i] = cluster.JobSpec{
-				Name:     e.name,
-				Workload: e.mk(seed + uint64(i)),
-				Cores:    jobCores,
-				Arrival:  at,
-				Baseline: baselines[e.name],
-			}
-		}
-		s, err := cluster.New(cluster.Config{
-			Jobs:          specs,
-			PoolCores:     8,
-			Policy:        cluster.FairShare(),
-			Strategy:      cluster.StrategyAutoscale,
-			SLOFactor:     1.5,
-			Seed:          seed,
-			Admission:     v.admission,
-			ScaleDownIdle: v.scaledown,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cluster elasticity %s: %w", v.admission, err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			return nil, fmt.Errorf("cluster elasticity %s: %w", v.admission, err)
-		}
-		out = append(out, rep)
-	}
-	return out, nil
 }
 
 // FormatClusterElasticity renders the elasticity comparison as a table.

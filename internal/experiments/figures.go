@@ -8,6 +8,7 @@ import (
 	"splitserve/internal/autoscale"
 	"splitserve/internal/billing"
 	"splitserve/internal/cloud"
+	"splitserve/internal/eventlog"
 	"splitserve/internal/s3q"
 	"splitserve/internal/workloads"
 	"splitserve/internal/workloads/kmeans"
@@ -35,11 +36,6 @@ const (
 	// quboleSeqWindow: Qubole's shuffle writes objects near-sequentially
 	// and fetches a handful at a time.
 	quboleSeqWindow = 4
-	// Driver-side overheads (real Spark: stage launch is DAG bookkeeping,
-	// task-set construction and binary broadcast; the driver dispatches
-	// tasks serially).
-	defaultStageOverhead = 1400 * time.Millisecond
-	defaultDispatchCost  = 4 * time.Millisecond
 )
 
 // quboleS3 returns the S3 model used for the Qubole baseline: effective
@@ -84,31 +80,27 @@ type ProfilePoint struct {
 	CostUSD     float64
 }
 
+// Figure4Sizes are the PageRank dataset sizes of the paper's Figure 4.
+var Figure4Sizes = []int{25_000, 50_000, 100_000}
+
 // Figure4 profiles PageRank execution time and cost versus degree of
-// parallelism, all-Lambda (fig 4a) or all-VM (fig 4b), for the paper's
-// three dataset sizes. Parallelism sweeps 1..128 in powers of two.
-func Figure4(lambda bool, seed uint64) ([]ProfilePoint, error) {
+// parallelism, all-Lambda (fig 4a) or all-VM (fig 4b): for each dataset
+// size, parallelism sweeps 1..maxPar in powers of two, each run iterating
+// `iterations` times. The paper's figure is Figure4(lambda, seed,
+// Figure4Sizes, 128, 3, nil). A non-nil bus receives every run's events
+// under app ID pagerank-<pages>-x<parallelism>.
+func Figure4(lambda bool, seed uint64, sizes []int, maxPar, iterations int, bus *eventlog.Bus) ([]ProfilePoint, error) {
 	var out []ProfilePoint
-	for _, pages := range []int{25_000, 50_000, 100_000} {
-		for par := 1; par <= 128; par *= 2 {
+	for _, pages := range sizes {
+		for par := 1; par <= maxPar; par *= 2 {
 			cfg := pagerank.DefaultConfig()
 			cfg.Pages = pages
 			cfg.Partitions = par
-			cfg.Iterations = 3
+			cfg.Iterations = iterations
 			cfg.WorkScale = pagerankWorkScale
 			cfg.Seed = seed
-			w := pagerank.New(cfg)
-			kind := SSFullVM
-			if lambda {
-				kind = SSLambda
-			}
-			workerType, _ := cloud.SmallestFor(par)
-			res, err := Run(Scenario{
-				Kind: kind, R: par, SmallR: par,
-				WorkerVMType: workerType,
-				MasterVMType: cloud.M4XLarge,
-				Seed:         seed,
-			}, w)
+			appID := fmt.Sprintf("pagerank-%d-x%d", pages, par)
+			res, err := Run(profileScenario(lambda, par, seed, bus, appID), pagerank.New(cfg))
 			if err != nil {
 				return nil, fmt.Errorf("figure4(pages=%d par=%d): %w", pages, par, err)
 			}
@@ -119,6 +111,25 @@ func Figure4(lambda bool, seed uint64) ([]ProfilePoint, error) {
 		}
 	}
 	return out, nil
+}
+
+// profileScenario is the profiling run of Figure 4 and the cost manager's
+// profile file: SplitServe with all par cores on Lambdas or on the
+// smallest VM type that holds them, the driver on an m4.xlarge.
+func profileScenario(lambda bool, par int, seed uint64, bus *eventlog.Bus, appID string) Scenario {
+	kind := SSFullVM
+	if lambda {
+		kind = SSLambda
+	}
+	workerType, _ := cloud.SmallestFor(par)
+	return Scenario{
+		Kind: kind, R: par, SmallR: par,
+		WorkerVMType: workerType,
+		MasterVMType: cloud.M4XLarge,
+		Seed:         seed,
+		Events:       bus,
+		AppID:        appID,
+	}
 }
 
 // tpcdsScenarios are Figure 5's seven configurations (R=32, r=8,

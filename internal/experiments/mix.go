@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"splitserve/internal/cloud"
 	"splitserve/internal/cluster"
 	"splitserve/internal/costmgr"
 	"splitserve/internal/eventlog"
@@ -69,21 +68,10 @@ func BuildProfileFile(seed uint64, names []string, pars []int, bus *eventlog.Bus
 				name, strings.Join(MixNames(), ", "))
 		}
 		for _, substrate := range []string{costmgr.SubstrateLambda, costmgr.SubstrateVM} {
-			kind := SSFullVM
-			if substrate == costmgr.SubstrateLambda {
-				kind = SSLambda
-			}
 			curve := costmgr.Curve{Workload: name, Substrate: substrate}
 			for _, par := range pars {
-				workerType, _ := cloud.SmallestFor(par)
-				res, err := Run(Scenario{
-					Kind: kind, R: par, SmallR: par,
-					WorkerVMType: workerType,
-					MasterVMType: cloud.M4XLarge,
-					Seed:         seed,
-					Events:       bus,
-					AppID:        fmt.Sprintf("profile-%s-%s-x%d", name, substrate, par),
-				}, mk(seed))
+				appID := fmt.Sprintf("profile-%s-%s-x%d", name, substrate, par)
+				res, err := Run(profileScenario(substrate == costmgr.SubstrateLambda, par, seed, bus, appID), mk(seed))
 				if err != nil {
 					return nil, fmt.Errorf("profile %s/%s x%d: %w", name, substrate, par, err)
 				}
@@ -122,118 +110,91 @@ func CostManagerComparison(seed uint64, profiles *costmgr.File) ([]CostManagerRu
 	if err != nil {
 		return nil, err
 	}
-	const (
-		jobs       = 6
-		fixedCores = 8
-		poolCores  = 8
-		sloFactor  = 1.5
-	)
-	mix := []string{"sparkpi", "pagerank", "kmeans"}
-
-	arrivals, err := cluster.ParseArrivals("poisson:30s", jobs, seed)
+	d, err := newMixDay(seed)
 	if err != nil {
 		return nil, err
 	}
-
-	// Baselines are per (workload, cores): the fixed run calibrates at 8,
-	// auto runs at whatever R the policy picked.
-	type baseKey struct {
-		name  string
-		cores int
-	}
-	baselines := map[baseKey]time.Duration{}
-	baseline := func(name string, cores int) (time.Duration, error) {
-		k := baseKey{name, cores}
-		if b, ok := baselines[k]; ok {
-			return b, nil
-		}
-		b, err := cluster.Baseline(mixFactories[name](seed), cores, seed)
-		if err != nil {
-			return 0, fmt.Errorf("cost comparison: baseline %s x%d: %w", name, cores, err)
-		}
-		baselines[k] = b
-		return b, nil
-	}
-
-	runOne := func(alloc string, cores []int, picks []*cluster.CostPick) (*cluster.Report, error) {
-		specs := make([]cluster.JobSpec, jobs)
-		for i, at := range arrivals {
-			name := mix[i%len(mix)]
-			base, err := baseline(name, cores[i])
-			if err != nil {
-				return nil, err
-			}
-			specs[i] = cluster.JobSpec{
-				Name:     name,
-				Workload: mixFactories[name](seed + uint64(i)),
-				Cores:    cores[i],
-				Arrival:  at,
-				Baseline: base,
-				Pick:     picks[i],
-			}
-		}
-		s, err := cluster.New(cluster.Config{
-			Jobs:      specs,
-			PoolCores: poolCores,
-			Policy:    cluster.FairShare(),
-			Strategy:  cluster.StrategyBridge,
-			SLOFactor: sloFactor,
-			Seed:      seed,
-			Alloc:     alloc,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("cost comparison %s: %w", alloc, err)
-		}
-		rep, err := s.Run()
-		if err != nil {
-			return nil, fmt.Errorf("cost comparison %s: %w", alloc, err)
-		}
-		return rep, nil
-	}
-
-	var out []CostManagerRun
-
-	fixed := make([]int, jobs)
-	for i := range fixed {
-		fixed[i] = fixedCores
-	}
-	rep, err := runOne("fixed", fixed, make([]*cluster.CostPick, jobs))
+	rep, err := d.run(cluster.Config{Strategy: cluster.StrategyBridge, Alloc: "fixed"}, nil, nil)
 	if err != nil {
 		return nil, err
 	}
-	out = append(out, CostManagerRun{Alloc: "fixed", Report: rep})
+	out := []CostManagerRun{{Alloc: "fixed", Report: rep}}
 
+	req := costmgr.Request{MaxCores: dayCores, Fallback: dayCores, SLOFactor: daySLO}
 	for _, pol := range []costmgr.Policy{costmgr.MinCost, costmgr.MinTime, costmgr.Knee} {
-		cores := make([]int, jobs)
-		picks := make([]*cluster.CostPick, jobs)
-		decisions := make([]costmgr.Decision, jobs)
-		for i := range arrivals {
-			name := mix[i%len(mix)]
-			d, err := mgr.Decide(pol, costmgr.Request{
-				Workload:  name,
-				MaxCores:  poolCores,
-				Fallback:  fixedCores,
-				SLOFactor: sloFactor,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("cost comparison %s job %d: %w", pol, i, err)
-			}
-			cores[i] = d.Cores
-			decisions[i] = d
-			picks[i] = &cluster.CostPick{
-				Policy:           d.Policy,
-				PredictedRun:     d.PredictedRun(),
-				PredictedCostUSD: d.PredictedCostUSD,
-				Source:           d.Source,
-			}
+		cores, picks, decisions, err := AutoSize(mgr, pol, req, dayMix, dayJobs)
+		if err != nil {
+			return nil, fmt.Errorf("cost comparison %s: %w", pol, err)
 		}
-		rep, err := runOne(pol.String(), cores, picks)
+		rep, err := d.run(cluster.Config{Strategy: cluster.StrategyBridge, Alloc: pol.String()}, cores, picks)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, CostManagerRun{Alloc: pol.String(), Report: rep, Decisions: decisions})
 	}
 	return out, nil
+}
+
+// MixSpecs builds the round-robin job stream over mix: job i runs
+// mix[i%len(mix)] seeded seed+i, arrives at arrivals[i] and demands
+// cores[i]; picks[i], when picks is non-nil, is the cost-manager decision
+// that sized it. Baselines come from cal, calibrated per (workload,
+// cores).
+func MixSpecs(mix []string, arrivals []time.Duration, cores []int, picks []*cluster.CostPick, seed uint64, cal *cluster.BaselineCache) ([]cluster.JobSpec, error) {
+	specs := make([]cluster.JobSpec, len(arrivals))
+	for i, at := range arrivals {
+		name := mix[i%len(mix)]
+		mk := mixFactories[name]
+		base, err := cal.Get(name, cores[i], func() workloads.Workload { return mk(seed) })
+		if err != nil {
+			return nil, err
+		}
+		specs[i] = cluster.JobSpec{
+			Name:     name,
+			Workload: mk(seed + uint64(i)),
+			Cores:    cores[i],
+			Arrival:  at,
+			Baseline: base,
+		}
+		if picks != nil {
+			specs[i].Pick = picks[i]
+		}
+	}
+	return specs, nil
+}
+
+// AutoSize lets the cost manager size each job of an n-job round-robin
+// stream over mix under pol; req carries the pool, fallback, SLO and
+// budget every job shares. It returns each job's cores, the pick its
+// JobSpec carries and the decision behind both.
+func AutoSize(mgr *costmgr.Manager, pol costmgr.Policy, req costmgr.Request, mix []string, n int) ([]int, []*cluster.CostPick, []costmgr.Decision, error) {
+	cores := make([]int, n)
+	picks := make([]*cluster.CostPick, n)
+	decisions := make([]costmgr.Decision, n)
+	for i := range decisions {
+		req.Workload = mix[i%len(mix)]
+		d, err := mgr.Decide(pol, req)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("job %d: %w", i, err)
+		}
+		cores[i], decisions[i] = d.Cores, d
+		picks[i] = &cluster.CostPick{
+			Policy:           d.Policy,
+			PredictedRun:     d.PredictedRun(),
+			PredictedCostUSD: d.PredictedCostUSD,
+			Source:           d.Source,
+		}
+	}
+	return cores, picks, decisions, nil
+}
+
+// uniformCores sizes n jobs at cores each.
+func uniformCores(n, cores int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = cores
+	}
+	return out
 }
 
 // FormatCostManagerComparison renders the fixed-vs-auto sweep as a table:

@@ -149,3 +149,30 @@ func TestBuildProfileFileGolden(t *testing.T) {
 		t.Errorf("file header %v/%v, testdata has %v/%v", f.Version, f.Seed, want.Version, want.Seed)
 	}
 }
+
+func TestMixSpecsRoundRobin(t *testing.T) {
+	arrivals := []time.Duration{0, time.Second, 2 * time.Second}
+	cores := []int{4, 4, 4}
+	picks := make([]*cluster.CostPick, 3)
+	specs, err := MixSpecs([]string{"sparkpi", "kmeans"}, arrivals, cores, picks, 1, cluster.NewBaselineCache(1))
+	if err != nil {
+		t.Fatalf("MixSpecs: %v", err)
+	}
+	if len(specs) != 3 {
+		t.Fatalf("got %d specs, want 3", len(specs))
+	}
+	if specs[0].Name != "sparkpi" || specs[1].Name != "kmeans" || specs[2].Name != "sparkpi" {
+		t.Fatalf("round-robin broken: %s %s %s", specs[0].Name, specs[1].Name, specs[2].Name)
+	}
+	for i, s := range specs {
+		if s.Baseline <= 0 {
+			t.Errorf("spec %d has no baseline", i)
+		}
+		if s.Arrival != arrivals[i] || s.Cores != 4 || s.Workload == nil {
+			t.Errorf("spec %d malformed: %+v", i, s)
+		}
+	}
+	if specs[0].Baseline != specs[2].Baseline {
+		t.Error("same workload name should share one calibrated baseline")
+	}
+}

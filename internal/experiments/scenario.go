@@ -317,8 +317,8 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 		Alloc:               alloc,
 		Perf:                sc.Perf,
 		SLO:                 w.SLO(),
-		StageLaunchOverhead: defaultStageOverhead,
-		TaskDispatchCost:    defaultDispatchCost,
+		StageLaunchOverhead: engine.DefaultStageLaunchOverhead,
+		TaskDispatchCost:    engine.DefaultTaskDispatchCost,
 	})
 	if err != nil {
 		return nil, err

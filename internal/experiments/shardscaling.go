@@ -23,10 +23,6 @@ func ShardScaling(seed uint64) ([]*shard.Report, error) {
 		jobCores = 4
 		tenants  = 5
 	)
-	base, err := cluster.Baseline(NewSparkPi(seed), jobCores, seed)
-	if err != nil {
-		return nil, fmt.Errorf("shard scaling: baseline: %w", err)
-	}
 	arrivals, err := cluster.ParseArrivals("poisson:10s", jobs, seed)
 	if err != nil {
 		return nil, err
@@ -39,18 +35,15 @@ func ShardScaling(seed uint64) ([]*shard.Report, error) {
 		tenantOf[i] = fmt.Sprintf("t%02d", rng.Zipf(1.2, tenants)-1)
 	}
 
+	cal := cluster.NewBaselineCache(seed)
 	var out []*shard.Report
 	for _, shards := range []int{1, 2, 4} {
-		specs := make([]cluster.JobSpec, jobs)
-		for i, at := range arrivals {
-			specs[i] = cluster.JobSpec{
-				Name:     "sparkpi",
-				Workload: NewSparkPi(seed + uint64(i)),
-				Tenant:   tenantOf[i],
-				Cores:    jobCores,
-				Arrival:  at,
-				Baseline: base,
-			}
+		specs, err := MixSpecs([]string{"sparkpi"}, arrivals, uniformCores(jobs, jobCores), nil, seed, cal)
+		if err != nil {
+			return nil, fmt.Errorf("shard scaling: %w", err)
+		}
+		for i := range specs {
+			specs[i].Tenant = tenantOf[i]
 		}
 		m, err := shard.New(shard.Config{
 			Shards: shards,

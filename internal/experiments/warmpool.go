@@ -167,8 +167,6 @@ func (c WarmPoolSweepConfig) withDefaults() WarmPoolSweepConfig {
 func WarmPoolComparison(seed uint64, cfg WarmPoolSweepConfig) ([]WarmPoolCell, error) {
 	cfg = cfg.withDefaults()
 
-	// One baseline per reuse count: all cells share the workload shape.
-	baselines := map[int]time.Duration{}
 	workload := func(reuse int, seed uint64) workloads.Workload {
 		wc := shufflereuse.DefaultConfig()
 		wc.RowsPerPartition = cfg.Rows
@@ -179,23 +177,15 @@ func WarmPoolComparison(seed uint64, cfg WarmPoolSweepConfig) ([]WarmPoolCell, e
 		wc.Reuse = reuse
 		return shufflereuse.New(wc)
 	}
-	baseline := func(reuse int) (time.Duration, error) {
-		if b, ok := baselines[reuse]; ok {
-			return b, nil
-		}
-		b, err := cluster.Baseline(workload(reuse, seed), cfg.JobCores, seed)
-		if err != nil {
-			return 0, fmt.Errorf("warmpool sweep: baseline reuse=%d: %w", reuse, err)
-		}
-		baselines[reuse] = b
-		return b, nil
-	}
 
+	// One baseline per reuse count: all cells share the workload shape.
+	cal := cluster.NewBaselineCache(seed)
 	var cells []WarmPoolCell
 	for _, reuse := range cfg.Reuses {
-		base, err := baseline(reuse)
+		name := fmt.Sprintf("shufflereuse-r%d", reuse)
+		base, err := cal.Get(name, cfg.JobCores, func() workloads.Workload { return workload(reuse, seed) })
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("warmpool sweep: %w", err)
 		}
 		for _, gap := range cfg.Gaps {
 			arrivals, err := cluster.ParseArrivals(fmt.Sprintf("poisson:%s", gap), cfg.Jobs, seed)
@@ -207,7 +197,7 @@ func WarmPoolComparison(seed uint64, cfg WarmPoolSweepConfig) ([]WarmPoolCell, e
 				specs := make([]cluster.JobSpec, cfg.Jobs)
 				for i, at := range arrivals {
 					specs[i] = cluster.JobSpec{
-						Name:     fmt.Sprintf("shufflereuse-r%d", reuse),
+						Name:     name,
 						Workload: workload(reuse, seed+uint64(i)),
 						Cores:    cfg.JobCores,
 						Arrival:  at,

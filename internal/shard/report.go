@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"splitserve/internal/autoscale"
 	"splitserve/internal/cluster"
 )
 
@@ -209,17 +210,7 @@ func waitStats(waits []int64) (mean, p50, p99 int64) {
 	for _, w := range sorted {
 		sum += w
 	}
-	return sum / int64(len(sorted)), quantileI64(sorted, 0.50), quantileI64(sorted, 0.99)
-}
-
-// quantileI64 returns the q-quantile of an ascending-sorted slice, with
-// the same index rule as the cluster report's quantileDur.
-func quantileI64(sorted []int64, q float64) int64 {
-	idx := int(q * float64(len(sorted)-1))
-	if float64(idx) < q*float64(len(sorted)-1) {
-		idx++
-	}
-	return sorted[idx]
+	return sum / int64(len(sorted)), autoscale.Quantile(sorted, 0.50), autoscale.Quantile(sorted, 0.99)
 }
 
 // JSON renders the report deterministically (same seed and shard count →

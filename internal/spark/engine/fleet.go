@@ -25,6 +25,16 @@ const (
 	lambdaTTLMargin = 60 * time.Second
 )
 
+// Calibrated driver overheads for Config.StageLaunchOverhead and
+// Config.TaskDispatchCost. In real Spark a stage launch is DAG
+// bookkeeping, task-set construction and a binary broadcast, and the
+// driver dispatches tasks serially. Every experiment scenario and cluster
+// job runs with them; a zero Config models a bare driver.
+const (
+	DefaultStageLaunchOverhead = 1400 * time.Millisecond
+	DefaultTaskDispatchCost    = 4 * time.Millisecond
+)
+
 // Fleet is the executor lifecycle every backend shares, the mechanics of
 // the paper's launching facility (§4): it names executors, counts them
 // live and in flight per kind, launches them on VM cores and Lambdas,

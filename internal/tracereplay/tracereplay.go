@@ -21,6 +21,7 @@ import (
 
 	"splitserve/internal/cluster"
 	"splitserve/internal/simrand"
+	"splitserve/internal/workloads"
 	"splitserve/internal/workloads/sparkpi"
 )
 
@@ -192,26 +193,16 @@ const runtimeGrid = 250 * time.Millisecond
 // cores) shape and cached, so 10k-row traces need only a handful of
 // baseline runs.
 func Specs(tr *Trace, seed uint64) ([]cluster.JobSpec, error) {
-	type shape struct {
-		bucket time.Duration
-		cores  int
-	}
-	baselines := map[shape]time.Duration{}
+	cal := cluster.NewBaselineCache(seed)
 	specs := make([]cluster.JobSpec, 0, len(tr.Rows))
 	for _, row := range tr.Rows {
 		bucket := row.Runtime.Round(runtimeGrid)
 		if bucket < runtimeGrid {
 			bucket = runtimeGrid
 		}
-		sh := shape{bucket, row.Cores}
-		base, ok := baselines[sh]
-		if !ok {
-			var err error
-			base, err = cluster.Baseline(replayJob(bucket, row.Cores), row.Cores, seed)
-			if err != nil {
-				return nil, fmt.Errorf("tracereplay: baseline for %s/%d cores: %w", bucket, row.Cores, err)
-			}
-			baselines[sh] = base
+		base, err := cal.Get(bucket.String(), row.Cores, func() workloads.Workload { return replayJob(bucket, row.Cores) })
+		if err != nil {
+			return nil, fmt.Errorf("tracereplay: %w", err)
 		}
 		specs = append(specs, cluster.JobSpec{
 			Workload: replayJob(bucket, row.Cores),
