@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race fuzz sim bench benchtest pins smoke attrib warmsweep shardreplay
+.PHONY: build test check fmt vet race leaks fuzz sim bench benchtest pins smoke attrib warmsweep shardreplay
 
 build:
 	$(GO) build ./...
@@ -23,6 +23,13 @@ fmt:
 race:
 	$(GO) test -race ./...
 
+# leaks runs the retention tests (TestLeak*: a finished job's engine, a
+# released Lambda's callback, a finished flow's callback must all become
+# unreachable) three times outside the race detector. Their assertions
+# depend on the garbage collector, so a flake shows up as its own step.
+leaks:
+	$(GO) test -count=3 -run '^TestLeak' ./...
+
 # fuzz gives each native fuzz target a short budget — enough to catch
 # parser panics without turning CI into a fuzzing farm.
 FUZZTIME ?= 10s
@@ -36,14 +43,15 @@ fuzz:
 
 # check is the full pre-commit gate: the gofmt gate, static analysis of
 # both modules, the whole test suite under the race detector (twice, to
-# shake out ordering dependence), the benchmark module's tests, a short
-# fuzz budget per target, then the event-log smoke round-trip. Under the
-# race detector internal/experiments outlasts go test's 10-minute default
-# on a 2-core host, hence -timeout.
+# shake out ordering dependence), the retention tests, the benchmark
+# module's tests, a short fuzz budget per target, then the event-log
+# smoke round-trip. Under the race detector internal/experiments outlasts
+# go test's 10-minute default on a 2-core host, hence -timeout.
 check:
 	$(MAKE) fmt
 	$(GO) vet ./... && cd bench && $(GO) vet ./...
 	$(GO) test -race -count=2 -timeout 30m ./...
+	$(MAKE) leaks
 	$(MAKE) benchtest
 	$(MAKE) fuzz
 	$(MAKE) smoke

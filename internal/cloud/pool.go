@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"splitserve/internal/eventlog"
@@ -136,7 +137,7 @@ func (p *CorePool) RemoveVM(vm *VM) bool {
 		if e.used > 0 {
 			return false
 		}
-		p.vms = append(p.vms[:i], p.vms[i+1:]...)
+		p.vms = slices.Delete(p.vms, i, i+1)
 		if e.vm.State == VMReady {
 			p.coresTotal.Add(-float64(vm.Type.VCPUs))
 		}

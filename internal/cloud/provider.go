@@ -108,7 +108,11 @@ type Lambda struct {
 	// memory-proportional egress limit).
 	Egress *netsim.Pool
 
-	expiry    *simclock.Timer
+	expiry *simclock.Timer
+	// onKill is the caller's expiry callback. The record outlives its
+	// invocation (Lambdas keeps it for billing), so onKill is cleared once
+	// the invocation ends: it typically closes over the launching job's
+	// whole engine.
 	onKill    func(*Lambda)
 	startSpan *telemetry.Span
 	lifeSpan  *telemetry.Span
@@ -384,8 +388,9 @@ func (p *Provider) invoke(cfg LambdaConfig, cold, provisioned bool, ready func(*
 			l.EndedAt = p.clock.Now()
 			p.insts.lambdasInFlight.Dec()
 			l.lifeSpan.End()
-			if l.onKill != nil {
-				l.onKill(l)
+			if kill := l.onKill; kill != nil {
+				l.onKill = nil
+				kill(l)
 			}
 		})
 		if ready != nil {
@@ -409,6 +414,7 @@ func (p *Provider) Release(l *Lambda) {
 	}
 	l.State = LambdaFinished
 	l.EndedAt = p.clock.Now()
+	l.onKill = nil
 	p.insts.lambdasInFlight.Dec()
 	p.emit(eventlog.LambdaRelease, l.ID, "", "")
 	l.startSpan.End()

@@ -240,9 +240,10 @@ type job struct {
 	err    error
 
 	// workDist and execHosts are captured from the engine when the job
-	// settles, so finish can release the engine itself (the dominant
-	// per-job retention at 10k jobs) while reports and invariant checks
-	// keep what they need.
+	// settles, so finish can drop its reference to the engine while
+	// reports and invariant checks keep what they need. That frees the
+	// engine only while nothing else that outlives the job reaches it
+	// (see finish).
 	workDist  map[engine.ExecKind]engine.WorkStats
 	execHosts map[string]string // VM executor ID -> host VM ID
 
@@ -925,12 +926,16 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 	for _, l := range j.lambdas {
 		j.meter.AddLambda(l.ID, lambdaMemoryMB, l.BilledDuration(now))
 	}
-	// The job is settled: release its simulation state. At 10k concurrent
-	// jobs the retained engines (executor/task records) are what inflate
-	// the live heap — and with it GC pause tails in the
-	// clock loop — so dropping them here is part of the run-queue perf
-	// work, not just tidiness. Launch callbacks still in flight hold their
-	// own references and self-release on the closed fleet.
+	// The job is settled: drop the scheduler's references to its
+	// simulation state. That frees the engine only while nothing that
+	// outlives the job reaches it. The provider keeps every Lambda for
+	// billing, so it clears an invocation's expiry callback (which closes
+	// over the fleet, the backend and the engine) once the invocation
+	// ends; netsim pools outlive the job too, so removed flows, whose
+	// done callbacks reach tasks, leave no pointer in their slices.
+	// TestLeakFinishedJobEngines holds every finished engine unreachable.
+	// Launch callbacks still in flight hold their own references and
+	// self-release on the closed fleet.
 	j.cluster = nil
 	j.backend = nil
 	j.lambdas = nil

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 )
@@ -165,6 +166,11 @@ type Event struct {
 // "not applicable" sentinel. Call sites fill the fields they know.
 func Ev(t Type) Event { return Event{Type: t, Stage: -1, Task: -1} }
 
+// chunkSize is how many events one chunk of a Bus holds. A long log
+// grows by whole chunks that are never copied, one allocation per
+// chunkSize events, instead of regrowing and copying the whole log.
+const chunkSize = 4096
+
 // Bus is the listener-bus: an append-only collector plus fan-out to
 // subscribers. A nil *Bus is a valid no-op sink — every method does
 // nothing — so components run unlogged without guarding call sites.
@@ -173,7 +179,10 @@ func Ev(t Type) Event { return Event{Type: t, Stage: -1, Task: -1} }
 type Bus struct {
 	mu     sync.Mutex
 	origin time.Time
-	events []Event
+	// chunks hold the log in emission order; every chunk but the last
+	// is full. n counts the events across all of them.
+	chunks [][]Event
+	n      int
 	subs   []*func(Event)
 }
 
@@ -205,7 +214,7 @@ func (b *Bus) Subscribe(fn func(Event)) (detach func()) {
 		defer b.mu.Unlock()
 		for i, s := range b.subs {
 			if s == sub {
-				b.subs = append(b.subs[:i], b.subs[i+1:]...)
+				b.subs = slices.Delete(b.subs, i, i+1)
 				return
 			}
 		}
@@ -225,7 +234,18 @@ func (b *Bus) Emit(at time.Time, e Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e.TS = at.Sub(b.origin).Microseconds()
-	b.events = append(b.events, e)
+	if b.n%chunkSize == 0 {
+		// The first chunk grows by append, so a short log costs what a
+		// plain slice would.
+		var c []Event
+		if b.n > 0 {
+			c = make([]Event, 0, chunkSize)
+		}
+		b.chunks = append(b.chunks, c)
+	}
+	last := len(b.chunks) - 1
+	b.chunks[last] = append(b.chunks[last], e)
+	b.n++
 	for _, fn := range b.subs {
 		(*fn)(e)
 	}
@@ -238,7 +258,7 @@ func (b *Bus) Len() int {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return len(b.events)
+	return b.n
 }
 
 // Events returns a snapshot of the stream in emission order.
@@ -248,7 +268,14 @@ func (b *Bus) Events() []Event {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return append([]Event(nil), b.events...)
+	if b.n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, b.n)
+	for _, c := range b.chunks {
+		out = append(out, c...)
+	}
+	return out
 }
 
 // WriteJSONL streams the log as one compact JSON object per line. Field
@@ -267,18 +294,13 @@ func (b *Bus) JSONL() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WriteJSONL serialises events one per line.
+// WriteJSONL serialises events one per line. An Encoder writes the bytes
+// json.Marshal would, plus the newline, without a copy per event.
 func WriteJSONL(w io.Writer, events []Event) error {
 	bw := bufio.NewWriter(w)
-	for _, e := range events {
-		line, err := json.Marshal(e)
-		if err != nil {
-			return err
-		}
-		if _, err := bw.Write(line); err != nil {
-			return err
-		}
-		if err := bw.WriteByte('\n'); err != nil {
+	enc := json.NewEncoder(bw)
+	for i := range events {
+		if err := enc.Encode(&events[i]); err != nil {
 			return err
 		}
 	}

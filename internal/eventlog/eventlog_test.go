@@ -3,6 +3,8 @@ package eventlog
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -165,6 +167,90 @@ func TestDetachStopsOnlyThatSubscriber(t *testing.T) {
 	}
 	var nilBus *Bus
 	nilBus.Subscribe(func(Event) {})() // a nil bus hands back a no-op detach
+}
+
+// TestWriteJSONLMatchesMarshal: each line is exactly json.Marshal of the
+// event, HTML-sensitive and line-separator runes escaped the same way.
+func TestWriteJSONLMatchesMarshal(t *testing.T) {
+	events := fixture().Events()
+	odd := Ev(CostPick)
+	odd.Note = "R<8 & cost>$0.1 \u2028 \"q\" é"
+	events = append(events, odd)
+	var want bytes.Buffer
+	for _, e := range events {
+		line, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want.Write(line)
+		want.WriteByte('\n')
+	}
+	var got bytes.Buffer
+	if err := WriteJSONL(&got, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Errorf("WriteJSONL differs from json.Marshal per line:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
+	}
+}
+
+// TestBusChunkBoundaries: the bus stores its log in fixed-size chunks, so
+// every count around a chunk edge must read back as one flat stream —
+// same length, same order, a private copy, the same JSONL bytes as the
+// flat slice — and every subscriber must see each event exactly once.
+func TestBusChunkBoundaries(t *testing.T) {
+	for _, n := range []int{0, 1, chunkSize - 1, chunkSize, chunkSize + 1, 3 * chunkSize} {
+		b := NewBus(testOrigin)
+		var seen [2][]int
+		for i := range seen {
+			b.Subscribe(func(e Event) { seen[i] = append(seen[i], e.Task) })
+		}
+		var flat []Event
+		for i := 0; i < n; i++ {
+			e := Ev(TaskEnd)
+			e.Task = i
+			e.App = fmt.Sprintf("app-%d", i%3)
+			b.Emit(at(time.Duration(i)*time.Microsecond), e)
+			e.TS = int64(i)
+			flat = append(flat, e)
+		}
+		if b.Len() != n {
+			t.Errorf("n=%d: Len = %d", n, b.Len())
+		}
+		got := b.Events()
+		if !slices.Equal(got, flat) {
+			t.Errorf("n=%d: Events differ from the emitted stream", n)
+		}
+		if n > 0 {
+			got[0].Task = -7
+			if b.Events()[0].Task != 0 {
+				t.Errorf("n=%d: Events shares storage with the bus", n)
+			}
+		}
+		var want bytes.Buffer
+		if err := WriteJSONL(&want, flat); err != nil {
+			t.Fatal(err)
+		}
+		js, err := b.JSONL()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(js, want.Bytes()) {
+			t.Errorf("n=%d: JSONL differs from WriteJSONL over the flat stream", n)
+		}
+		for i, tasks := range seen {
+			if len(tasks) != n {
+				t.Errorf("n=%d: subscriber %d saw %d events", n, i, len(tasks))
+				continue
+			}
+			for j, task := range tasks {
+				if task != j {
+					t.Errorf("n=%d: subscriber %d saw task %d at position %d", n, i, task, j)
+					break
+				}
+			}
+		}
+	}
 }
 
 // TestChromeTraceSchema asserts the Perfetto-required fields — ph, ts,

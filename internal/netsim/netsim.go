@@ -147,7 +147,9 @@ func (n *Network) detach(f *Flow) {
 func removeFlow(flows []*Flow, f *Flow) []*Flow {
 	for i, x := range flows {
 		if x == f {
-			return append(flows[:i], flows[i+1:]...)
+			// slices.Delete zeroes the vacated tail slot, so the backing
+			// array keeps no pointer to f (nor to its done callback).
+			return slices.Delete(flows, i, i+1)
 		}
 	}
 	return flows

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"time"
 
 	"splitserve/internal/eventlog"
@@ -244,7 +245,7 @@ func (s *scheduler) pickTask(e *Executor) *Task {
 func (s *scheduler) dequeue(t *Task) {
 	for i, x := range s.pending {
 		if x == t {
-			s.pending = append(s.pending[:i], s.pending[i+1:]...)
+			s.pending = slices.Delete(s.pending, i, i+1)
 			break
 		}
 	}

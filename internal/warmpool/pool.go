@@ -3,6 +3,7 @@ package warmpool
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"splitserve/internal/eventlog"
@@ -213,7 +214,7 @@ func (p *Pool) onLifetime(env *Env) {
 func (p *Pool) removeIdle(env *Env) {
 	for i, e := range p.idle {
 		if e == env {
-			p.idle = append(p.idle[:i], p.idle[i+1:]...)
+			p.idle = slices.Delete(p.idle, i, i+1)
 			return
 		}
 	}
