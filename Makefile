@@ -31,7 +31,8 @@ leaks:
 	$(GO) test -count=3 -run '^TestLeak' ./...
 
 # fuzz gives each native fuzz target a short budget — enough to catch
-# parser panics without turning CI into a fuzzing farm.
+# parser panics and encoder mismatches without turning CI into a fuzzing
+# farm.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/simclock -run '^$$' -fuzz FuzzTimerWheel -fuzztime $(FUZZTIME)
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseArrivalTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzWriteJSONL -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: the gofmt gate, static analysis of
 # both modules, the whole test suite under the race detector (twice, to

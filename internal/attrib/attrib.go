@@ -20,6 +20,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"splitserve/internal/billing"
@@ -72,12 +74,39 @@ const (
 	PreemptOverhead Cause = "preempt_overhead"
 )
 
-// Causes lists the vocabulary in canonical (report) order.
-var Causes = []Cause{
+// causeOrder is the vocabulary in canonical (report) order; a cause's
+// position in it is its column in the fixed-size tables of causeSums.
+var causeOrder = [...]Cause{
 	QueueWait, AdmissionDelay, VMBoot, LambdaColdStart, WarmHitSaved,
 	Compute, ShuffleWrite, ShuffleFetch, TmpCacheSaved, StragglerTail,
 	PreemptOverhead,
 }
+
+// Causes lists the vocabulary in canonical (report) order.
+var Causes = causeOrder[:]
+
+const numCauses = len(causeOrder)
+
+// causeIndex returns c's position in Causes.
+func causeIndex(c Cause) int {
+	return slices.Index(causeOrder[:], c)
+}
+
+// Column positions and sets used outside a loop over Causes.
+var (
+	warmHitSavedIdx  = causeIndex(WarmHitSaved)
+	tmpCacheSavedIdx = causeIndex(TmpCacheSaved)
+	// blameCauses has the bit of every blame (non-savings) cause set.
+	blameCauses = func() causeSet {
+		var set causeSet
+		for i, c := range causeOrder {
+			if !c.Savings() {
+				set |= 1 << i
+			}
+		}
+		return set
+	}()
+)
 
 // Savings reports whether c is a counterfactual-savings cause, excluded
 // from the blame-sums-to-makespan invariant.
@@ -162,10 +191,6 @@ type Table struct {
 	CostUSD    map[string]float64 `json:"cost_usd,omitempty"`
 }
 
-func newTable() *Table {
-	return &Table{BlameUS: map[string]int64{}}
-}
-
 // Dominant returns the blame cause carrying the most time in the table
 // (savings excluded) and its microseconds; ties break in canonical cause
 // order so the answer is deterministic. Returns ("", 0) for an empty
@@ -185,26 +210,6 @@ func (t *Table) Dominant() (Cause, int64) {
 		return "", 0
 	}
 	return best, bestV
-}
-
-func (t *Table) add(j *JobAttribution) {
-	t.Jobs++
-	t.MakespanUS += j.MakespanUS
-	for c, v := range j.BlameUS {
-		t.BlameUS[string(c)] += v
-	}
-	for c, v := range j.SavedUS {
-		if t.SavedUS == nil {
-			t.SavedUS = map[string]int64{}
-		}
-		t.SavedUS[string(c)] += v
-	}
-	for c, v := range j.CostUSD {
-		if t.CostUSD == nil {
-			t.CostUSD = map[string]float64{}
-		}
-		t.CostUSD[string(c)] = round6(t.CostUSD[string(c)] + v)
-	}
 }
 
 // Report is the full splitserve-attrib/v1 document: every job's
@@ -253,66 +258,146 @@ func ParseReport(data []byte) (*Report, error) {
 // cluster job = one app; an engine-only log is one app with several
 // Spark jobs inside it).
 func Analyze(events []eventlog.Event) *Report {
-	rep := &Report{
-		Schema: SchemaV1,
-		Jobs:   []JobAttribution{},
-		Totals: newTable(),
-	}
-
-	jobs := attributeJobs(events)
+	rep := &Report{Schema: SchemaV1, Jobs: []JobAttribution{}}
+	jobs, sums, tmpBytes := attributeJobs(events)
+	var totals tableRow
 	if len(jobs) == 0 {
+		rep.Totals = totals.table()
 		return rep
 	}
+	rep.Jobs = jobs
 
-	// Run-level /tmp cache savings: cache-hit events carry no app (the
-	// pool is shared), so the modeled avoided fetch time lands on the
-	// totals table only.
-	var tmpBytes int64
-	for _, e := range events {
-		if e.Type == eventlog.TmpCacheHit {
-			tmpBytes += e.Bytes
-		}
-	}
-
-	rep.ByTenant = map[string]*Table{}
-	rep.ByBackend = map[string]*Table{}
-	rep.ByWorkload = map[string]*Table{}
+	// The tables accumulate in fixed-size cause columns and become maps
+	// once, at the end. Backend tables carry blame splits only, no job
+	// counts.
+	var tenants, workloads, backends tableGroup
 	for i := range jobs {
-		j := &jobs[i]
-		rep.Totals.add(j)
-		tableOf(rep.ByTenant, j.Tenant).add(j)
-		tableOf(rep.ByWorkload, nameOr(j.Name, j.App)).add(j)
+		j, js := &jobs[i], &sums[i]
+		totals.addJob(j, js)
+		tenants.row(j.Tenant).addJob(j, js)
+		workloads.row(nameOr(j.Name, j.App)).addJob(j, js)
 		for _, seg := range j.Path {
 			backend := seg.Kind
 			if backend == "" {
 				backend = "driver"
 			}
-			bt := tableOf(rep.ByBackend, backend)
-			bt.BlameUS[string(seg.Cause)] += seg.DurUS()
+			bt := &backends.row(backend).sums
+			c := causeIndex(seg.Cause)
+			bt.blame[c] += seg.DurUS()
+			bt.blameSet |= 1 << c
 		}
-		rep.Jobs = append(rep.Jobs, *j)
 	}
-	// Backend tables carry blame splits, not job counts; normalise the
-	// zero fields for a stable layout.
-	for _, t := range rep.ByBackend {
-		t.Jobs = 0
-	}
+	// Run-level /tmp cache savings: cache-hit events carry no app (the
+	// pool is shared), so the modeled avoided fetch time lands on the
+	// totals table only.
 	if tmpBytes > 0 {
-		if rep.Totals.SavedUS == nil {
-			rep.Totals.SavedUS = map[string]int64{}
-		}
-		rep.Totals.SavedUS[string(TmpCacheSaved)] += bytesToUS(tmpBytes)
+		totals.sums.saved[tmpCacheSavedIdx] += bytesToUS(tmpBytes)
+		totals.sums.savedSet |= 1 << tmpCacheSavedIdx
 	}
+	rep.Totals = totals.table()
+	rep.ByTenant = tenants.tables()
+	rep.ByBackend = backends.tables()
+	rep.ByWorkload = workloads.tables()
 	return rep
 }
 
-func tableOf(m map[string]*Table, key string) *Table {
-	if t, ok := m[key]; ok {
-		return t
+// causeSet holds one bit per cause, by position in Causes.
+type causeSet uint16
+
+// causeSums is one job's or one table's cause columns: blame, savings
+// and dollars per cause, by position in Causes, with the set of causes
+// each column holds a key for (a zero that was written stays apart from
+// an absent key).
+type causeSums struct {
+	blame, saved                [numCauses]int64
+	cost                        [numCauses]float64
+	blameSet, savedSet, costSet causeSet
+}
+
+// add folds one job's columns into a table's. Dollars are rounded after
+// every job, in job order.
+func (t *causeSums) add(j *causeSums) {
+	for i := range numCauses {
+		t.blame[i] += j.blame[i]
+		t.saved[i] += j.saved[i]
+		if j.costSet&(1<<i) != 0 {
+			t.cost[i] = round6(t.cost[i] + j.cost[i])
+		}
 	}
-	t := newTable()
-	m[key] = t
+	t.blameSet |= j.blameSet
+	t.savedSet |= j.savedSet
+	t.costSet |= j.costSet
+}
+
+// tableRow is one table under construction.
+type tableRow struct {
+	key        string
+	jobs       int
+	makespanUS int64
+	sums       causeSums
+}
+
+func (r *tableRow) addJob(j *JobAttribution, js *causeSums) {
+	r.jobs++
+	r.makespanUS += j.MakespanUS
+	r.sums.add(js)
+}
+
+// table renders the row as a Table. A column with no keys is nil, except
+// blame, which is always present.
+func (r *tableRow) table() *Table {
+	s := &r.sums
+	t := &Table{Jobs: r.jobs, MakespanUS: r.makespanUS,
+		BlameUS: make(map[string]int64, bits.OnesCount16(uint16(s.blameSet)))}
+	if s.savedSet != 0 {
+		t.SavedUS = make(map[string]int64, bits.OnesCount16(uint16(s.savedSet)))
+	}
+	if s.costSet != 0 {
+		t.CostUSD = make(map[string]float64, bits.OnesCount16(uint16(s.costSet)))
+	}
+	for i, c := range causeOrder {
+		bit := causeSet(1) << i
+		if s.blameSet&bit != 0 {
+			t.BlameUS[string(c)] = s.blame[i]
+		}
+		if s.savedSet&bit != 0 {
+			t.SavedUS[string(c)] = s.saved[i]
+		}
+		if s.costSet&bit != 0 {
+			t.CostUSD[string(c)] = s.cost[i]
+		}
+	}
 	return t
+}
+
+// tableGroup is a keyed set of tables (per tenant, workload or backend)
+// under construction, in first-seen key order.
+type tableGroup struct {
+	index map[string]int
+	rows  []tableRow
+}
+
+// row returns the table for key, adding it on first sight.
+func (g *tableGroup) row(key string) *tableRow {
+	if g.index == nil {
+		g.index = map[string]int{}
+	}
+	i, ok := g.index[key]
+	if !ok {
+		i = len(g.rows)
+		g.rows = append(g.rows, tableRow{key: key})
+		g.index[key] = i
+	}
+	return &g.rows[i]
+}
+
+// tables renders the group as the report's map of tables.
+func (g *tableGroup) tables() map[string]*Table {
+	out := make(map[string]*Table, len(g.rows))
+	for i := range g.rows {
+		out[g.rows[i].key] = g.rows[i].table()
+	}
+	return out
 }
 
 func nameOr(name, fallback string) string {

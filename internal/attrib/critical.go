@@ -1,7 +1,8 @@
 package attrib
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"strings"
 
 	"splitserve/internal/eventlog"
@@ -16,6 +17,9 @@ type taskIval struct {
 	task    int
 	exec    string
 	kind    string
+	// execIdx and stageIdx index the app's execs and stages.
+	execIdx  int32
+	stageIdx int32
 }
 
 // ioPoint is one shuffle instant (bytes at a timestamp) used to model
@@ -25,6 +29,33 @@ type ioPoint struct {
 	task  int
 	exec  string
 	bytes int64
+}
+
+// execInfo is one executor of an app. An app has a handful, so they live
+// in a slice searched linearly, in the order the log first names them:
+// registration order in any log the engine writes.
+type execInfo struct {
+	id    string
+	kind  string // "vm" | "lambda": the last executor_add naming one
+	addUS int64  // last registration, when added
+	remUS int64  // last removal, when removed
+	added bool
+	// removed marks an executor_remove; without one the executor lives
+	// to the end of the job.
+	removed bool
+}
+
+// stageInfo is one stage of an app.
+type stageInfo struct {
+	stage int
+	// startUS is the earliest stage_start TS, when started: the moment
+	// the stage's tasks became runnable (the walk's "stage ready"
+	// anchor).
+	startUS int64
+	started bool
+	// medianUS is the median task duration, the straggler baseline (same
+	// rule as eventlog.Analyze); 0 for a stage without tasks.
+	medianUS int64
 }
 
 // appLog is everything the walk needs about one application, extracted
@@ -42,124 +73,149 @@ type appLog struct {
 	delayed   bool
 	failed    bool
 	tasks     []taskIval
-	execAdd   map[string]int64  // executor -> registration TS
-	execKind  map[string]string // executor -> "vm" | "lambda"
-	execRem   map[string]int64  // executor -> removal TS (-1 = never)
-	reads     []ioPoint         // shuffle_read instants
-	writes    []ioPoint         // shuffle_write instants
-	// stageStart maps stage -> earliest stage_start TS: the moment the
-	// stage's tasks became runnable (the walk's "stage ready" anchor).
-	stageStart map[int]int64
-	// medians holds the per-stage median task duration, the straggler
-	// baseline (same rule as eventlog.Analyze).
-	medians map[int]int64
+	execs     []execInfo
+	stages    []stageInfo
+	reads     []ioPoint // shuffle_read instants
+	writes    []ioPoint // shuffle_write instants
 	// looseEndUS is the latest engine-level end observed (job_end, task
 	// ends) — the fallback end for logs without cluster events.
 	looseEndUS int64
 }
 
+// execIndex returns the index of executor id, adding it on first sight.
+func (al *appLog) execIndex(id string) int32 {
+	for i := range al.execs {
+		if al.execs[i].id == id {
+			return int32(i)
+		}
+	}
+	al.execs = append(al.execs, execInfo{id: id})
+	return int32(len(al.execs) - 1)
+}
+
+// stageIndex returns the index of stage st, adding it on first sight.
+// The search runs from the newest stage, the one events usually name.
+func (al *appLog) stageIndex(st int) int32 {
+	for i := len(al.stages) - 1; i >= 0; i-- {
+		if al.stages[i].stage == st {
+			return int32(i)
+		}
+	}
+	al.stages = append(al.stages, stageInfo{stage: st})
+	return int32(len(al.stages) - 1)
+}
+
 // attributeJobs extracts per-app logs from the stream and runs the
 // causal decomposition on each, in first-arrival order (ties broken by
-// app name) so the report layout is deterministic.
-func attributeJobs(events []eventlog.Event) []JobAttribution {
-	apps := collectApps(events)
+// app name) so the report layout is deterministic. sums holds each
+// job's cause columns, for the aggregate tables; tmpBytes is the
+// run's /tmp cache hit bytes.
+func attributeJobs(events []eventlog.Event) (jobs []JobAttribution, sums []causeSums, tmpBytes int64) {
+	apps, tmpBytes := collectApps(events)
 	if len(apps) == 0 {
-		return nil
+		return nil, nil, tmpBytes
 	}
-	order := make([]*appLog, 0, len(apps))
-	for _, al := range apps {
-		order = append(order, al)
+	order := make([]*appLog, len(apps))
+	for i := range apps {
+		order[i] = &apps[i]
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].arrivalUS != order[j].arrivalUS {
-			return order[i].arrivalUS < order[j].arrivalUS
+	slices.SortFunc(order, func(a, b *appLog) int {
+		if c := cmp.Compare(a.arrivalUS, b.arrivalUS); c != 0 {
+			return c
 		}
-		return order[i].app < order[j].app
+		return strings.Compare(a.app, b.app)
 	})
-	out := make([]JobAttribution, 0, len(order))
-	for _, al := range order {
-		out = append(out, attributeApp(al))
+	jobs = make([]JobAttribution, len(order))
+	sums = make([]causeSums, len(order))
+	for i, al := range order {
+		jobs[i] = attributeApp(al, &sums[i])
 	}
-	return out
+	return jobs, sums, tmpBytes
+}
+
+// openTask keys a task_start awaiting its end.
+type openTask struct {
+	app, exec   int32
+	stage, task int
 }
 
 // collectApps partitions the stream by application. Events with no app
-// (cloud control plane, warm pool) are shared context and not a job.
-func collectApps(events []eventlog.Event) map[string]*appLog {
-	apps := map[string]*appLog{}
-	type taskKey struct {
-		exec  string
-		stage int
-		task  int
-	}
-	open := map[string]map[taskKey]int64{} // app -> open task starts
-
-	appOf := func(name string) *appLog {
-		al, ok := apps[name]
-		if !ok {
-			al = &appLog{
-				app: name, arrivalUS: -1, admitUS: -1, endUS: -1,
-				execAdd:    map[string]int64{},
-				execKind:   map[string]string{},
-				execRem:    map[string]int64{},
-				stageStart: map[int]int64{},
-				medians:    map[int]int64{},
-			}
-			apps[name] = al
-			open[name] = map[taskKey]int64{}
+// (cloud control plane, warm pool) are shared context and not a job;
+// of them, only the /tmp cache hits count, summed into tmpBytes.
+func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
+	index := map[string]int32{}
+	open := map[openTask]int64{} // open task starts, all apps
+	last := int32(-1)            // the previous event's app
+	appOf := func(name string) int32 {
+		if last >= 0 && apps[last].app == name {
+			return last
 		}
-		return al
+		i, ok := index[name]
+		if !ok {
+			i = int32(len(apps))
+			apps = append(apps, appLog{app: name, arrivalUS: -1, admitUS: -1, endUS: -1})
+			index[name] = i
+		}
+		last = i
+		return i
 	}
 
-	for _, e := range events {
+	for k := range events {
+		e := &events[k]
 		if e.App == "" {
+			if e.Type == eventlog.TmpCacheHit {
+				tmpBytes += e.Bytes
+			}
 			continue
 		}
 		switch e.Type {
 		case eventlog.ClusterArrive:
-			al := appOf(e.App)
+			al := &apps[appOf(e.App)]
 			al.arrivalUS = e.TS
 			al.name = e.Note
 		case eventlog.ShardAssign, eventlog.ShardSteal:
 			// Exec carries the true tenant id; a stolen job's assign and
 			// steal events agree on it, so last-writer-wins is safe.
-			appOf(e.App).tenant = e.Exec
+			apps[appOf(e.App)].tenant = e.Exec
 		case eventlog.ClusterAdmit:
-			appOf(e.App).admitUS = e.TS
+			apps[appOf(e.App)].admitUS = e.TS
 		case eventlog.ClusterDelay:
-			appOf(e.App).delayed = true
+			apps[appOf(e.App)].delayed = true
 		case eventlog.ClusterFinish:
-			appOf(e.App).endUS = e.TS
+			apps[appOf(e.App)].endUS = e.TS
 		case eventlog.ClusterFail:
-			al := appOf(e.App)
+			al := &apps[appOf(e.App)]
 			al.endUS = e.TS
 			al.failed = true
 		case eventlog.JobStart:
-			al := appOf(e.App)
+			al := &apps[appOf(e.App)]
 			if al.arrivalUS < 0 {
 				al.arrivalUS = e.TS
 			}
 		case eventlog.JobEnd:
-			al := appOf(e.App)
+			al := &apps[appOf(e.App)]
 			if e.TS > al.looseEndUS {
 				al.looseEndUS = e.TS
 			}
 		case eventlog.StageStart:
-			al := appOf(e.App)
-			if first, ok := al.stageStart[e.Stage]; !ok || e.TS < first {
-				al.stageStart[e.Stage] = e.TS
+			al := &apps[appOf(e.App)]
+			st := &al.stages[al.stageIndex(e.Stage)]
+			if !st.started || e.TS < st.startUS {
+				st.startUS, st.started = e.TS, true
 			}
 		case eventlog.TaskStart:
-			appOf(e.App)
-			open[e.App][taskKey{e.Exec, e.Stage, e.Task}] = e.TS
+			a := appOf(e.App)
+			open[openTask{a, apps[a].execIndex(e.Exec), e.Stage, e.Task}] = e.TS
 		case eventlog.TaskEnd, eventlog.TaskFailed:
-			al := appOf(e.App)
-			k := taskKey{e.Exec, e.Stage, e.Task}
-			start, ok := open[e.App][k]
+			a := appOf(e.App)
+			al := &apps[a]
+			x := al.execIndex(e.Exec)
+			k := openTask{a, x, e.Stage, e.Task}
+			start, ok := open[k]
 			if !ok {
 				continue
 			}
-			delete(open[e.App], k)
+			delete(open, k)
 			if e.TS <= start {
 				// Zero-duration occurrences carry no walkable interval
 				// and would stall the backward walk.
@@ -168,26 +224,33 @@ func collectApps(events []eventlog.Event) map[string]*appLog {
 			al.tasks = append(al.tasks, taskIval{
 				startUS: start, endUS: e.TS,
 				stage: e.Stage, task: e.Task,
-				exec: e.Exec, kind: al.execKind[e.Exec],
+				exec: e.Exec, kind: al.execs[x].kind,
+				execIdx: x, stageIdx: al.stageIndex(e.Stage),
 			})
 		case eventlog.ExecutorAdd:
-			al := appOf(e.App)
-			al.execAdd[e.Exec] = e.TS
+			al := &apps[appOf(e.App)]
+			x := &al.execs[al.execIndex(e.Exec)]
+			x.addUS, x.added = e.TS, true
 			if e.Kind != "" {
-				al.execKind[e.Exec] = e.Kind
+				x.kind = e.Kind
 			}
 		case eventlog.ExecutorRemove:
-			appOf(e.App).execRem[e.Exec] = e.TS
+			al := &apps[appOf(e.App)]
+			x := &al.execs[al.execIndex(e.Exec)]
+			x.remUS, x.removed = e.TS, true
 		case eventlog.ShuffleRead:
-			al := appOf(e.App)
+			al := &apps[appOf(e.App)]
 			al.reads = append(al.reads, ioPoint{tsUS: e.TS, task: e.Task, bytes: e.Bytes})
 		case eventlog.ShuffleWrite:
-			al := appOf(e.App)
+			al := &apps[appOf(e.App)]
 			al.writes = append(al.writes, ioPoint{tsUS: e.TS, task: e.Task, exec: e.Exec, bytes: e.Bytes})
 		}
 	}
 
-	for name, al := range apps {
+	kept := apps[:0]
+	var scratch medianScratch
+	for i := range apps {
+		al := &apps[i]
 		// Resolve endpoints: cluster events win; otherwise fall back to
 		// the loose bounds observed from engine events and tasks.
 		for _, t := range al.tasks {
@@ -212,30 +275,57 @@ func collectApps(events []eventlog.Event) map[string]*appLog {
 		}
 		// Apps with no tasks and no lifetime carry nothing to attribute.
 		if al.endUS == al.arrivalUS && len(al.tasks) == 0 {
-			delete(apps, name)
 			continue
 		}
-		computeMedians(al)
+		scratch.computeMedians(al)
+		kept = append(kept, *al)
 	}
-	return apps
+	return kept, tmpBytes
+}
+
+// medianScratch is computeMedians' working space, reused across apps.
+type medianScratch struct {
+	offsets []int
+	durs    []int64
 }
 
 // computeMedians fills the per-stage median task durations, the
-// straggler baseline the walk carves tails against.
-func computeMedians(al *appLog) {
-	byStage := map[int][]int64{}
+// straggler baseline the walk carves tails against. It buckets the
+// durations by stage (a counting sort on the stage index), then sorts
+// each bucket.
+func (sc *medianScratch) computeMedians(al *appLog) {
+	if len(al.tasks) == 0 {
+		return
+	}
+	off := append(sc.offsets[:0], make([]int, len(al.stages)+1)...)
 	for _, t := range al.tasks {
-		byStage[t.stage] = append(byStage[t.stage], t.endUS-t.startUS)
+		off[t.stageIdx+1]++
 	}
-	for st, durs := range byStage {
-		sort.Slice(durs, func(i, j int) bool { return durs[i] < durs[j] })
-		al.medians[st] = durs[len(durs)/2]
+	for i := 1; i < len(off); i++ {
+		off[i] += off[i-1]
 	}
+	durs := append(sc.durs[:0], make([]int64, len(al.tasks))...)
+	for _, t := range al.tasks {
+		durs[off[t.stageIdx]] = t.endUS - t.startUS
+		off[t.stageIdx]++
+	}
+	// Each offset now ends its bucket; the previous one starts it.
+	lo := 0
+	for i := range al.stages {
+		d := durs[lo:off[i]]
+		lo = off[i]
+		if len(d) > 0 {
+			slices.Sort(d)
+			al.stages[i].medianUS = d[len(d)/2]
+		}
+	}
+	sc.offsets, sc.durs = off, durs
 }
 
 // attributeApp runs the backward critical-path walk over one app and
-// converts the path into blame segments that tile [arrival, end].
-func attributeApp(al *appLog) JobAttribution {
+// converts the path into blame segments that tile [arrival, end]. sums
+// receives the job's cause columns.
+func attributeApp(al *appLog, sums *causeSums) JobAttribution {
 	tenant := al.tenant
 	if tenant == "" {
 		tenant = tenantOf(al.app)
@@ -248,35 +338,33 @@ func attributeApp(al *appLog) JobAttribution {
 		EndUS:      al.endUS,
 		MakespanUS: al.endUS - al.arrivalUS,
 		Failed:     al.failed,
-		BlameUS:    map[Cause]int64{},
-		SavedUS:    map[Cause]int64{},
-		Path:       []Segment{},
 	}
 
 	// Sort tasks by end time so the walk can binary-search the latest
 	// task finishing at or before the cursor.
-	tasks := append([]taskIval(nil), al.tasks...)
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].endUS != tasks[j].endUS {
-			return tasks[i].endUS < tasks[j].endUS
+	tasks := al.tasks
+	slices.SortFunc(tasks, func(a, b taskIval) int {
+		if c := cmp.Compare(a.endUS, b.endUS); c != 0 {
+			return c
 		}
-		if tasks[i].startUS != tasks[j].startUS {
-			return tasks[i].startUS < tasks[j].startUS
+		if c := cmp.Compare(a.startUS, b.startUS); c != 0 {
+			return c
 		}
-		if tasks[i].stage != tasks[j].stage {
-			return tasks[i].stage < tasks[j].stage
+		if c := cmp.Compare(a.stage, b.stage); c != 0 {
+			return c
 		}
-		if tasks[i].task != tasks[j].task {
-			return tasks[i].task < tasks[j].task
+		if c := cmp.Compare(a.task, b.task); c != 0 {
+			return c
 		}
-		return tasks[i].exec < tasks[j].exec
+		return strings.Compare(a.exec, b.exec)
 	})
 
 	// Per-executor index (sorted by end, inherited from the sort above)
 	// for the same-executor predecessor lookup.
-	byExec := map[string][]*taskIval{}
+	byExec := make([][]*taskIval, len(al.execs))
 	for i := range tasks {
-		byExec[tasks[i].exec] = append(byExec[tasks[i].exec], &tasks[i])
+		x := tasks[i].execIdx
+		byExec[x] = append(byExec[x], &tasks[i])
 	}
 
 	// Backward walk: segs accumulates in reverse time order. Each
@@ -323,7 +411,7 @@ func attributeApp(al *appLog) JobAttribution {
 		}
 		first = false
 		segStart := max64(t.startUS, al.admitUS)
-		segs = append(segs, taskSegments(al, t, segStart, min64(t.endUS, cursor))...)
+		segs = appendTaskSegments(segs, al, t, segStart, min64(t.endUS, cursor))
 		cursor = segStart
 		if cursor <= al.admitUS {
 			break
@@ -331,17 +419,18 @@ func attributeApp(al *appLog) JobAttribution {
 
 		// The three candidate constraints on t's start time.
 		bindPrev := int64(-1)
-		samePrev := latestOnExec(byExec[t.exec], t.startUS)
+		samePrev := latestOnExec(byExec[t.execIdx], t.startUS)
 		if samePrev != nil {
 			bindPrev = samePrev.endUS
 		}
+		x := &al.execs[t.execIdx]
 		bindAdd := int64(-1)
-		if add, ok := al.execAdd[t.exec]; ok && add <= t.startUS {
-			bindAdd = add
+		if x.added && x.addUS <= t.startUS {
+			bindAdd = x.addUS
 		}
 		bindStage := int64(-1)
-		if st, ok := al.stageStart[t.stage]; ok && st <= t.startUS {
-			bindStage = st
+		if st := &al.stages[t.stageIdx]; st.started && st.startUS <= t.startUS {
+			bindStage = st.startUS
 		}
 
 		switch {
@@ -371,12 +460,12 @@ func attributeApp(al *appLog) JobAttribution {
 			lo := max64(bindStage, al.admitUS)
 			if hi > lo {
 				cause := VMBoot
-				if al.execKind[t.exec] == "lambda" {
+				if x.kind == "lambda" {
 					cause = LambdaColdStart
 				}
 				segs = append(segs, Segment{
 					Cause: cause, StartUS: lo, EndUS: hi, Stage: -1, Task: -1,
-					Exec: t.exec, Kind: al.execKind[t.exec], Detail: "executor wait",
+					Exec: t.exec, Kind: x.kind, Detail: "executor wait",
 				})
 			}
 			cursor = lo
@@ -407,32 +496,29 @@ func attributeApp(al *appLog) JobAttribution {
 		})
 	}
 
-	// Reverse into time order and total up.
-	for i, j := 0, len(segs)-1; i < j; i, j = i+1, j-1 {
-		segs[i], segs[j] = segs[j], segs[i]
-	}
+	// Reverse into time order, drop empty segments in place, and total
+	// up. Every blame cause appears in the table, zeros included, so
+	// diffs and goldens have a fixed key set.
+	slices.Reverse(segs)
+	ja.Path = segs[:0]
 	for _, s := range segs {
-		if s.DurUS() <= 0 {
-			continue
-		}
-		ja.Path = append(ja.Path, s)
-		ja.BlameUS[s.Cause] += s.DurUS()
-	}
-	// Every blame cause appears in the table, zeros included, so diffs
-	// and goldens have a fixed key set.
-	for _, c := range Causes {
-		if c.Savings() {
-			continue
-		}
-		if _, ok := ja.BlameUS[c]; !ok {
-			ja.BlameUS[c] = 0
+		if d := s.DurUS(); d > 0 {
+			ja.Path = append(ja.Path, s)
+			sums.blame[causeIndex(s.Cause)] += d
 		}
 	}
-	attachWarmSavings(al, &ja)
-	attachDollars(al, &ja)
-	if len(ja.SavedUS) == 0 {
-		ja.SavedUS = nil
+	if ja.Path == nil {
+		ja.Path = []Segment{}
 	}
+	sums.blameSet = blameCauses
+	ja.BlameUS = make(map[Cause]int64, numCauses)
+	for i, c := range Causes {
+		if !c.Savings() {
+			ja.BlameUS[c] = sums.blame[i]
+		}
+	}
+	attachWarmSavings(&ja, sums)
+	attachDollars(al, &ja, sums)
 	return ja
 }
 
@@ -494,16 +580,16 @@ func min64(a, b int64) int64 {
 	return b
 }
 
-// taskSegments carves one critical task's window [s, e] into
-// straggler-tail, modeled shuffle I/O and compute. Returned in reverse
-// time order (the walk accumulates backward).
-func taskSegments(al *appLog, t *taskIval, s, e int64) []Segment {
+// appendTaskSegments carves one critical task's window [s, e] into
+// straggler-tail, modeled shuffle I/O and compute, appending them to segs
+// in reverse time order (the walk accumulates backward).
+func appendTaskSegments(segs []Segment, al *appLog, t *taskIval, s, e int64) []Segment {
 	d := e - s
 	if d <= 0 {
-		return nil
+		return segs
 	}
 	var tail int64
-	if med := al.medians[t.stage]; med > 0 {
+	if med := al.stages[t.stageIdx].medianUS; med > 0 {
 		dur := t.endUS - t.startUS
 		cut := int64(eventlog.DefaultStragglerFactor * float64(med))
 		if dur >= cut && dur > med {
@@ -523,28 +609,23 @@ func taskSegments(al *appLog, t *taskIval, s, e int64) []Segment {
 	}
 	compute := d - tail - fetch - write
 
-	// Time order within the window: fetch, compute, write, tail.
-	at := s
-	var fwd []Segment
-	add := func(cause Cause, dur int64) {
-		if dur <= 0 {
-			return
+	// Time order within the window is fetch, compute, write, tail, so
+	// backward from e they come tail first.
+	at := e
+	for _, part := range [...]struct {
+		cause Cause
+		dur   int64
+	}{{StragglerTail, tail}, {ShuffleWrite, write}, {Compute, compute}, {ShuffleFetch, fetch}} {
+		if part.dur <= 0 {
+			continue
 		}
-		fwd = append(fwd, Segment{
-			Cause: cause, StartUS: at, EndUS: at + dur,
+		segs = append(segs, Segment{
+			Cause: part.cause, StartUS: at - part.dur, EndUS: at,
 			Stage: t.stage, Task: t.task, Exec: t.exec, Kind: t.kind,
 		})
-		at += dur
+		at -= part.dur
 	}
-	add(ShuffleFetch, fetch)
-	add(Compute, compute)
-	add(ShuffleWrite, write)
-	add(StragglerTail, tail)
-
-	for i, j := 0, len(fwd)-1; i < j; i, j = i+1, j-1 {
-		fwd[i], fwd[j] = fwd[j], fwd[i]
-	}
-	return fwd
+	return segs
 }
 
 // taskBytes sums the shuffle bytes attributable to task t: instants
@@ -571,20 +652,25 @@ func taskBytes(points []ioPoint, t *taskIval, byExec bool) int64 {
 // executor wait served by a warm-pool environment (executor IDs carry
 // the pool's -wNN suffix): the counterfactual is the nominal cold start
 // the warm hit avoided.
-func attachWarmSavings(al *appLog, ja *JobAttribution) {
-	seen := map[string]bool{}
+func attachWarmSavings(ja *JobAttribution, sums *causeSums) {
+	var seen []string
+	var saved int64
 	for _, seg := range ja.Path {
-		if seg.Cause != LambdaColdStart || seg.Exec == "" || seen[seg.Exec] {
+		if seg.Cause != LambdaColdStart || seg.Exec == "" || slices.Contains(seen, seg.Exec) {
 			continue
 		}
 		if !isWarmExec(seg.Exec) {
 			continue
 		}
-		seen[seg.Exec] = true
-		saved := int64(NominalColdStartUS) - seg.DurUS()
-		if saved > 0 {
-			ja.SavedUS[WarmHitSaved] += saved
+		seen = append(seen, seg.Exec)
+		if s := int64(NominalColdStartUS) - seg.DurUS(); s > 0 {
+			saved += s
+			sums.savedSet |= 1 << warmHitSavedIdx
 		}
+	}
+	if sums.savedSet != 0 {
+		sums.saved[warmHitSavedIdx] = saved
+		ja.SavedUS = map[Cause]int64{WarmHitSaved: saved}
 	}
 }
 
@@ -606,32 +692,54 @@ func isWarmExec(exec string) bool {
 // attachDollars reconstructs the job's spend from executor lifetimes in
 // the log at nominal rates and splits it across causes proportionally
 // to blame time.
-func attachDollars(al *appLog, ja *JobAttribution) {
-	var total float64
-	for exec, addUS := range al.execAdd {
-		remUS, ok := al.execRem[exec]
-		if !ok || remUS < addUS {
-			remUS = al.endUS
-		}
-		life := float64(remUS-addUS) / 1e6
-		if life <= 0 {
-			continue
-		}
-		if al.execKind[exec] == "lambda" {
-			total += life * lambdaUSDPerSecond()
-		} else {
-			total += life * vmUSDPerCoreSecond()
-		}
-	}
+func attachDollars(al *appLog, ja *JobAttribution, sums *causeSums) {
+	total := al.dollars()
 	if total <= 0 || ja.MakespanUS <= 0 {
 		return
 	}
-	ja.CostUSD = map[Cause]float64{}
-	for _, c := range Causes {
+	sums.costSet = blameCauses
+	ja.CostUSD = make(map[Cause]float64, numCauses)
+	for i, c := range Causes {
 		if c.Savings() {
 			continue
 		}
-		ja.CostUSD[c] = round6(total * float64(ja.BlameUS[c]) / float64(ja.MakespanUS))
+		v := round6(total * float64(sums.blame[i]) / float64(ja.MakespanUS))
+		sums.cost[i] = v
+		ja.CostUSD[c] = v
+	}
+}
+
+// dollars prices the app's executor lifetimes at nominal rates. An
+// executor never removed lives to the job's end. The lifetimes are summed
+// in registration order, so the floating-point total is the same every
+// run.
+func (al *appLog) dollars() float64 {
+	var total float64
+	for i := range al.execs {
+		x := &al.execs[i]
+		if !x.added {
+			continue
+		}
+		remUS := x.remUS
+		if !x.removed || remUS < x.addUS {
+			remUS = al.endUS
+		}
+		total += execDollars(x.kind, remUS-x.addUS)
+	}
+	return total
+}
+
+// execDollars prices one executor lifetime of lifeUS at the nominal rate
+// of its kind; a lifetime that is not positive costs nothing.
+func execDollars(kind string, lifeUS int64) float64 {
+	life := float64(lifeUS) / 1e6
+	switch {
+	case life <= 0:
+		return 0
+	case kind == "lambda":
+		return life * lambdaUSDPerSecond()
+	default:
+		return life * vmUSDPerCoreSecond()
 	}
 }
 

@@ -4,7 +4,6 @@
 package cliutil
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"strings"
@@ -57,16 +56,24 @@ func writeOut(path string, data []byte) error {
 // WriteEventLog writes an event stream as JSONL to path ("" = off,
 // "-" = stdout). Commands that run several scenarios concatenate the
 // per-run streams; apps stay distinguishable through the events' App
-// field.
+// field. The lines stream to the file through the encoder's own buffer,
+// so the log is never held a second time as bytes.
 func WriteEventLog(path string, events []eventlog.Event) error {
-	if path == "" {
+	switch path {
+	case "":
 		return nil
+	case "-":
+		return eventlog.WriteJSONL(os.Stdout, events)
 	}
-	var buf bytes.Buffer
-	if err := eventlog.WriteJSONL(&buf, events); err != nil {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	return writeOut(path, buf.Bytes())
+	if err := eventlog.WriteJSONL(f, events); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // WriteTrace renders an event stream as Chrome trace-event JSON to path

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -280,9 +281,23 @@ func (b *Bus) Events() []Event {
 
 // WriteJSONL streams the log as one compact JSON object per line. Field
 // order is the Event struct order and values carry no floats, so the same
-// stream always serialises to the same bytes.
+// stream always serialises to the same bytes. It encodes chunk by chunk
+// under the bus lock, so the log is never copied.
 func (b *Bus) WriteJSONL(w io.Writer) error {
-	return WriteJSONL(w, b.Events())
+	if b == nil {
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	enc := newJSONLEncoder(w)
+	for _, c := range b.chunks {
+		for i := range c {
+			if err := enc.encode(&c[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return enc.flush()
 }
 
 // JSONL renders the whole stream as a byte slice (tests, -eventlog).
@@ -294,17 +309,102 @@ func (b *Bus) JSONL() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// WriteJSONL serialises events one per line. An Encoder writes the bytes
-// json.Marshal would, plus the newline, without a copy per event.
+// WriteJSONL serialises events one per line, each line the bytes
+// json.Marshal gives for the event followed by a newline.
 func WriteJSONL(w io.Writer, events []Event) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	enc := newJSONLEncoder(w)
 	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
+		if err := enc.encode(&events[i]); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
+	return enc.flush()
+}
+
+// jsonlFlushAt is the buffered size at which a jsonlEncoder hands its
+// lines to the writer.
+const jsonlFlushAt = 64 << 10
+
+// jsonlEncoder writes events as JSON lines without reflection: each line
+// is appended to one reused buffer in the Event struct's field order, with
+// the same omitempty rules, and the buffer goes to w whenever it passes
+// jsonlFlushAt. The output is byte-equal to json.Marshal per event, which
+// FuzzWriteJSONL checks.
+type jsonlEncoder struct {
+	w   io.Writer
+	buf []byte
+}
+
+func newJSONLEncoder(w io.Writer) *jsonlEncoder {
+	return &jsonlEncoder{w: w, buf: make([]byte, 0, jsonlFlushAt+1024)}
+}
+
+func (enc *jsonlEncoder) encode(e *Event) error {
+	b := append(enc.buf, `{"ts_us":`...)
+	b = strconv.AppendInt(b, e.TS, 10)
+	b = append(b, `,"type":`...)
+	b = appendJSONString(b, string(e.Type))
+	if e.App != "" {
+		b = append(b, `,"app":`...)
+		b = appendJSONString(b, e.App)
+	}
+	if e.Exec != "" {
+		b = append(b, `,"exec":`...)
+		b = appendJSONString(b, e.Exec)
+	}
+	if e.Kind != "" {
+		b = append(b, `,"kind":`...)
+		b = appendJSONString(b, e.Kind)
+	}
+	b = append(b, `,"stage":`...)
+	b = strconv.AppendInt(b, int64(e.Stage), 10)
+	b = append(b, `,"task":`...)
+	b = strconv.AppendInt(b, int64(e.Task), 10)
+	if e.Cores != 0 {
+		b = append(b, `,"cores":`...)
+		b = strconv.AppendInt(b, int64(e.Cores), 10)
+	}
+	if e.Bytes != 0 {
+		b = append(b, `,"bytes":`...)
+		b = strconv.AppendInt(b, e.Bytes, 10)
+	}
+	if e.Note != "" {
+		b = append(b, `,"note":`...)
+		b = appendJSONString(b, e.Note)
+	}
+	enc.buf = append(b, "}\n"...)
+	if len(enc.buf) >= jsonlFlushAt {
+		return enc.flush()
+	}
+	return nil
+}
+
+// flush hands the buffered lines to the writer.
+func (enc *jsonlEncoder) flush() error {
+	if len(enc.buf) == 0 {
+		return nil
+	}
+	_, err := enc.w.Write(enc.buf)
+	enc.buf = enc.buf[:0]
+	return err
+}
+
+// appendJSONString appends s as a JSON string. Plain printable ASCII is
+// copied between quotes; any string holding a byte encoding/json would
+// escape (control bytes, '"', '\\', the HTML-sensitive '<', '>', '&', and
+// every non-ASCII byte, which covers invalid UTF-8 and U+2028/U+2029) is
+// encoded by json.Marshal itself, so the escaping rules stay the
+// standard library's.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // marshalling a string cannot fail
+			return append(b, q...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
 }
 
 // ReadJSONL parses a saved event log back into events, preserving order.

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -214,13 +215,42 @@ func waitStats(waits []int64) (mean, p50, p99 int64) {
 }
 
 // JSON renders the report deterministically (same seed and shard count →
-// same bytes).
+// same bytes). The bytes are json.MarshalIndent's plus a newline, built
+// like cluster.Report.JSON: the head once, then each cluster report row by
+// row, so encoding/json's pooled scratch buffer never grows to the size of
+// the merged report.
 func (r *Report) JSON() ([]byte, error) {
-	buf, err := json.MarshalIndent(r, "", "  ")
+	head := *r
+	head.ClusterReports = nil
+	b, err := json.Marshal(&head)
 	if err != nil {
 		return nil, err
 	}
-	return append(buf, '\n'), nil
+	// ClusterReports is the last field: its null is replaced by the
+	// reports.
+	const tail = `null}`
+	if !bytes.HasSuffix(b, []byte(`"cluster_reports":`+tail)) {
+		return nil, fmt.Errorf("shard: report JSON does not end in cluster_reports")
+	}
+	compact := bytes.NewBuffer(b[:len(b)-len(tail)])
+	if r.ClusterReports == nil {
+		compact.WriteString("null")
+	} else {
+		compact.WriteByte('[')
+		for i, cr := range r.ClusterReports {
+			if i > 0 {
+				compact.WriteByte(',')
+			}
+			if cr == nil {
+				compact.WriteString("null")
+			} else if err := cr.WriteCompactJSON(compact); err != nil {
+				return nil, err
+			}
+		}
+		compact.WriteByte(']')
+	}
+	compact.WriteByte('}')
+	return cluster.IndentJSON(compact.Bytes())
 }
 
 // String renders a human summary: global aggregates, then the per-shard
