@@ -20,8 +20,11 @@ fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
 		echo "gofmt: these files need formatting (run gofmt -w):"; echo "$$out"; exit 1; fi
 
+# race runs the whole test suite under the race detector, twice, to shake
+# out ordering dependence. Under the race detector internal/experiments
+# outlasts go test's 10-minute default on a 2-core host, hence -timeout.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=2 -timeout 30m ./...
 
 # leaks runs the retention tests (TestLeak*: a finished job's engine, a
 # released Lambda's callback, a finished flow's callback must all become
@@ -44,15 +47,13 @@ fuzz:
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzWriteJSONL -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: the gofmt gate, static analysis of
-# both modules, the whole test suite under the race detector (twice, to
-# shake out ordering dependence), the retention tests, the benchmark
-# module's tests, a short fuzz budget per target, then the event-log
-# smoke round-trip. Under the race detector internal/experiments outlasts
-# go test's 10-minute default on a 2-core host, hence -timeout.
+# both modules, the race run, the retention tests, the benchmark module's
+# tests, a short fuzz budget per target, then the event-log smoke
+# round-trip.
 check:
 	$(MAKE) fmt
-	$(GO) vet ./... && cd bench && $(GO) vet ./...
-	$(GO) test -race -count=2 -timeout 30m ./...
+	$(MAKE) vet
+	$(MAKE) race
 	$(MAKE) leaks
 	$(MAKE) benchtest
 	$(MAKE) fuzz

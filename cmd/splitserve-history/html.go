@@ -176,7 +176,7 @@ or point <code>-perfin</code> at a snapshot saved by any command's <code>-perf F
 <table>
 <tr><th>path</th><th>count</th><th>p50</th><th>p99</th><th>max</th></tr>
 <tr><td>clock step</td><td>%d</td><td>%.1f</td><td>%.1f</td><td>%.1f</td></tr>
-<tr><td>goroutine handoff</td><td>%d</td><td>%.1f</td><td>%.1f</td><td>%.1f</td></tr>
+<tr><td>workload resume</td><td>%d</td><td>%.1f</td><td>%.1f</td><td>%.1f</td></tr>
 </table>
 `, s.StepWall.Count, s.StepWall.P50US, s.StepWall.P99US, s.StepWall.MaxUS,
 		s.HandoffWall.Count, s.HandoffWall.P50US, s.HandoffWall.P99US, s.HandoffWall.MaxUS)

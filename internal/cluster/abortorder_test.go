@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -76,9 +77,15 @@ func abortOrderRun(t *testing.T) (*Scheduler, []byte, []byte) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	// Aborting a parked workload returns only after its body has, so no
+	// workload outlives the run.
+	before := runtime.NumGoroutine()
 	rep, err := s.Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines after Run, %d before", after, before)
 	}
 	report, err := rep.JSON()
 	if err != nil {

@@ -167,7 +167,7 @@ type Config struct {
 	// MaxSimTime bounds the whole run (default 48h).
 	MaxSimTime time.Duration
 	// Prof, when non-nil, collects host-side self-profiling (wall time
-	// per clock step, goroutine-handoff cost, run-queue depth, event-type
+	// per clock step, per workload resume, run-queue depth, event-type
 	// counts). It only observes — same-seed reports and event logs stay
 	// byte-identical with profiling on or off.
 	Prof *perfstat.Collector
@@ -190,30 +190,6 @@ const (
 	jobMigrated
 	numPhases
 )
-
-// coroutine is one job's workload goroutine. Exactly one goroutine — the
-// scheduler's Run loop or one coroutine — executes at a time: a single
-// execution token is chained from workload to workload through the
-// per-job wake channels (the run-queue) and returns to the scheduler via
-// schedToken only when the batch is drained, so resuming a batch of N
-// workloads costs N+1 channel operations instead of 2N. Every transfer is
-// a channel send/receive, so the token chain is also the happens-before
-// chain that keeps runs deterministic and race-free. A parked workload
-// joins the run-queue when its engine job completes: the engine calls the
-// wake it registered through engine.Config.Yield.
-type coroutine struct {
-	// wake hands the execution token to the parked workload; false aborts
-	// it as stalled. Its one-slot buffer lets a workload whose engine job
-	// was already done when it parked hand the token to itself.
-	wake chan bool
-	// parkSeq numbers the workload's current park (0 while it runs), so
-	// Finalize can abort still-parked workloads in park order.
-	parkSeq uint64
-	// resumedAt is the host instant the workload last received the token
-	// (set only when profiling): the next park or finish observes the
-	// burst as one handoff.
-	resumedAt time.Time
-}
 
 type job struct {
 	spec       JobSpec
@@ -337,18 +313,14 @@ type Scheduler struct {
 	// test, the gauges, scale-down and the steal probe read counts
 	// instead of scanning the working set.
 	inPhase [numPhases]int
-	// parked counts running jobs whose workload goroutine is blocked in
+	// parked counts running jobs whose workload is parked in
 	// engine.RunJob waiting for its engine job to complete; parks numbers
 	// every park so far (see coroutine.parkSeq).
 	parked int
 	parks  uint64
 	// runq is the batch of parked jobs whose engine jobs completed, in
-	// completion order, resumed by chaining the execution token
-	// job-to-job (see coroutine).
+	// completion order, for Pump to resume.
 	runq []*job
-	// schedToken returns the execution token to the scheduler goroutine
-	// once a workload batch is drained.
-	schedToken chan struct{}
 	// pendingProcureCores tracks autoscale requests in flight so one
 	// shortfall doesn't procure twice.
 	pendingProcureCores int
@@ -472,7 +444,6 @@ func New(cfg Config) (*Scheduler, error) {
 		insts: newClusterInstruments(hub), baseVMs: baseVMs,
 		store: store, warm: warm, tmpCache: tmpCache,
 		scaleCheck: make(map[string]bool), prof: cfg.Prof,
-		schedToken: make(chan struct{}),
 	}
 	s.prof.AttachClock(clock)
 	s.prof.ObserveBus(bus)
@@ -569,22 +540,22 @@ func (s *Scheduler) Done() bool {
 }
 
 // Finalize ends the run: whatever is still parked is stalled (or past
-// the deadline), so abort the workload goroutines, fail still-active
-// jobs, stop the warm pool, and build the report. Call once, after the
-// drive loop exits.
+// the deadline), so abort the parked workloads, fail still-active jobs,
+// stop the warm pool, and build the report. Call once, after the drive
+// loop exits.
 func (s *Scheduler) Finalize() *Report {
-	// An aborted workload settles itself through finish before handing the
-	// token back.
-	var parked []*job
+	// An aborted workload settles itself through finish before stop
+	// returns; Pump then resumes whatever the abort woke.
+	var parked []*coroutine
 	for _, j := range s.jobs {
 		if j.co != nil && j.co.parkSeq != 0 {
-			parked = append(parked, j)
+			parked = append(parked, j.co)
 		}
 	}
-	sort.Slice(parked, func(a, b int) bool { return parked[a].co.parkSeq < parked[b].co.parkSeq })
-	for _, j := range parked {
-		j.co.wake <- false
-		<-s.schedToken
+	sort.Slice(parked, func(a, b int) bool { return parked[a].parkSeq < parked[b].parkSeq })
+	for _, co := range parked {
+		s.resume(co, true)
+		s.Pump()
 	}
 	for _, j := range s.jobs {
 		if j.active() {
@@ -599,28 +570,6 @@ func (s *Scheduler) Finalize() *Report {
 	}
 	s.updateGauges()
 	return s.buildReport()
-}
-
-// passToken hands the execution token to the next run-queue workload, or
-// back to the scheduler goroutine when the batch is drained. Called by
-// whichever goroutine currently holds the token.
-func (s *Scheduler) passToken() {
-	if len(s.runq) > 0 {
-		next := s.runq[0]
-		s.runq[0] = nil
-		s.runq = s.runq[1:]
-		next.co.wake <- true
-		return
-	}
-	s.schedToken <- struct{}{}
-}
-
-// observeHandoff closes out co's current execution burst (token receipt to
-// park/finish) on the self-profiler. No-op when profiling is off.
-func (s *Scheduler) observeHandoff(co *coroutine) {
-	if s.prof != nil && !co.resumedAt.IsZero() {
-		s.prof.ObserveHandoff(time.Since(co.resumedAt))
-	}
 }
 
 // kick coalesces any number of state changes into one scheduling pass at
@@ -808,7 +757,7 @@ func (s *Scheduler) admit(j *job) {
 	s.emit(eventlog.ClusterAdmit, j, func(ev *eventlog.Event) { ev.Cores = j.target })
 
 	j.backend = newJobBackend(s, j)
-	co := &coroutine{wake: make(chan bool, 1)}
+	co := &coroutine{}
 	j.co = co
 	wake := func() { s.runq = append(s.runq, j) }
 	c, err := engine.New(engine.Config{
@@ -827,18 +776,13 @@ func (s *Scheduler) admit(j *job) {
 		MaxSimTime:          s.cfg.MaxSimTime,
 		Yield: func(register func(wake func())) bool {
 			s.prof.CountYield()
-			s.observeHandoff(co)
 			s.parks++
 			co.parkSeq = s.parks
 			s.parked++
 			register(wake)
-			s.passToken()
-			ok := <-co.wake
+			ok := co.yield(struct{}{})
 			co.parkSeq = 0
 			s.parked--
-			if s.prof != nil {
-				co.resumedAt = time.Now()
-			}
 			return ok
 		},
 	})
@@ -850,40 +794,17 @@ func (s *Scheduler) admit(j *job) {
 	s.clock.After(0, func() { s.runJob(j) })
 }
 
-// runJob starts the job's workload on its own goroutine, hands it the
-// execution token, and blocks until the token returns (the workload
-// parked in engine.RunJob or finished outright — possibly after chaining
-// through other workloads it unblocked). From here on the workload only
-// executes between token handoffs, so its real completion instants are
-// observed at the event that caused them rather than at call-stack
-// unwind.
-func (s *Scheduler) runJob(j *job) {
-	co := j.co
-	go func() {
-		if s.prof != nil {
-			co.resumedAt = time.Now()
-		}
-		rep, err := j.spec.Workload.Run(j.cluster)
-		j.backend.shutdown()
-		s.finish(j, rep, err)
-		s.observeHandoff(co)
-		s.passToken()
-	}()
-	<-s.schedToken
-}
-
 // Pump resumes the workloads whose engine jobs completed since the last
-// call. Their wakes queued them on the run-queue as the jobs completed, so
-// Pump only releases the execution token into the chain and waits for it
-// to come back; the chain runs until the run-queue is empty, including
-// any workload queued on the way. Exported for the sharded control
-// plane's lockstep drive loop; Run calls it after every clock step.
+// call, in completion order, until the run-queue is empty — including any
+// workload queued on the way. Exported for the sharded control plane's
+// lockstep drive loop; Run calls it after every clock step.
 func (s *Scheduler) Pump() {
-	if len(s.runq) == 0 {
-		return
+	for len(s.runq) > 0 {
+		j := s.runq[0]
+		s.runq[0] = nil
+		s.runq = s.runq[1:]
+		s.resume(j.co, false)
 	}
-	s.passToken()
-	<-s.schedToken
 }
 
 func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {

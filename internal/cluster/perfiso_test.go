@@ -77,7 +77,7 @@ func TestPerfstatDeterminismIsolation(t *testing.T) {
 		t.Error("profiled run recorded no workload yields")
 	}
 	if snap.HandoffWall.Count == 0 {
-		t.Error("profiled run recorded no goroutine handoffs")
+		t.Error("profiled run recorded no workload handoffs")
 	}
 	buf, err := snap.JSON()
 	if err != nil {
@@ -128,17 +128,17 @@ func stressBurst(t *testing.T, n int, maxSim time.Duration, prof *perfstat.Colle
 	return rep
 }
 
-// TestRunQueueStress10kConcurrent is the -race happens-before proof for the
-// token-chained handoff (make check runs the suite under the race
-// detector). Two phases:
+// TestRunQueueStress10kConcurrent drives the coroutine run-queue at scale,
+// also under the race detector (make check runs the suite with -race).
+// Two phases:
 //
 //   - burst: ten thousand jobs arrive at the same instant and all ten
-//     thousand workload goroutines are alive and parked concurrently. The
+//     thousand workload coroutines are alive and parked concurrently. The
 //     sim-time deadline cuts the run after several clock steps — before
 //     the task/network phase, whose max-min fair-share recomputation is
 //     quadratic in concurrent flows and would dominate the test for no
-//     extra scheduling coverage — so the abort path then drains the entire
-//     10k-deep token chain one handoff at a time.
+//     extra scheduling coverage — so the abort path then stops all 10k
+//     parked coroutines one at a time.
 //   - drain: a smaller burst runs to completion, so resumable engines flow
 //     through the batched run-queue in bulk and the depth gauge sees the
 //     backlog.
@@ -152,14 +152,14 @@ func TestRunQueueStress10kConcurrent(t *testing.T) {
 		prof := perfstat.New()
 		rep := stressBurst(t, n, time.Second, prof)
 		// The deadline fires before any job can finish: every job must have
-		// spawned, parked, and been aborted through the token chain.
+		// started, parked, and been aborted at Finalize.
 		if rep.Completed != 0 || rep.Failed != n {
 			t.Fatalf("completed=%d failed=%d, want 0/%d (sim-time cutoff)",
 				rep.Completed, rep.Failed, n)
 		}
 		snap := prof.Snapshot()
 		if snap.Yields < n {
-			t.Errorf("yields %d < %d: not every goroutine parked", snap.Yields, n)
+			t.Errorf("yields %d < %d: not every workload parked", snap.Yields, n)
 		}
 		if snap.HandoffWall.Count < uint64(n) {
 			t.Errorf("handoff observations %d < %d: handoff timing lost in batching",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"testing"
 )
@@ -96,5 +97,21 @@ func TestWriteJSONLFlushes(t *testing.T) {
 	}
 	if w.calls < 2 || w.largest > jsonlFlushAt+1024 {
 		t.Errorf("%d writes, largest %d bytes: want several of about %d", w.calls, w.largest, jsonlFlushAt)
+	}
+}
+
+// TestEncodeEscapesWithoutAllocating: the notes of shard_steal
+// ("s0->s1") and warmpool_resize ("4->6") carry '>', which the encoder
+// escapes inline; encoding such an event allocates nothing.
+func TestEncodeEscapesWithoutAllocating(t *testing.T) {
+	e := Ev(ShardSteal)
+	e.TS, e.App, e.Exec, e.Cores, e.Note = 1_234_567, "s1-j042-sparkpi", "tenant-07", 4, "s0->s1"
+	enc := newJSONLEncoder(io.Discard)
+	if allocs := testing.AllocsPerRun(1000, func() {
+		if err := enc.encode(&e); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("encoding a shard_steal event: %v allocs, want 0", allocs)
 	}
 }

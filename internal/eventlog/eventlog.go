@@ -389,21 +389,41 @@ func (enc *jsonlEncoder) flush() error {
 	return err
 }
 
-// appendJSONString appends s as a JSON string. Plain printable ASCII is
-// copied between quotes; any string holding a byte encoding/json would
-// escape (control bytes, '"', '\\', the HTML-sensitive '<', '>', '&', and
-// every non-ASCII byte, which covers invalid UTF-8 and U+2028/U+2029) is
-// encoded by json.Marshal itself, so the escaping rules stay the
-// standard library's.
+// appendJSONString appends s as a JSON string, escaped as json.Marshal
+// escapes it: '"' and '\\' by backslash, the HTML-sensitive '<', '>' and
+// '&' as \u00XX. A string holding a control byte or any non-ASCII byte
+// (which covers invalid UTF-8 and U+2028/U+2029) is encoded by
+// json.Marshal itself, so the rarer escaping rules stay the standard
+// library's.
 func appendJSONString(b []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // marshalling a string cannot fail
-			return append(b, q...)
-		}
-	}
+	mark := len(b)
 	b = append(b, '"')
-	b = append(b, s...)
+	start := 0
+	for i := 0; i < len(s); i++ {
+		var esc string
+		switch c := s[i]; c {
+		case '"':
+			esc = `\"`
+		case '\\':
+			esc = `\\`
+		case '<':
+			esc = `\u003c`
+		case '>':
+			esc = `\u003e`
+		case '&':
+			esc = `\u0026`
+		default:
+			if c < 0x20 || c >= 0x80 {
+				q, _ := json.Marshal(s) // marshalling a string cannot fail
+				return append(b[:mark], q...)
+			}
+			continue
+		}
+		b = append(b, s[start:i]...)
+		b = append(b, esc...)
+		start = i + 1
+	}
+	b = append(b, s[start:]...)
 	return append(b, '"')
 }
 

@@ -34,9 +34,10 @@ import (
 // counters into the running totals first.
 //
 // Collector is not safe for concurrent use by multiple simulations; the
-// repo's simulations are single-threaded by design (handoffs between the
-// scheduler and workload goroutines are synchronous), which is exactly
-// the property that makes lock-free collection here correct.
+// repo's simulations are single-threaded by design (the cluster driver
+// resumes one workload coroutine at a time and waits for it to park),
+// which is exactly the property that makes lock-free collection here
+// correct.
 type Collector struct {
 	startWall   time.Time
 	startAllocs uint64
@@ -134,9 +135,9 @@ func (c *Collector) ObserveStep(wall time.Duration) {
 	c.stepBusy += wall
 }
 
-// ObserveHandoff records one scheduler↔workload goroutine handoff: the
-// wall time from resuming a parked workload until it parks (or finishes)
-// again — the engine yield protocol's per-wakeup cost.
+// ObserveHandoff records one handoff: one resume of a workload coroutine,
+// timed by the driver from the resume until the workload parks (or
+// finishes) again — the engine yield protocol's per-wakeup cost.
 func (c *Collector) ObserveHandoff(wall time.Duration) {
 	if c == nil {
 		return

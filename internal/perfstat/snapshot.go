@@ -40,14 +40,15 @@ type Snapshot struct {
 	Clock ClockStats `json:"clock"`
 
 	// StepWall is the wall-clock cost distribution of one simclock Step;
-	// HandoffWall of one scheduler↔workload goroutine handoff.
+	// HandoffWall of one handoff: one workload coroutine resume, from the
+	// driver's resume until the workload parks or finishes.
 	StepWall    DurStats `json:"step_wall"`
 	HandoffWall DurStats `json:"handoff_wall"`
 
 	// Yields counts workload parks on the engine yield path.
 	Yields uint64 `json:"yields"`
 
-	// Occupancy splits wall time into Step execution, goroutine handoff,
+	// Occupancy splits wall time into Step execution, workload resumes,
 	// and everything else (setup, report building, GC, ...).
 	Occupancy Occupancy `json:"occupancy"`
 
@@ -80,7 +81,9 @@ type DurStats struct {
 	MaxUS        float64 `json:"max_us"`
 }
 
-// Occupancy is the clock-loop wall-time split, each in [0, 1].
+// Occupancy is the clock-loop wall-time split, each in [0, 1]: Step
+// execution, handoffs (workload coroutine resumes, timed by the cluster
+// driver), and the rest.
 type Occupancy struct {
 	StepFraction    float64 `json:"step_fraction"`
 	HandoffFraction float64 `json:"handoff_fraction"`
