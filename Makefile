@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check fmt vet race leaks fuzz sim bench benchtest pins smoke attrib warmsweep shardreplay
+.PHONY: build test check fmt vet race leaks allocs fuzz sim bench benchtest pins smoke attrib warmsweep shardreplay
 
 build:
 	$(GO) build ./...
@@ -27,11 +27,18 @@ race:
 	$(GO) test -race -count=2 -timeout 30m ./...
 
 # leaks runs the retention tests (TestLeak*: a finished job's engine, a
-# released Lambda's callback, a finished flow's callback must all become
-# unreachable) three times outside the race detector. Their assertions
+# released Lambda's callback, a finished flow's callback, a fired or
+# cancelled timer's func must all become unreachable) three times
+# outside the race detector. Their assertions
 # depend on the garbage collector, so a flake shows up as its own step.
 leaks:
 	$(GO) test -count=3 -run '^TestLeak' ./...
+
+# allocs runs the allocation-budget tests (testing.AllocsPerRun: a registry
+# hit, one clock event, a JSONL line, a network flow) outside the race
+# detector, whose instrumentation adds allocations of its own.
+allocs:
+	$(GO) test -count=1 -run 'Allocs|Allocat(es|ing)' ./...
 
 # fuzz gives each native fuzz target a short budget — enough to catch
 # parser panics and encoder mismatches without turning CI into a fuzzing
@@ -47,14 +54,15 @@ fuzz:
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzWriteJSONL -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: the gofmt gate, static analysis of
-# both modules, the race run, the retention tests, the benchmark module's
-# tests, a short fuzz budget per target, then the event-log smoke
-# round-trip.
+# both modules, the race run, the retention tests, the allocation-budget
+# tests, the benchmark module's tests, a short fuzz budget per target,
+# then the event-log smoke round-trip.
 check:
 	$(MAKE) fmt
 	$(MAKE) vet
 	$(MAKE) race
 	$(MAKE) leaks
+	$(MAKE) allocs
 	$(MAKE) benchtest
 	$(MAKE) fuzz
 	$(MAKE) smoke

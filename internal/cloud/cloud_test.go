@@ -1,6 +1,7 @@
 package cloud
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -349,5 +350,15 @@ func TestProvisionReadyBurstableVM(t *testing.T) {
 	vm, gauge := p.ProvisionReadyBurstableVM(T3Large, T3BaselineFraction, 100)
 	if vm.State != VMReady || gauge.Credits() != 100 {
 		t.Fatalf("burstable provisioning broken: %v %v", vm.State, gauge.Credits())
+	}
+}
+
+// TestLambdaIDMatchesSprintf: Lambda IDs keep the bytes of fmt's
+// "la-%03d", past the padding width too.
+func TestLambdaIDMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 123456} {
+		if got, want := lambdaID(n), fmt.Sprintf("la-%03d", n); got != want {
+			t.Errorf("lambdaID(%d) = %q, want %q", n, got, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"splitserve/internal/eventlog"
 	"splitserve/internal/netsim"
+	"splitserve/internal/seqid"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
 	"splitserve/internal/telemetry"
@@ -338,22 +339,28 @@ func (p *Provider) InvokeProvisioned(cfg LambdaConfig, ready func(*Lambda), expi
 	return p.invoke(cfg, false, true, ready, expired), nil
 }
 
+// lambdaID is the ID of the seq-th invocation: "la-%03d".
+func lambdaID(seq int) string {
+	var buf [24]byte
+	return string(seqid.Append(append(buf[:0], "la-"...), seq, 3))
+}
+
 func (p *Provider) invoke(cfg LambdaConfig, cold, provisioned bool, ready func(*Lambda), expired func(*Lambda)) *Lambda {
 	p.lambdaSeq++
 	// Lambda network bandwidth is notoriously variable (gg [19]: "with
 	// variable performance"); each environment draws its own effective
 	// egress rate.
 	jitter := p.rng.TruncNormal(1, 0.15, 0.6, 1.4)
+	id := lambdaID(p.lambdaSeq)
 	l := &Lambda{
-		ID:          fmt.Sprintf("la-%03d", p.lambdaSeq),
+		ID:          id,
 		Config:      cfg,
 		State:       LambdaStarting,
 		ColdStart:   cold,
 		Provisioned: provisioned,
 		InvokedAt:   p.clock.Now(),
-		Egress: p.net.NewPool(fmt.Sprintf("la-%03d/egress", p.lambdaSeq),
-			netsim.Mbps(cfg.EgressMbps()*jitter)),
-		onKill: expired,
+		Egress:      p.net.NewPool(id+"/egress", netsim.Mbps(cfg.EgressMbps()*jitter)),
+		onKill:      expired,
 	}
 	p.lambdas = append(p.lambdas, l)
 	si := startIdx(cold)

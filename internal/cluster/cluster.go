@@ -21,6 +21,7 @@ import (
 	"splitserve/internal/hdfs"
 	"splitserve/internal/netsim"
 	"splitserve/internal/perfstat"
+	"splitserve/internal/seqid"
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
 	"splitserve/internal/spark/engine"
@@ -464,7 +465,10 @@ func AppID(idPrefix string, id int, name string) string {
 	return execPrefix(idPrefix, id) + "-" + name
 }
 
-func execPrefix(idPrefix string, id int) string { return fmt.Sprintf("%sj%03d", idPrefix, id) }
+func execPrefix(idPrefix string, id int) string {
+	var buf [32]byte
+	return string(seqid.Append(append(append(buf[:0], idPrefix...), 'j'), id, 3))
+}
 
 // addJob numbers spec as the scheduler's next job, in the pending phase.
 func (s *Scheduler) addJob(spec JobSpec) *job {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -297,5 +298,17 @@ func TestParseArrivals(t *testing.T) {
 	b, err := ParseArrivals("bursty:2x1m", 5, 1)
 	if err != nil || b[1] != time.Second || b[2] != time.Minute {
 		t.Errorf("bursty = %v, %v", b, err)
+	}
+}
+
+// TestExecPrefixMatchesSprintf: job ID prefixes keep the bytes of fmt's
+// "%sj%03d", past the padding width too.
+func TestExecPrefixMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 123456} {
+		for _, idPrefix := range []string{"", "s3-"} {
+			if got, want := execPrefix(idPrefix, n), fmt.Sprintf("%sj%03d", idPrefix, n); got != want {
+				t.Errorf("execPrefix(%q, %d) = %q, want %q", idPrefix, n, got, want)
+			}
+		}
 	}
 }

@@ -71,7 +71,8 @@ type StepObserver interface {
 func (c *Clock) SetStepObserver(o StepObserver) { c.obs = o }
 
 // Timer is a handle to a scheduled event that can be cancelled or
-// rescheduled before it fires.
+// rescheduled before it fires. Each event embeds the Timer that At
+// returns for it, so scheduling allocates the event alone.
 type Timer struct {
 	ev *event
 }
@@ -86,6 +87,10 @@ type event struct {
 	// wheel slots park it at 0.
 	index int
 	clock *Clock // owner, for ghost accounting on cancel
+	// timer is the handle At returns. After a Reschedule it keeps
+	// pointing at the event that replaced this one, whose own timer
+	// goes unused.
+	timer Timer
 }
 
 // New returns a Clock whose current time is start, indexed by the
@@ -154,12 +159,13 @@ func (c *Clock) At(t time.Time, fn func()) *Timer {
 		t = c.now
 	}
 	ev := &event{at: t, key: int64(t.Sub(c.start)), seq: c.seq, fn: fn, clock: c}
+	ev.timer.ev = ev
 	c.seq++
 	c.queue.push(ev)
 	if n := c.queue.len(); n > c.highWater {
 		c.highWater = n
 	}
-	return &Timer{ev: ev}
+	return &ev.timer
 }
 
 // Cancel removes the event from the queue if it has not fired yet. It

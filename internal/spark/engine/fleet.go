@@ -1,10 +1,10 @@
 package engine
 
 import (
-	"fmt"
 	"time"
 
 	"splitserve/internal/cloud"
+	"splitserve/internal/seqid"
 	"splitserve/internal/telemetry"
 	"splitserve/internal/warmpool"
 )
@@ -94,9 +94,11 @@ func (f *Fleet) Close() { f.closed = true }
 // Closed reports whether Close was called.
 func (f *Fleet) Closed() bool { return f.closed }
 
+// nextID numbers the fleet's next executor: "<prefix>-<kind>%02d".
 func (f *Fleet) nextID(kind byte) string {
 	f.seq++
-	return fmt.Sprintf("%s-%c%02d", f.prefix, kind, f.seq)
+	var buf [64]byte
+	return string(seqid.Append(append(append(buf[:0], f.prefix...), '-', kind), f.seq, 2))
 }
 
 // launchSpan opens an executor's launch span. An untraced hub has no

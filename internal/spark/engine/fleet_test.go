@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -87,5 +88,18 @@ func TestFleetCloseDropsLaunches(t *testing.T) {
 	}
 	if slots.Ready() != 4 || slots.Take() == nil {
 		t.Fatal("the dropped VM launch kept its core")
+	}
+}
+
+// TestExecutorIDMatchesSprintf: executor IDs keep the bytes of fmt's
+// "%s-%c%02d", past the padding width too.
+func TestExecutorIDMatchesSprintf(t *testing.T) {
+	for _, n := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 123456} {
+		for _, kind := range []byte{'v', 'l', 'w'} {
+			f := Fleet{prefix: "s1-j042", seq: n - 1}
+			if got, want := f.nextID(kind), fmt.Sprintf("%s-%c%02d", f.prefix, kind, n); got != want {
+				t.Errorf("nextID(%c) at seq %d = %q, want %q", kind, n, got, want)
+			}
+		}
 	}
 }

@@ -144,7 +144,7 @@ func (s *scheduler) enqueue(t *Task) {
 // the cluster's cache locator, so it is cheap enough to re-evaluate at
 // every scheduling decision (caches fill and evict while tasks queue).
 func (s *scheduler) preferredExecutor(t *Task) string {
-	chain := stageChain(t.Stage.Target)
+	chain := t.Stage.chain
 	for i := len(chain) - 1; i >= 0; i-- {
 		if !chain[i].Cached {
 			continue

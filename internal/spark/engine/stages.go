@@ -41,6 +41,9 @@ type Stage struct {
 	ShuffleID int
 	// Parents are the stages producing the shuffles this stage reads.
 	Parents []*Stage
+	// chain is stageChain(Target), built with the stage: the scheduler
+	// walks it at every placement decision and task start.
+	chain []*rdd.RDD
 
 	// Scheduling state.
 	submitted bool
@@ -104,6 +107,7 @@ func (b *stageBuilder) build(target *rdd.RDD) *Stage {
 		ID:     b.nextID(),
 		Kind:   StageResult,
 		Target: target,
+		chain:  stageChain(target),
 	}
 	result.Parents = b.parentStages(target)
 	b.all = append(b.all, result)
@@ -140,6 +144,7 @@ func (b *stageBuilder) mapStage(wide *rdd.RDD, side int) *Stage {
 		Side:      side,
 		ShuffleID: sid,
 	}
+	st.chain = stageChain(st.Target)
 	b.byShuffle[sid] = st
 	st.Parents = b.parentStages(st.Target)
 	b.all = append(b.all, st)

@@ -41,7 +41,7 @@ func (s *scheduler) startTaskBody(t *Task, e *Executor) {
 	})
 	s.c.insts.tasksStarted[kindIdx(e.Kind)].Inc()
 
-	chain := stageChain(t.Stage.Target)
+	chain := t.Stage.chain
 
 	// Cache cut: start from the deepest cached node resident on this
 	// executor.

@@ -18,8 +18,10 @@ func kindIdx(k ExecKind) int {
 
 // engineInstruments holds the engine's resolved telemetry handles. They
 // are resolved once at cluster construction so the scheduler hot path
-// never touches the registry mutex; on a nil hub every handle is nil and
-// each operation is a no-op.
+// never touches the registry mutex; every engine on a shared hub
+// resolves the same handles again, and those registry hits allocate
+// nothing. On a nil hub every handle is nil and each operation is a
+// no-op.
 type engineInstruments struct {
 	hub *telemetry.Hub
 

@@ -17,7 +17,8 @@ var DefBuckets = []float64{
 }
 
 // Registry holds one run's instruments. Resolution (Counter/Gauge/
-// Histogram) takes a mutex; the returned handles are lock-free.
+// Histogram) takes a mutex, and resolving an instrument that already
+// exists allocates nothing; the returned handles are lock-free.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -39,15 +40,15 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
-	sorted := sortLabels(labels)
-	key := name + "|" + labelKey(sorted)
+	var buf [keyBufLen]byte
+	key := appendKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[key]; ok {
+	if c, ok := r.counters[string(key)]; ok {
 		return c
 	}
-	c := &Counter{name: name, labels: sorted}
-	r.counters[key] = c
+	c := &Counter{name: name, labels: sortLabels(labels)}
+	r.counters[string(key)] = c
 	return c
 }
 
@@ -56,15 +57,15 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
-	sorted := sortLabels(labels)
-	key := name + "|" + labelKey(sorted)
+	var buf [keyBufLen]byte
+	key := appendKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if g, ok := r.gauges[key]; ok {
+	if g, ok := r.gauges[string(key)]; ok {
 		return g
 	}
-	g := &Gauge{name: name, labels: sorted}
-	r.gauges[key] = g
+	g := &Gauge{name: name, labels: sortLabels(labels)}
+	r.gauges[string(key)] = g
 	return g
 }
 
@@ -75,11 +76,11 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	if r == nil {
 		return nil
 	}
-	sorted := sortLabels(labels)
-	key := name + "|" + labelKey(sorted)
+	var buf [keyBufLen]byte
+	key := appendKey(buf[:0], name, labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[key]; ok {
+	if h, ok := r.hists[string(key)]; ok {
 		return h
 	}
 	if bounds == nil {
@@ -92,11 +93,11 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	}
 	h := &Histogram{
 		name:   name,
-		labels: sorted,
+		labels: sortLabels(labels),
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1),
 	}
-	r.hists[key] = h
+	r.hists[string(key)] = h
 	return h
 }
 

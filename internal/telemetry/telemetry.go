@@ -5,7 +5,8 @@
 // byte-identical exports.
 //
 // Hot-path discipline: instrument handles are resolved once at component
-// setup (a mutex-guarded map lookup) and afterwards every Add/Set/Observe
+// setup (a mutex-guarded map lookup that allocates nothing when the
+// instrument already exists) and afterwards every Add/Set/Observe
 // is a handful of atomic operations with zero allocations, so recording a
 // counter inside the task inner loop costs nanoseconds. All instrument
 // methods are nil-receiver safe, which lets components run untelemetered
@@ -16,11 +17,7 @@
 // flag on splitserve-sim and splitserve-bench.
 package telemetry
 
-import (
-	"sort"
-	"strings"
-	"time"
-)
+import "time"
 
 // Clock is the time source for spans — satisfied by *simclock.Clock, so
 // traces advance in virtual time and stay deterministic.
@@ -44,25 +41,45 @@ func sortLabels(labels []Label) []Label {
 		return nil
 	}
 	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	sortByKey(out)
 	return out
 }
 
-// labelKey serialises sorted labels for registry keying.
-func labelKey(sorted []Label) string {
-	if len(sorted) == 0 {
-		return ""
+// sortByKey sorts labels by key in place with a stable insertion sort:
+// label lists are short, and sorting without a closure keeps appendKey's
+// stack copy on the stack.
+func sortByKey(labels []Label) {
+	for i := 1; i < len(labels); i++ {
+		for j := i; j > 0 && labels[j].Key < labels[j-1].Key; j-- {
+			labels[j], labels[j-1] = labels[j-1], labels[j]
+		}
 	}
-	var b strings.Builder
+}
+
+// keyBufLen sizes the stack buffer registry keys are built in; a longer
+// key spills to the heap.
+const keyBufLen = 128
+
+// appendKey appends the registry key of (name, labels) to dst:
+// "name|k=v,k=v" with the labels in sortLabels order. The labels are
+// sorted in a stack copy (it moves to the heap past eight labels), so a
+// caller that builds the key in a stack buffer and looks it up as
+// m[string(key)] allocates nothing.
+func appendKey(dst []byte, name string, labels []Label) []byte {
+	var stack [8]Label
+	sorted := append(stack[:0], labels...)
+	sortByKey(sorted)
+	dst = append(dst, name...)
+	dst = append(dst, '|')
 	for i, l := range sorted {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+		dst = append(dst, l.Key...)
+		dst = append(dst, '=')
+		dst = append(dst, l.Value...)
 	}
-	return b.String()
+	return dst
 }
 
 // Hub bundles one run's registry and tracer. A nil *Hub is a valid no-op

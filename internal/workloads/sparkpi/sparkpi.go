@@ -57,7 +57,8 @@ type tally struct {
 
 // Workload is the SparkPi workload.
 type Workload struct {
-	cfg Config
+	cfg  Config
+	name string // "sparkpi-<Darts as %g>", built once in New
 }
 
 var _ workloads.Workload = (*Workload)(nil)
@@ -73,11 +74,11 @@ func New(cfg Config) *Workload {
 	if cfg.CostPerDart <= 0 {
 		cfg.CostPerDart = 0.4
 	}
-	return &Workload{cfg: cfg}
+	return &Workload{cfg: cfg, name: fmt.Sprintf("sparkpi-%g", float64(cfg.Darts))}
 }
 
 // Name implements workloads.Workload.
-func (w *Workload) Name() string { return fmt.Sprintf("sparkpi-%g", float64(w.cfg.Darts)) }
+func (w *Workload) Name() string { return w.name }
 
 // DefaultParallelism implements workloads.Workload.
 func (w *Workload) DefaultParallelism() int { return w.cfg.Partitions }
