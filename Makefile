@@ -22,7 +22,8 @@ fmt:
 
 # race runs the whole test suite under the race detector, twice, to shake
 # out ordering dependence. Under the race detector internal/experiments
-# outlasts go test's 10-minute default on a 2-core host, hence -timeout.
+# takes ~12 minutes per count on a 2-core host (718 s with -count=1), so
+# two counts outlast go test's 10-minute default, hence -timeout.
 race:
 	$(GO) test -race -count=2 -timeout 30m ./...
 
@@ -35,8 +36,9 @@ leaks:
 	$(GO) test -count=3 -run '^TestLeak' ./...
 
 # allocs runs the allocation-budget tests (testing.AllocsPerRun: a registry
-# hit, one clock event, a JSONL line, a network flow) outside the race
-# detector, whose instrumentation adds allocations of its own.
+# hit, one clock event, a JSONL line, a network flow, a shuffle regroup)
+# outside the race detector, whose instrumentation adds allocations of its
+# own.
 allocs:
 	$(GO) test -count=1 -run 'Allocs|Allocat(es|ing)' ./...
 
@@ -47,6 +49,7 @@ FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/simclock -run '^$$' -fuzz FuzzTimerWheel -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/netsim -run '^$$' -fuzz FuzzNetwork -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/spark/shuffle -run '^$$' -fuzz FuzzRegroup -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseArrivals -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzParseArrivalTrace -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)

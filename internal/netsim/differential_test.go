@@ -149,7 +149,11 @@ type netProgram struct {
 // their flows stall), then flow starts with random sizes (zero-byte ones
 // included), pools (repeats included) and caps below or above the fair
 // share, and cancels of random flows and of the flow whose completion is
-// armed. Instants are coarse so that events coincide.
+// armed. Instants are coarse so that events coincide, and some ops come
+// in bursts: several starts and cancels on one network at one instant,
+// so recomputes run back to back with no time elapsed between them. A
+// third of the programs start only uncapped flows, so recompute skips
+// its cap scan throughout; the rest mix capped and uncapped flows.
 func genProgram(rng *rand.Rand) *netProgram {
 	p := &netProgram{}
 	for k := range p.pools {
@@ -161,33 +165,53 @@ func genProgram(rng *rand.Rand) *netProgram {
 			p.pools[k] = append(p.pools[k], capacity)
 		}
 	}
+	uncapped := rng.Intn(3) == 0
 	for i := 5 + rng.Intn(40); i > 0; i-- {
-		o := netOp{at: time.Duration(rng.Intn(40)) * 250 * time.Millisecond, net: rng.Intn(2)}
-		switch r := rng.Intn(10); {
-		case r < 7:
-			o.kind = opStart
-			o.bytes = float64(rng.Intn(20)) * 100
-			for j := rng.Intn(4); j > 0; j-- {
-				o.pools = append(o.pools, rng.Intn(len(p.pools[o.net])))
-			}
-			switch rng.Intn(3) {
-			case 1:
-				o.rateCap = float64(1 + rng.Intn(50))
-			case 2:
-				o.rateCap = float64(100 + rng.Intn(1000))
-			}
-			if len(o.pools) == 0 && o.rateCap == 0 {
-				o.rateCap = 100
-			}
-		case r < 9:
-			o.kind = opCancel
-			o.target = rng.Intn(64)
-		default:
-			o.kind = opCancelArmed
+		at := time.Duration(rng.Intn(40)) * 250 * time.Millisecond
+		net := rng.Intn(2)
+		burst := 1
+		if rng.Intn(6) == 0 {
+			burst = 2 + rng.Intn(5)
 		}
-		p.ops = append(p.ops, o)
+		for ; burst > 0; burst-- {
+			p.ops = append(p.ops, genOp(rng, len(p.pools[net]), at, net, uncapped))
+		}
 	}
 	return p
+}
+
+// genOp draws one op on network net, which has npools pools.
+func genOp(rng *rand.Rand, npools int, at time.Duration, net int, uncapped bool) netOp {
+	o := netOp{at: at, net: net}
+	switch r := rng.Intn(10); {
+	case r < 7:
+		o.kind = opStart
+		o.bytes = float64(rng.Intn(20)) * 100
+		for j := rng.Intn(4); j > 0; j-- {
+			o.pools = append(o.pools, rng.Intn(npools))
+		}
+		if uncapped {
+			if len(o.pools) == 0 {
+				o.pools = append(o.pools, rng.Intn(npools))
+			}
+			break
+		}
+		switch rng.Intn(3) {
+		case 1:
+			o.rateCap = float64(1 + rng.Intn(50))
+		case 2:
+			o.rateCap = float64(100 + rng.Intn(1000))
+		}
+		if len(o.pools) == 0 && o.rateCap == 0 {
+			o.rateCap = 100
+		}
+	case r < 9:
+		o.kind = opCancel
+		o.target = rng.Intn(64)
+	default:
+		o.kind = opCancelArmed
+	}
+	return o
 }
 
 // runProgram executes p on a fresh clock with two networks, built by mk,

@@ -6,8 +6,13 @@
 // Active flows share each pool max-min fairly: rates are assigned by
 // progressive filling (water-filling), honouring per-flow rate caps, and the
 // allocation is recomputed from scratch whenever a flow starts or finishes.
-// Each Network keeps one completion timer, armed for the flow that finishes
-// first and moved on every recompute, so a rate change costs no timer churn.
+// Every recompute first settles all flows to the current instant, so a
+// Network's flows share one settle instant and the progress since it is
+// one subtraction per flow. Each filling round visits only the pools that
+// still have unassigned flows, and skips the cap scan when no unassigned
+// flow has a cap. Each Network keeps one completion timer, armed for the
+// flow that finishes first and moved on every recompute, so a rate change
+// costs no timer churn.
 // This reproduces the paper's central bandwidth story — e.g. a single
 // 750 Mbps EBS volume under a colocated master+HDFS node throttling 16
 // concurrent shuffle readers — with event-accurate completion times.
@@ -32,11 +37,19 @@ type Network struct {
 	flows   []*Flow
 	poolSeq int
 
+	// settledAt is the instant every active flow's remaining count was
+	// last brought up to date. Each mutation ends in a recompute, which
+	// settles all flows at once, so the flows share this one instant.
+	settledAt time.Time
+
 	// pools holds every pool with an active flow, sorted by creation ID;
 	// residual and left are recompute's scratch, indexed by Pool.slot.
+	// left's second half holds the slots of the pools that still have
+	// unassigned flows, in ID order; int32 keeps both halves in the bytes
+	// one []int of counts took.
 	pools    []*Pool
 	residual []float64
-	left     []int
+	left     []int32
 
 	// timer is the one completion timer, armed for next.
 	timer *simclock.Timer
@@ -60,7 +73,6 @@ type Flow struct {
 	rateCap   float64 // 0 means unlimited
 	pools     []*Pool
 	rate      float64
-	settledAt time.Time
 	done      func()
 	finished  bool
 	pending   bool // not yet assigned a rate by the running recompute
@@ -103,7 +115,6 @@ func (n *Network) StartFlow(bytes float64, rateCap float64, pools []*Pool, done 
 		remaining: bytes,
 		rateCap:   rateCap,
 		pools:     append([]*Pool(nil), pools...),
-		settledAt: n.clock.Now(),
 		done:      done,
 	}
 	n.flows = append(n.flows, f)
@@ -124,7 +135,6 @@ func (n *Network) Cancel(f *Flow) bool {
 	if f == nil || f.finished {
 		return false
 	}
-	n.settleAll()
 	n.detach(f)
 	n.recompute()
 	return true
@@ -155,44 +165,61 @@ func removeFlow(flows []*Flow, f *Flow) []*Flow {
 	return flows
 }
 
-// settleAll folds elapsed progress into every flow's remaining count so a
-// fresh rate assignment can start from "now".
-func (n *Network) settleAll() {
+// settle folds the progress made since the network's last settle into
+// every flow's remaining count so a fresh rate assignment can start from
+// "now". A flow started since then has no rate yet and makes no progress.
+func (n *Network) settle() {
 	now := n.clock.Now()
+	elapsed := now.Sub(n.settledAt).Seconds()
+	n.settledAt = now
+	if elapsed <= 0 {
+		return
+	}
 	for _, f := range n.flows {
-		elapsed := now.Sub(f.settledAt).Seconds()
-		if elapsed > 0 && f.rate > 0 {
+		if f.rate > 0 {
 			f.remaining = math.Max(0, f.remaining-f.rate*elapsed)
 		}
-		f.settledAt = now
 	}
 }
 
 // recompute settles progress, runs progressive filling to assign max-min
 // fair rates, and re-arms the completion timer.
 func (n *Network) recompute() {
-	n.settleAll()
+	n.settle()
 
 	// Progressive filling. Residual capacity and unassigned-flow count per
 	// pool live on reused scratch; unassigned flows are marked pending.
-	// All iteration is over insertion-ordered flows and pools sorted by
-	// creation ID, so rate assignment and event scheduling are fully
-	// deterministic.
-	residual, left := n.residual[:0], n.left[:0]
+	// open lists the slots of the pools that still have pending flows; each
+	// round drops the pools it finds saturated, so later rounds visit only
+	// open pools. All iteration is over insertion-ordered flows and pools
+	// sorted by creation ID, so rate assignment and event scheduling are
+	// fully deterministic.
+	np := len(n.pools)
+	residual := n.residual[:0]
+	n.left = slices.Grow(n.left[:0], 2*np)[:2*np]
+	left, open := n.left[:np], n.left[np:]
 	for i, p := range n.pools {
 		p.slot = i
 		residual = append(residual, p.capacity)
-		left = append(left, len(p.flows))
+		left[i] = int32(len(p.flows))
+		open[i] = int32(i)
 	}
-	n.residual, n.left = residual, left
+	n.residual = residual
+	capped := 0 // pending flows with a rate cap
 	for _, f := range n.flows {
 		f.rate, f.pending = 0, true
+		if f.rateCap > 0 {
+			capped++
+		}
 	}
 	unassigned := len(n.flows)
 
 	assign := func(f *Flow, rate float64) {
 		f.rate, f.pending = rate, false
 		unassigned--
+		if f.rateCap > 0 {
+			capped--
+		}
 		for _, p := range f.pools {
 			residual[p.slot] -= rate
 			if residual[p.slot] < 0 {
@@ -203,30 +230,36 @@ func (n *Network) recompute() {
 	}
 
 	for unassigned > 0 {
-		// Fair share at the tightest pool.
+		// Fair share at the tightest pool, dropping saturated pools.
 		minShare := math.Inf(1)
-		for i := range n.pools {
+		k := 0
+		for _, i := range open {
 			if left[i] > 0 {
+				open[k] = i
+				k++
 				share := residual[i] / float64(left[i])
 				if share < minShare {
 					minShare = share
 				}
 			}
 		}
+		open = open[:k]
 		// A flow capped below the fair share takes its cap.
-		minCap := math.Inf(1)
-		for _, f := range n.flows {
-			if f.pending && f.rateCap > 0 && f.rateCap < minCap {
-				minCap = f.rateCap
-			}
-		}
-		if minCap < minShare {
+		if capped > 0 {
+			minCap := math.Inf(1)
 			for _, f := range n.flows {
-				if f.pending && f.rateCap > 0 && f.rateCap <= minCap {
-					assign(f, f.rateCap)
+				if f.pending && f.rateCap > 0 && f.rateCap < minCap {
+					minCap = f.rateCap
 				}
 			}
-			continue
+			if minCap < minShare {
+				for _, f := range n.flows {
+					if f.pending && f.rateCap > 0 && f.rateCap <= minCap {
+						assign(f, f.rateCap)
+					}
+				}
+				continue
+			}
 		}
 		if math.IsInf(minShare, 1) {
 			// Only capless, pool-less flows remain (cannot happen given the
@@ -240,13 +273,13 @@ func (n *Network) recompute() {
 		}
 		// Assign flows bottlenecked at a pool whose share equals minShare.
 		progressed := false
-		for i, p := range n.pools {
+		for _, i := range open {
 			if left[i] == 0 {
 				continue
 			}
 			share := residual[i] / float64(left[i])
 			if share <= minShare*(1+1e-12) {
-				for _, f := range p.flows {
+				for _, f := range n.pools[i].flows {
 					if !f.pending {
 						continue
 					}
@@ -302,7 +335,6 @@ func (n *Network) reschedule() {
 // byte has arrived.
 func (n *Network) finishNext() {
 	f := n.next
-	n.settleAll()
 	f.remaining = 0
 	n.detach(f)
 	n.recompute()

@@ -13,6 +13,7 @@
 package rdd
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 )
@@ -320,18 +321,22 @@ func mustPositive(parts int, name string) {
 
 // KeyLess orders two shuffle keys of the same supported type. It is used
 // to sort groups deterministically.
-func KeyLess(a, b Key) bool {
+func KeyLess(a, b Key) bool { return KeyCompare(a, b) < 0 }
+
+// KeyCompare returns -1, 0 or +1 as a orders before, equal to or after b,
+// two shuffle keys of the same supported type, in KeyLess's order.
+func KeyCompare(a, b Key) int {
 	switch av := a.(type) {
 	case int:
-		return av < b.(int)
+		return cmp.Compare(av, b.(int))
 	case int32:
-		return av < b.(int32)
+		return cmp.Compare(av, b.(int32))
 	case int64:
-		return av < b.(int64)
+		return cmp.Compare(av, b.(int64))
 	case uint64:
-		return av < b.(uint64)
+		return cmp.Compare(av, b.(uint64))
 	case string:
-		return av < b.(string)
+		return cmp.Compare(av, b.(string))
 	default:
 		panic(fmt.Sprintf("rdd: unsupported key type %T", a))
 	}

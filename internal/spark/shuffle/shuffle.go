@@ -10,7 +10,9 @@ package shuffle
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"time"
 
 	"splitserve/internal/eventlog"
@@ -30,53 +32,116 @@ func Partition(rows []rdd.Row, keyFn func(rdd.Row) rdd.Key, parts int, mergeFn f
 		return buckets
 	}
 	// Combine: keep per-bucket insertion order of first key occurrence so
-	// output is deterministic.
-	type slot struct{ idx int }
-	combined := make([]map[rdd.Key]slot, parts)
+	// output is deterministic. A key hashes to exactly one bucket, so one
+	// map from key to its (bucket, index) slot serves every bucket.
+	type slot struct{ bucket, idx int32 }
+	slots := make(map[rdd.Key]slot, mapHint(len(rows)))
 	for _, row := range rows {
 		k := keyFn(row)
+		if s, ok := slots[k]; ok {
+			buckets[s.bucket][s.idx] = mergeFn(buckets[s.bucket][s.idx], row)
+			continue
+		}
 		b := rdd.HashKey(k, parts)
-		if combined[b] == nil {
-			combined[b] = make(map[rdd.Key]slot)
-		}
-		if s, ok := combined[b][k]; ok {
-			buckets[b][s.idx] = mergeFn(buckets[b][s.idx], row)
-		} else {
-			combined[b][k] = slot{idx: len(buckets[b])}
-			buckets[b] = append(buckets[b], row)
-		}
+		slots[k] = slot{bucket: int32(b), idx: int32(len(buckets[b]))}
+		buckets[b] = append(buckets[b], row)
 	}
 	return buckets
 }
 
+// maxMapHint caps the size hint of a map keyed by row keys: sized by row
+// count alone, a few-keys, many-rows input would allocate a map far larger
+// than its distinct keys. Past the cap the map grows on its own. Any hint
+// up to 512 fits one table of Go's map, so the map's allocation count does
+// not depend on the hint (TestRegroupAllocsBounded).
+const maxMapHint = 512
+
+// mapHint is the size hint for a map of the distinct keys among rows rows.
+func mapHint(rows int) int { return min(rows, maxMapHint) }
+
 // Regroup builds key groups from fetched map buckets (ordered by map
 // partition). Groups are sorted by key; rows within a group preserve
 // (map partition, row) order — fully deterministic.
+//
+// One pass numbers each distinct key in first-seen order and records every
+// row's group; only the distinct keys are sorted; a counting pass then
+// places the rows into one backing slice. Each group's Rows is capped at
+// its own end, so an append to one group never overwrites the next.
 func Regroup(bucketsByMap [][]rdd.Row, keyFn func(rdd.Row) rdd.Key) []rdd.Group {
-	order := make([]rdd.Key, 0)
-	byKey := make(map[rdd.Key][]rdd.Row)
+	total := 0
+	for _, bucket := range bucketsByMap {
+		total += len(bucket)
+	}
+	hint := mapHint(total)
+	index := make(map[rdd.Key]int32, hint)
+	keys := make([]firstSeen, 0, hint) // distinct keys, in first-seen order
+	counts := make([]int, 0, hint)     // rows per group, by first-seen number
+	groupOf := make([]int32, total)
+	r := 0
 	for _, bucket := range bucketsByMap {
 		for _, row := range bucket {
 			k := keyFn(row)
-			if _, ok := byKey[k]; !ok {
-				order = append(order, k)
+			g, ok := index[k]
+			if !ok {
+				g = int32(len(keys))
+				index[k] = g
+				keys = append(keys, firstSeen{key: k, group: g})
+				counts = append(counts, 0)
 			}
-			byKey[k] = append(byKey[k], row)
+			counts[g]++
+			groupOf[r] = g
+			r++
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return rdd.KeyLess(order[i], order[j]) })
-	groups := make([]rdd.Group, len(order))
-	for i, k := range order {
-		groups[i] = rdd.Group{Key: k, Rows: byKey[k]}
+	// Keys are distinct, so any sort gives the one key order.
+	slices.SortFunc(keys, func(a, b firstSeen) int { return rdd.KeyCompare(a.key, b.key) })
+
+	rows := make([]rdd.Row, total)
+	groups := make([]rdd.Group, len(keys))
+	start := 0
+	for i, ks := range keys {
+		end := start + counts[ks.group]
+		groups[i] = rdd.Group{Key: ks.key, Rows: rows[start:end:end]}
+		counts[ks.group] = start // from here on: the group's next free row
+		start = end
+	}
+	r = 0
+	for _, bucket := range bucketsByMap {
+		for _, row := range bucket {
+			g := groupOf[r]
+			rows[counts[g]] = row
+			counts[g]++
+			r++
+		}
 	}
 	return groups
+}
+
+// firstSeen is a distinct key and its number in first-seen order.
+type firstSeen struct {
+	key   rdd.Key
+	group int32
 }
 
 // BlockID names one shuffle block the way the paper's HDFS layout does:
 // the writing executor's unique ID is the directory entry point.
 func BlockID(appID, execID string, shuffleID, mapPart, reducePart int) string {
-	return fmt.Sprintf("/shuffle/%s/%s/shuffle_%d_%d_%d", appID, execID, shuffleID, mapPart, reducePart)
+	buf := make([]byte, 0, 64)
+	buf = append(buf, "/shuffle/"...)
+	buf = append(buf, appID...)
+	buf = append(buf, '/')
+	buf = append(buf, execID...)
+	buf = append(buf, "/shuffle_"...)
+	buf = strconv.AppendInt(buf, int64(shuffleID), 10)
+	buf = append(buf, '_')
+	buf = strconv.AppendInt(buf, int64(mapPart), 10)
+	buf = append(buf, '_')
+	buf = strconv.AppendInt(buf, int64(reducePart), 10)
+	return string(buf)
 }
+
+// shuffleNote is the Note of a shuffle's write and read events.
+func shuffleNote(shuffleID int) string { return "shuffle_" + strconv.Itoa(shuffleID) }
 
 // MapStatus records where one map partition's output lives.
 type MapStatus struct {
@@ -149,7 +214,7 @@ func (t *Tracker) AddMapOutput(shuffleID int, st *MapStatus) {
 		ev.Exec = st.ExecID
 		ev.Task = st.MapPart
 		ev.Bytes = total
-		ev.Note = fmt.Sprintf("shuffle_%d", shuffleID)
+		ev.Note = shuffleNote(shuffleID)
 		t.bus.Emit(t.busNow(), ev)
 	}
 }
@@ -196,7 +261,7 @@ func (t *Tracker) FetchSpec(shuffleID, reducePart int) (ids []string, total int6
 		ev.App = t.eventApp
 		ev.Task = reducePart
 		ev.Bytes = total
-		ev.Note = fmt.Sprintf("shuffle_%d", shuffleID)
+		ev.Note = shuffleNote(shuffleID)
 		t.bus.Emit(t.busNow(), ev)
 	}
 	return ids, total, true

@@ -1,6 +1,7 @@
 package shuffle
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -80,6 +81,26 @@ func TestBlockIDLayout(t *testing.T) {
 	want := "/shuffle/app-1/exec-vm-2/shuffle_3_7_11"
 	if got != want {
 		t.Fatalf("BlockID = %q, want %q", got, want)
+	}
+}
+
+// TestBlockIDMatchesSprintf: BlockID and the shuffle events' Note are
+// built without fmt and must keep the bytes fmt wrote, in every field.
+func TestBlockIDMatchesSprintf(t *testing.T) {
+	ids := []int{0, 9, 10, 999, 1000, 123456}
+	for _, sid := range ids {
+		if got, want := shuffleNote(sid), fmt.Sprintf("shuffle_%d", sid); got != want {
+			t.Errorf("shuffleNote(%d) = %q, want %q", sid, got, want)
+		}
+		for _, m := range ids {
+			for _, r := range ids {
+				got := BlockID("app-7", "j012-v03", sid, m, r)
+				want := fmt.Sprintf("/shuffle/%s/%s/shuffle_%d_%d_%d", "app-7", "j012-v03", sid, m, r)
+				if got != want {
+					t.Errorf("BlockID(%d, %d, %d) = %q, want %q", sid, m, r, got, want)
+				}
+			}
+		}
 	}
 }
 
