@@ -36,7 +36,8 @@ leaks:
 	$(GO) test -count=3 -run '^TestLeak' ./...
 
 # allocs runs the allocation-budget tests (testing.AllocsPerRun: a registry
-# hit, one clock event, a JSONL line, a network flow, a shuffle regroup)
+# hit, one clock event, a JSONL line, a network flow, a shuffle regroup, a
+# report's JSON, a merge of event logs)
 # outside the race detector, whose instrumentation adds allocations of its
 # own.
 allocs:
@@ -55,6 +56,7 @@ fuzz:
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzWriteJSONL -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzReportJSON -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: the gofmt gate, static analysis of
 # both modules, the race run, the retention tests, the allocation-budget

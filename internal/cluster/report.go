@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
@@ -353,74 +351,6 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-// JSON renders the report deterministically (same seed → same bytes).
-//
-// The bytes are json.MarshalIndent's plus a newline, but the job rows are
-// encoded one at a time and indented from a buffer of this function's own.
-// encoding/json keeps each Marshal's scratch buffer in a sync.Pool, so one
-// Marshal of the whole report would park a report-sized buffer there, and
-// whether it is still alive after a run would depend on when the next GC
-// cycles start. Row by row, the pooled buffer stays one row long.
-func (r *Report) JSON() ([]byte, error) {
-	var compact bytes.Buffer
-	if err := r.WriteCompactJSON(&compact); err != nil {
-		return nil, err
-	}
-	return IndentJSON(compact.Bytes())
-}
-
-// WriteCompactJSON appends the report to buf as json.Marshal would, up to
-// whitespace, encoding the job rows one at a time (see JSON). Reports that
-// embed cluster reports build their own JSON from it.
-func (r *Report) WriteCompactJSON(buf *bytes.Buffer) error {
-	head := *r
-	head.JobReports = nil
-	b, err := json.Marshal(&head)
-	if err != nil {
-		return err
-	}
-	// JobReports is the last field: its null is replaced by the rows.
-	const tail = `null}`
-	if !bytes.HasSuffix(b, []byte(`"job_reports":`+tail)) {
-		return fmt.Errorf("cluster: report JSON does not end in job_reports")
-	}
-	buf.Write(b[:len(b)-len(tail)])
-	if r.JobReports == nil {
-		buf.WriteString("null")
-	} else {
-		// Encode writes each row straight into buf; the newline it adds
-		// after each is whitespace the indent pass drops.
-		enc := json.NewEncoder(buf)
-		buf.WriteByte('[')
-		for i := range r.JobReports {
-			if i > 0 {
-				buf.WriteByte(',')
-			}
-			n := buf.Len()
-			if err := enc.Encode(&r.JobReports[i]); err != nil {
-				return err
-			}
-			if i == 0 {
-				buf.Grow((buf.Len() - n + 1) * len(r.JobReports))
-			}
-		}
-		buf.WriteByte(']')
-	}
-	buf.WriteByte('}')
-	return nil
-}
-
-// IndentJSON indents compact JSON the way json.MarshalIndent does, with
-// two spaces and no prefix, and adds a trailing newline.
-func IndentJSON(compact []byte) ([]byte, error) {
-	var out bytes.Buffer
-	if err := json.Indent(&out, compact, "", "  "); err != nil {
-		return nil, err
-	}
-	out.WriteByte('\n')
-	return out.Bytes(), nil
 }
 
 // String renders a human summary table.

@@ -22,6 +22,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"splitserve/internal/jsonenc"
 )
 
 // Type names one event kind. The vocabulary is closed: Bus.Emit rejects
@@ -262,22 +264,9 @@ func (b *Bus) Len() int {
 	return b.n
 }
 
-// Events returns a snapshot of the stream in emission order.
-func (b *Bus) Events() []Event {
-	if b == nil {
-		return nil
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.n == 0 {
-		return nil
-	}
-	out := make([]Event, 0, b.n)
-	for _, c := range b.chunks {
-		out = append(out, c...)
-	}
-	return out
-}
+// Events returns a copy of the stream in emission order: every event
+// emitted before it took the bus lock. It is Merge of the one bus.
+func (b *Bus) Events() []Event { return Merge(b) }
 
 // WriteJSONL streams the log as one compact JSON object per line. Field
 // order is the Event struct order and values carry no floats, so the same
@@ -343,18 +332,18 @@ func (enc *jsonlEncoder) encode(e *Event) error {
 	b := append(enc.buf, `{"ts_us":`...)
 	b = strconv.AppendInt(b, e.TS, 10)
 	b = append(b, `,"type":`...)
-	b = appendJSONString(b, string(e.Type))
+	b = jsonenc.AppendString(b, string(e.Type))
 	if e.App != "" {
 		b = append(b, `,"app":`...)
-		b = appendJSONString(b, e.App)
+		b = jsonenc.AppendString(b, e.App)
 	}
 	if e.Exec != "" {
 		b = append(b, `,"exec":`...)
-		b = appendJSONString(b, e.Exec)
+		b = jsonenc.AppendString(b, e.Exec)
 	}
 	if e.Kind != "" {
 		b = append(b, `,"kind":`...)
-		b = appendJSONString(b, e.Kind)
+		b = jsonenc.AppendString(b, e.Kind)
 	}
 	b = append(b, `,"stage":`...)
 	b = strconv.AppendInt(b, int64(e.Stage), 10)
@@ -370,7 +359,7 @@ func (enc *jsonlEncoder) encode(e *Event) error {
 	}
 	if e.Note != "" {
 		b = append(b, `,"note":`...)
-		b = appendJSONString(b, e.Note)
+		b = jsonenc.AppendString(b, e.Note)
 	}
 	enc.buf = append(b, "}\n"...)
 	if len(enc.buf) >= jsonlFlushAt {
@@ -387,44 +376,6 @@ func (enc *jsonlEncoder) flush() error {
 	_, err := enc.w.Write(enc.buf)
 	enc.buf = enc.buf[:0]
 	return err
-}
-
-// appendJSONString appends s as a JSON string, escaped as json.Marshal
-// escapes it: '"' and '\\' by backslash, the HTML-sensitive '<', '>' and
-// '&' as \u00XX. A string holding a control byte or any non-ASCII byte
-// (which covers invalid UTF-8 and U+2028/U+2029) is encoded by
-// json.Marshal itself, so the rarer escaping rules stay the standard
-// library's.
-func appendJSONString(b []byte, s string) []byte {
-	mark := len(b)
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		var esc string
-		switch c := s[i]; c {
-		case '"':
-			esc = `\"`
-		case '\\':
-			esc = `\\`
-		case '<':
-			esc = `\u003c`
-		case '>':
-			esc = `\u003e`
-		case '&':
-			esc = `\u0026`
-		default:
-			if c < 0x20 || c >= 0x80 {
-				q, _ := json.Marshal(s) // marshalling a string cannot fail
-				return append(b[:mark], q...)
-			}
-			continue
-		}
-		b = append(b, s[start:i]...)
-		b = append(b, esc...)
-		start = i + 1
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }
 
 // ReadJSONL parses a saved event log back into events, preserving order.

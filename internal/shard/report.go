@@ -1,8 +1,8 @@
 package shard
 
 import (
-	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,6 +10,7 @@ import (
 
 	"splitserve/internal/autoscale"
 	"splitserve/internal/cluster"
+	"splitserve/internal/jsonenc"
 )
 
 // SchemaV1 identifies the merged sharded-run report layout.
@@ -215,42 +216,48 @@ func waitStats(waits []int64) (mean, p50, p99 int64) {
 }
 
 // JSON renders the report deterministically (same seed and shard count →
-// same bytes). The bytes are json.MarshalIndent's plus a newline, built
-// like cluster.Report.JSON: the head once, then each cluster report row by
-// row, so encoding/json's pooled scratch buffer never grows to the size of
-// the merged report.
+// same bytes): the bytes of json.MarshalIndent(r, "", "  ") plus a
+// newline. The header goes through MarshalIndent; each cluster report is
+// written in place at its indent depth by cluster.Report.AppendIndentedJSON,
+// so encoding/json's pooled scratch buffer stays header-sized and the job
+// rows are encoded once, with no pass to indent them.
 func (r *Report) JSON() ([]byte, error) {
 	head := *r
 	head.ClusterReports = nil
-	b, err := json.Marshal(&head)
+	h, err := json.MarshalIndent(&head, "", "  ")
 	if err != nil {
 		return nil, err
 	}
 	// ClusterReports is the last field: its null is replaced by the
 	// reports.
-	const tail = `null}`
-	if !bytes.HasSuffix(b, []byte(`"cluster_reports":`+tail)) {
-		return nil, fmt.Errorf("shard: report JSON does not end in cluster_reports")
+	b, ok := jsonenc.CutNullLast(h, "cluster_reports", "")
+	if !ok {
+		return nil, errors.New("shard: report JSON does not end in cluster_reports")
 	}
-	compact := bytes.NewBuffer(b[:len(b)-len(tail)])
-	if r.ClusterReports == nil {
-		compact.WriteString("null")
-	} else {
-		compact.WriteByte('[')
+	switch {
+	case r.ClusterReports == nil:
+		b = append(b, "null"...)
+	case len(r.ClusterReports) == 0:
+		b = append(b, "[]"...)
+	default:
+		// The reports are array elements two levels down.
+		const elemNL = "\n    "
+		b = append(b, '[')
 		for i, cr := range r.ClusterReports {
 			if i > 0 {
-				compact.WriteByte(',')
+				b = append(b, ',')
 			}
+			b = append(b, elemNL...)
 			if cr == nil {
-				compact.WriteString("null")
-			} else if err := cr.WriteCompactJSON(compact); err != nil {
+				b = append(b, "null"...)
+			} else if b, err = cr.AppendIndentedJSON(b, elemNL[1:]); err != nil {
 				return nil, err
 			}
 		}
-		compact.WriteByte(']')
+		b = append(b, elemNL[:3]...)
+		b = append(b, ']')
 	}
-	compact.WriteByte('}')
-	return cluster.IndentJSON(compact.Bytes())
+	return append(jsonenc.CloseObject(b, ""), '\n'), nil
 }
 
 // String renders a human summary: global aggregates, then the per-shard

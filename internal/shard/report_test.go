@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"runtime/metrics"
@@ -44,12 +45,32 @@ func reportWithRows(rows ...int) *Report {
 	return r
 }
 
+// oddRows are job rows that set every optional field and carry strings
+// and floats at the edges of the encoder: quotes, backslashes, HTML
+// bytes, control and non-ASCII bytes, invalid UTF-8, negative zero and
+// both exponent forms.
+func oddRows() []cluster.JobReport {
+	return []cluster.JobReport{
+		{ID: 1, Name: `q"uote\back<>&`, Workload: "ctl\x00\x1f\n", Tenant: "é日本\u2028",
+			Cores: 4, ArrivalUS: -5, StartUS: 1, EndUS: 2, QueueWaitUS: 3, RunUS: 4, DeadlineUS: 5,
+			Stretch: 1e-7, SLOViolated: true, VMExecutors: 1, LambdaExecutors: 2, VMTasks: 3, LambdaTasks: 4,
+			CostUSD: 1e21, CostVMUSD: math.Copysign(0, -1), CostLambdaUSD: 123456789.125,
+			Failed: "bad \xff utf8", Shed: "deadline", Delayed: true, AllocPolicy: "min-cost",
+			AllocSource: "profile", PredictedRunUS: 7, PredictedCostUSD: 0.1, RunPredErr: -0.5, CostPredErr: 1e-9},
+		{ID: 2, Name: "plain"},
+	}
+}
+
 func TestReportJSONMatchesMarshalIndent(t *testing.T) {
+	odd := reportWithRows(-1, 0, 2)
+	odd.ClusterReports[2].JobReports = oddRows()
 	for name, r := range map[string]*Report{
-		"no cluster reports": {Schema: SchemaV1, Shards: 2},
-		"empty shards":       reportWithRows(-1, -1),
-		"empty rows":         reportWithRows(0, -1),
-		"many rows":          reportWithRows(40, -1, 1, 7),
+		"no cluster reports":    {Schema: SchemaV1, Shards: 2},
+		"empty cluster reports": {Schema: SchemaV1, ClusterReports: []*cluster.Report{}},
+		"empty shards":          reportWithRows(-1, -1),
+		"empty rows":            reportWithRows(0, -1),
+		"many rows":             reportWithRows(40, -1, 1, 7),
+		"odd rows":              odd,
 	} {
 		want, err := json.MarshalIndent(r, "", "  ")
 		if err != nil {
@@ -63,6 +84,19 @@ func TestReportJSONMatchesMarshalIndent(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: JSON differs from MarshalIndent:\n%s\nwant:\n%s", name, got, want)
 		}
+	}
+}
+
+// TestReportJSONRejectsNaN: a NaN in any cluster report's rows fails the
+// merged report, as it fails MarshalIndent.
+func TestReportJSONRejectsNaN(t *testing.T) {
+	r := reportWithRows(3, -1, 3)
+	r.ClusterReports[2].JobReports[1].CostUSD = math.NaN()
+	if _, err := json.MarshalIndent(r, "", "  "); err == nil {
+		t.Fatal("MarshalIndent accepted NaN")
+	}
+	if got, err := r.JSON(); err == nil {
+		t.Errorf("JSON of a report holding NaN: no error, got %q", got)
 	}
 }
 

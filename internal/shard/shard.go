@@ -315,36 +315,17 @@ func (m *Manager) stealPass() {
 
 // Events returns the merged event stream: the manager's own placement /
 // steal / tenant events plus every shard's log, k-way merged by
-// timestamp. At equal timestamps the manager's stream sorts first, then
-// shards in index order — each input is time-nondecreasing, so the merge
-// is a stable interleave and the same run always serialises to the same
-// bytes.
+// timestamp by eventlog.Merge, in one copy straight from the buses. At
+// equal timestamps the manager's stream sorts first, then shards in index
+// order — each input is time-nondecreasing, so the merge is a stable
+// interleave and the same run always serialises to the same bytes.
 func (m *Manager) Events() []eventlog.Event {
-	streams := make([][]eventlog.Event, 0, len(m.shards)+1)
-	streams = append(streams, m.bus.Events())
+	buses := make([]*eventlog.Bus, 0, len(m.shards)+1)
+	buses = append(buses, m.bus)
 	for _, st := range m.shards {
 		if st.sched != nil {
-			streams = append(streams, st.sched.Events().Events())
+			buses = append(buses, st.sched.Events())
 		}
 	}
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]eventlog.Event, 0, total)
-	idx := make([]int, len(streams))
-	for len(out) < total {
-		best := -1
-		for k, s := range streams {
-			if idx[k] >= len(s) {
-				continue
-			}
-			if best == -1 || s[idx[k]].TS < streams[best][idx[best]].TS {
-				best = k
-			}
-		}
-		out = append(out, streams[best][idx[best]])
-		idx[best]++
-	}
-	return out
+	return eventlog.Merge(buses...)
 }
