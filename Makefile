@@ -36,8 +36,8 @@ leaks:
 	$(GO) test -count=3 -run '^TestLeak' ./...
 
 # allocs runs the allocation-budget tests (testing.AllocsPerRun: a registry
-# hit, one clock event, a JSONL line, a network flow, a shuffle regroup, a
-# report's JSON, a merge of event logs)
+# hit, one clock event, a JSONL line, an emitted event, a network flow, a
+# shuffle regroup, a report's JSON, a merge of event logs)
 # outside the race detector, whose instrumentation adds allocations of its
 # own.
 allocs:

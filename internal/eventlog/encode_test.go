@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"testing"
+	"time"
 )
 
 // marshalLines is the reference encoding: json.Marshal of each event
@@ -27,7 +28,10 @@ func marshalLines(t testing.TB, events []Event) []byte {
 
 // FuzzWriteJSONL is the differential check of the hand-written encoder:
 // for any value of every Event field, WriteJSONL must write exactly what
-// json.Marshal does, plus the newline.
+// json.Marshal does, plus the newline. The event also goes through a Bus,
+// whose JSONL must be the same bytes, unless the event breaks Emit's
+// contract (an unknown type, or Stage, Task or Cores outside int32),
+// when Emit must panic instead.
 func FuzzWriteJSONL(f *testing.F) {
 	seeds := []Event{
 		{TS: 0, Type: TaskEnd, Stage: -1, Task: -1},
@@ -52,6 +56,29 @@ func FuzzWriteJSONL(f *testing.F) {
 		}
 		if want := marshalLines(t, []Event{e}); !bytes.Equal(got.Bytes(), want) {
 			t.Errorf("WriteJSONL(%#v)\n got %q\nwant %q", e, got.Bytes(), want)
+		}
+
+		// A bus stamps TS from a time, so keep it to what a Duration spans.
+		e.TS = ts % (math.MaxInt64 / 1000)
+		b := NewBus(testOrigin)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			b.Emit(testOrigin.Add(time.Duration(e.TS)*time.Microsecond), e)
+			return false
+		}()
+		fits := func(v int) bool { return int(int32(v)) == v }
+		if wantPanic := !e.Type.Valid() || !fits(stage) || !fits(task) || !fits(cores); panicked != wantPanic {
+			t.Fatalf("Emit(%#v): panicked %v, want %v", e, panicked, wantPanic)
+		}
+		if panicked {
+			return
+		}
+		js, err := b.JSONL()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := marshalLines(t, []Event{e}); !bytes.Equal(js, want) {
+			t.Errorf("Bus.JSONL after Emit(%#v)\n got %q\nwant %q", e, js, want)
 		}
 	})
 }

@@ -18,10 +18,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
 	"time"
+	"unsafe"
 
 	"splitserve/internal/jsonenc"
 )
@@ -128,16 +130,24 @@ var allTypes = []Type{
 	ShardAssign, ShardSteal, TenantReport,
 }
 
-var validTypes = func() map[Type]bool {
-	m := make(map[Type]bool, len(allTypes))
-	for _, t := range allTypes {
-		m[t] = true
+// typeIndex gives each known type its index in allTypes, which is how a
+// Bus stores it. Its keys are exactly the valid types.
+var typeIndex = func() map[Type]uint8 {
+	if len(allTypes) > math.MaxUint8+1 {
+		panic("eventlog: the vocabulary outgrew a record's uint8 type index")
+	}
+	m := make(map[Type]uint8, len(allTypes))
+	for i, t := range allTypes {
+		m[t] = uint8(i)
 	}
 	return m
 }()
 
 // Valid reports whether t is a known event type.
-func (t Type) Valid() bool { return validTypes[t] }
+func (t Type) Valid() bool {
+	_, ok := typeIndex[t]
+	return ok
+}
 
 // AllTypes returns the full closed vocabulary in declaration order. The
 // slice is a copy; callers may reorder it freely.
@@ -152,6 +162,10 @@ func AllTypes() []Type {
 // stage 0 / task 0 stay representable. All other fields are optional and
 // omitted when empty, keeping lines compact. Field order is fixed by the
 // struct, so encoding/json yields a stable byte layout.
+//
+// A Bus stores Stage, Task and Cores as int32, so Bus.Emit panics when
+// one of them falls outside the int32 range, as it does on an unknown
+// type: either is a programming error. Bytes and TS keep all 64 bits.
 type Event struct {
 	TS    int64  `json:"ts_us"`
 	Type  Type   `json:"type"`
@@ -169,29 +183,72 @@ type Event struct {
 // "not applicable" sentinel. Call sites fill the fields they know.
 func Ev(t Type) Event { return Event{Type: t, Stage: -1, Task: -1} }
 
+// record is an Event as a Bus stores it: 48 bytes with no pointers, so
+// the garbage collector never scans a chunk. The four strings are
+// indexes into the bus's string table and typ is an index into allTypes.
+type record struct {
+	ts, bytes             int64
+	stage, task, cores    int32
+	app, exec, kind, note uint32
+	typ                   uint8
+}
+
+// decode writes into d the Event r was stored from, reading its strings
+// from strs, the table of the bus that stored it. It sets d field by
+// field, so filling a slice of events never builds a temporary Event.
+func (r *record) decode(d *Event, strs []string) {
+	d.TS, d.Type = r.ts, allTypes[r.typ]
+	d.App, d.Exec, d.Kind = strs[r.app], strs[r.exec], strs[r.kind]
+	d.Stage, d.Task, d.Cores = int(r.stage), int(r.task), int(r.cores)
+	d.Bytes, d.Note = r.bytes, strs[r.note]
+}
+
 // chunkSize is how many events one chunk of a Bus holds. A long log
 // grows by whole chunks that are never copied, one allocation per
 // chunkSize events, instead of regrowing and copying the whole log.
 const chunkSize = 4096
+
+// internBits sizes a bus's intern cache at 1<<internBits slots.
+const internBits = 10
 
 // Bus is the listener-bus: an append-only collector plus fan-out to
 // subscribers. A nil *Bus is a valid no-op sink — every method does
 // nothing — so components run unlogged without guarding call sites.
 // Emission order is insertion order; a deterministic simulation therefore
 // yields an identical stream every run.
+//
+// The log is kept as 48-byte records without pointers (see record),
+// which decode back to the emitted events on the way out (Events, Merge,
+// WriteJSONL). Their strings live once each in a per-bus table. Emit
+// interns a string by its identity — the address of its bytes and its
+// length — through a small direct-mapped cache of table indexes, and
+// never reads or hashes its contents. Because Go strings are immutable,
+// two strings with the same address and length hold the same bytes. And
+// a hit is checked against the table entry itself, which keeps its bytes
+// alive, so no other string can have taken that address. A miss, or an
+// equal string at another address, only adds a duplicate table entry
+// that decodes to the same bytes. (Nothing in this module builds a
+// string over mutable memory with unsafe, which would break the first
+// guarantee.)
 type Bus struct {
 	mu     sync.Mutex
 	origin time.Time
 	// chunks hold the log in emission order; every chunk but the last
 	// is full. n counts the events across all of them.
-	chunks [][]Event
+	chunks [][]record
 	n      int
-	subs   []*func(Event)
+	// strs is the string table the records index; strs[0] is "". It is
+	// only appended to, so a prefix taken under mu stays valid.
+	strs []string
+	subs []*func(Event)
+	// cache holds, for each slot a string's identity hashes to, the
+	// index in strs of the last string interned there.
+	cache [1 << internBits]uint32
 }
 
 // NewBus returns a Bus whose time zero is origin; every emitted event's TS
 // is measured from it.
-func NewBus(origin time.Time) *Bus { return &Bus{origin: origin} }
+func NewBus(origin time.Time) *Bus { return &Bus{origin: origin, strs: []string{""}} }
 
 // Origin returns the bus's time zero.
 func (b *Bus) Origin() time.Time {
@@ -224,15 +281,21 @@ func (b *Bus) Subscribe(fn func(Event)) (detach func()) {
 	}
 }
 
-// Emit stamps e with the offset of at from the origin, validates its type,
-// appends it and fans it out. Unknown types panic: the vocabulary is
-// closed and a typo is a programming error, not a runtime condition.
+// Emit stamps e with the offset of at from the origin, validates it,
+// appends it and fans it out. An unknown type, or a Stage, Task or Cores
+// outside the int32 range, panics: the vocabulary is closed and a typo
+// or a runaway index is a programming error, not a runtime condition.
 func (b *Bus) Emit(at time.Time, e Event) {
 	if b == nil {
 		return
 	}
-	if !e.Type.Valid() {
+	typ, ok := typeIndex[e.Type]
+	if !ok {
 		panic(fmt.Sprintf("eventlog: unknown event type %q", string(e.Type)))
+	}
+	if int(int32(e.Stage)) != e.Stage || int(int32(e.Task)) != e.Task || int(int32(e.Cores)) != e.Cores {
+		panic(fmt.Sprintf("eventlog: %s event out of int32 range (stage %d, task %d, cores %d)",
+			e.Type, e.Stage, e.Task, e.Cores))
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -240,18 +303,41 @@ func (b *Bus) Emit(at time.Time, e Event) {
 	if b.n%chunkSize == 0 {
 		// The first chunk grows by append, so a short log costs what a
 		// plain slice would.
-		var c []Event
+		var c []record
 		if b.n > 0 {
-			c = make([]Event, 0, chunkSize)
+			c = make([]record, 0, chunkSize)
 		}
 		b.chunks = append(b.chunks, c)
 	}
 	last := len(b.chunks) - 1
-	b.chunks[last] = append(b.chunks[last], e)
+	b.chunks[last] = append(b.chunks[last], record{
+		ts: e.TS, bytes: e.Bytes,
+		stage: int32(e.Stage), task: int32(e.Task), cores: int32(e.Cores),
+		app: b.intern(e.App), exec: b.intern(e.Exec), kind: b.intern(e.Kind), note: b.intern(e.Note),
+		typ: typ,
+	})
 	b.n++
 	for _, fn := range b.subs {
 		(*fn)(e)
 	}
+}
+
+// intern returns the index of s in the string table, adding s on a
+// cache miss. A slot hits when the entry it names has s's address and
+// length; an empty slot names strs[0], whose length matches no non-empty
+// string. The caller holds b.mu.
+func (b *Bus) intern(s string) uint32 {
+	if s == "" {
+		return 0
+	}
+	p := unsafe.StringData(s)
+	slot := &b.cache[uint64(uintptr(unsafe.Pointer(p))+uintptr(len(s)))*0x9e3779b97f4a7c15>>(64-internBits)]
+	if t := b.strs[*slot]; unsafe.StringData(t) == p && len(t) == len(s) {
+		return *slot
+	}
+	*slot = uint32(len(b.strs))
+	b.strs = append(b.strs, s)
+	return *slot
 }
 
 // Len returns the number of events recorded so far.
@@ -270,8 +356,8 @@ func (b *Bus) Events() []Event { return Merge(b) }
 
 // WriteJSONL streams the log as one compact JSON object per line. Field
 // order is the Event struct order and values carry no floats, so the same
-// stream always serialises to the same bytes. It encodes chunk by chunk
-// under the bus lock, so the log is never copied.
+// stream always serialises to the same bytes. It decodes and encodes one
+// record at a time under the bus lock, so the log is never copied.
 func (b *Bus) WriteJSONL(w io.Writer) error {
 	if b == nil {
 		return nil
@@ -281,7 +367,9 @@ func (b *Bus) WriteJSONL(w io.Writer) error {
 	enc := newJSONLEncoder(w)
 	for _, c := range b.chunks {
 		for i := range c {
-			if err := enc.encode(&c[i]); err != nil {
+			var e Event
+			c[i].decode(&e, b.strs)
+			if err := enc.encode(&e); err != nil {
 				return err
 			}
 		}

@@ -1,15 +1,17 @@
 package eventlog
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 )
 
 // referenceMerge is the two-copy merge Merge replaced: snapshot each bus
-// into a flat slice, then repeatedly take the earliest head of all the
-// snapshots, ties to the earlier bus.
+// into a flat slice, decoding its records field by field, then repeatedly
+// take the earliest head of all the snapshots, ties to the earlier bus.
 func referenceMerge(buses ...*Bus) []Event {
 	streams := make([][]Event, 0, len(buses))
 	for _, b := range buses {
@@ -17,7 +19,14 @@ func referenceMerge(buses ...*Bus) []Event {
 		if b != nil {
 			b.mu.Lock()
 			for _, c := range b.chunks {
-				flat = append(flat, c...)
+				for _, r := range c {
+					flat = append(flat, Event{
+						TS: r.ts, Type: allTypes[r.typ],
+						App: b.strs[r.app], Exec: b.strs[r.exec], Kind: b.strs[r.kind],
+						Stage: int(r.stage), Task: int(r.task), Cores: int(r.cores),
+						Bytes: r.bytes, Note: b.strs[r.note],
+					})
+				}
 			}
 			b.mu.Unlock()
 		}
@@ -51,9 +60,11 @@ func referenceMerge(buses ...*Bus) []Event {
 // randomBus emits n events whose timestamps advance by 0–step µs, so
 // buses built alike tie with each other often. With disorder, one event
 // in 50 jumps back in time, which Merge must still place as the
-// reference does.
+// reference does. Apps repeat from a small set; one note in 8 is a fresh
+// string.
 func randomBus(rng *rand.Rand, id, n, step int, disorder bool) *Bus {
 	b := NewBus(testOrigin)
+	apps := []string{"", "j000-sparkpi", fmt.Sprintf("s%d-j001", id), "j002-pagerank"}
 	ts := int64(0)
 	for i := 0; i < n; i++ {
 		ts += int64(rng.Intn(step + 1))
@@ -63,6 +74,10 @@ func randomBus(rng *rand.Rand, id, n, step int, disorder bool) *Bus {
 		}
 		e := Ev(allTypes[rng.Intn(len(allTypes))])
 		e.Stage, e.Task = id, i
+		e.App, e.Bytes = apps[rng.Intn(len(apps))], int64(rng.Intn(3))<<40
+		if rng.Intn(8) == 0 {
+			e.Note = strconv.Itoa(rng.Intn(100))
+		}
 		b.Emit(testOrigin.Add(time.Duration(at)*time.Microsecond), e)
 	}
 	return b
