@@ -16,25 +16,43 @@ import (
 // to stdout. It fails the test on a non-zero exit code.
 func runCLI(t *testing.T, args ...string) []byte {
 	t.Helper()
-	savedFlags, savedArgs, savedOut := flag.CommandLine, os.Args, os.Stdout
-	defer func() { flag.CommandLine, os.Args, os.Stdout = savedFlags, savedArgs, savedOut }()
+	stdout, _ := runCLIStreams(t, args...)
+	return stdout
+}
+
+// runCLIStreams runs the command in-process with args and returns what it
+// wrote to stdout and to stderr. It fails the test on a non-zero exit code.
+func runCLIStreams(t *testing.T, args ...string) (stdout, stderr []byte) {
+	t.Helper()
+	savedFlags, savedArgs, savedOut, savedErr := flag.CommandLine, os.Args, os.Stdout, os.Stderr
+	defer func() { flag.CommandLine, os.Args, os.Stdout, os.Stderr = savedFlags, savedArgs, savedOut, savedErr }()
 	flag.CommandLine = flag.NewFlagSet("splitserve-cluster", flag.ContinueOnError)
 	os.Args = append([]string{"splitserve-cluster"}, args...)
-	out, err := os.Create(filepath.Join(t.TempDir(), "stdout"))
+	dir := t.TempDir()
+	out, err := os.Create(filepath.Join(dir, "stdout"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = out
+	errOut, err := os.Create(filepath.Join(dir, "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout, os.Stderr = out, errOut
 	code := run()
 	out.Close()
+	errOut.Close()
+	os.Stderr = savedErr
 	if code != 0 {
-		t.Fatalf("splitserve-cluster %s: exit %d", strings.Join(args, " "), code)
+		msg, _ := os.ReadFile(errOut.Name())
+		t.Fatalf("splitserve-cluster %s: exit %d\n%s", strings.Join(args, " "), code, msg)
 	}
-	buf, err := os.ReadFile(out.Name())
-	if err != nil {
+	if stdout, err = os.ReadFile(out.Name()); err != nil {
 		t.Fatal(err)
 	}
-	return buf
+	if stderr, err = os.ReadFile(errOut.Name()); err != nil {
+		t.Fatal(err)
+	}
+	return stdout, stderr
 }
 
 // cliGolden is one pinned invocation: its -report json output and the
