@@ -257,18 +257,21 @@ func run() int {
 	}
 	out := outputs{report: *report, eventLog: *eventLog, trace: *trace, attrib: *attribF}
 
-	// A production-shaped trace (tenant,arrival,runtime,cores) is replayed
-	// wholesale: every row becomes a job sized to its traced runtime and
-	// demand, so -jobs/-mix/-cores do not apply.
-	if path, ok := strings.CutPrefix(*arrival, "tracefile:"); ok && tracereplay.Detect(path) {
-		tr, err := tracereplay.Load(path)
-		if err != nil {
+	// A tracefile is read once, whichever of its two shapes it holds.
+	var tr *tracereplay.Trace
+	if path, ok := strings.CutPrefix(*arrival, "tracefile:"); ok {
+		if tr, err = tracereplay.Load(path); err != nil {
 			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 			return 2
 		}
 		for _, w := range tr.Warnings {
 			fmt.Fprintln(os.Stderr, "splitserve-cluster: warning:", w)
 		}
+	}
+	// A production-shaped trace (tenant,arrival,runtime,cores) is replayed
+	// wholesale: every row becomes a job sized to its traced runtime and
+	// demand, so -jobs/-mix/-cores do not apply.
+	if tr != nil && tr.Production() {
 		specs, err := tracereplay.Specs(tr, *seed)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
@@ -307,26 +310,19 @@ func run() int {
 		return 2
 	}
 
-	arrivals, err := cluster.ParseArrivals(*arrival, *jobs, *seed)
-	if err != nil {
+	// An offset tracefile gives the arrivals (its length wins over -jobs)
+	// and may pin some jobs' core demand and tenant per row; pinned cores
+	// bypass both the fixed default and the cost manager.
+	var arrivals []time.Duration
+	var rows []tracereplay.Row
+	if tr != nil {
+		rows = tr.Rows
+		for _, row := range rows {
+			arrivals = append(arrivals, row.Arrival)
+		}
+	} else if arrivals, err = cluster.ParseArrivals(*arrival, *jobs, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
 		return 2
-	}
-	// A tracefile may pin some jobs' core demand and tenant per row;
-	// pinned cores bypass both the fixed default and the cost manager.
-	var traceCores []int
-	var traceTenants []string
-	if path, ok := strings.CutPrefix(*arrival, "tracefile:"); ok {
-		tr, err := cluster.LoadArrivalTrace(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "splitserve-cluster:", err)
-			return 2
-		}
-		for _, w := range tr.Warnings {
-			fmt.Fprintln(os.Stderr, "splitserve-cluster: warning:", w)
-		}
-		traceCores = tr.Cores
-		traceTenants = tr.Tenants
 	}
 
 	coreList := make([]int, len(arrivals))
@@ -359,9 +355,9 @@ func run() int {
 			coreList[i] = fixedCores
 		}
 	}
-	for i, c := range traceCores {
-		if i < len(coreList) && c > 0 {
-			coreList[i] = c
+	for i, row := range rows {
+		if row.Cores > 0 {
+			coreList[i] = row.Cores
 			picks[i] = nil
 		}
 	}
@@ -376,8 +372,8 @@ func run() int {
 	// -tenants N labels the stream round-robin.
 	tenanted := false
 	for i := range specs {
-		if i < len(traceTenants) && traceTenants[i] != "" {
-			specs[i].Tenant = traceTenants[i]
+		if i < len(rows) && rows[i].Tenant != "" {
+			specs[i].Tenant = rows[i].Tenant
 		} else if *tenants > 0 {
 			specs[i].Tenant = fmt.Sprintf("t%02d", i%*tenants)
 		}

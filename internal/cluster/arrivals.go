@@ -1,15 +1,10 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
-	"unicode"
 
 	"splitserve/internal/simrand"
 )
@@ -23,12 +18,10 @@ import (
 //	                 GAP apart (e.g. "bursty:4x5m")
 //	trace:D1,D2,...  explicit offsets (e.g. "trace:0s,5s,5s,90s"); n is
 //	                 ignored — the trace length wins
-//	tracefile:PATH   offsets (and optionally per-job cores) from a CSV
-//	                 file, one "OFFSET" or "OFFSET,CORES" row per line;
-//	                 n is ignored — the file length wins
 //
 // Offsets are returned sorted ascending. The draw is deterministic in
-// (spec, n, seed).
+// (spec, n, seed). The package reads no files: the CLI's
+// "tracefile:PATH" arrivals are parsed by internal/tracereplay.
 func ParseArrivals(spec string, n int, seed uint64) ([]time.Duration, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("cluster: negative job count %d", n)
@@ -80,12 +73,6 @@ func ParseArrivals(spec string, n int, seed uint64) ([]time.Duration, error) {
 		// of the next; sort so the documented ascending contract holds.
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out, nil
-	case "tracefile":
-		tr, err := LoadArrivalTrace(arg)
-		if err != nil {
-			return nil, err
-		}
-		return tr.Offsets, nil
 	case "trace":
 		parts := strings.Split(arg, ",")
 		out := make([]time.Duration, 0, len(parts))
@@ -102,151 +89,6 @@ func ParseArrivals(spec string, n int, seed uint64) ([]time.Duration, error) {
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out, nil
 	default:
-		return nil, fmt.Errorf("cluster: unknown arrival spec %q (want poisson:MEAN, uniform:GAP, bursty:KxGAP, trace:... or tracefile:PATH)", spec)
+		return nil, fmt.Errorf("cluster: unknown arrival spec %q (want poisson:MEAN, uniform:GAP, bursty:KxGAP or trace:D1,D2,...; tracefile:PATH is read by tracereplay.Load)", spec)
 	}
-}
-
-// ArrivalTrace is a parsed tracefile: arrival offsets sorted ascending,
-// plus parallel Cores and Tenants slices (0 / "" where a row gave no
-// core count or tenant). The slices are reordered together, so Cores[i]
-// and Tenants[i] always belong to Offsets[i].
-type ArrivalTrace struct {
-	Offsets []time.Duration
-	Cores   []int
-	Tenants []string
-	// Warnings collects non-fatal input oddities — a skipped header row,
-	// rows that arrived out of order (sorted; warned once) — so the CLI
-	// can surface them without failing the run.
-	Warnings []string
-}
-
-// Tenanted reports whether any row carried a tenant label.
-func (tr *ArrivalTrace) Tenanted() bool {
-	for _, t := range tr.Tenants {
-		if t != "" {
-			return true
-		}
-	}
-	return false
-}
-
-// maxTraceFileBytes caps how much of a tracefile is read — a malformed
-// path (FIFO, device, huge file) fails fast instead of wedging the CLI.
-const maxTraceFileBytes = 1 << 20
-
-// LoadArrivalTrace reads a CSV arrival trace from path. Only regular files
-// up to 1 MiB are accepted.
-func LoadArrivalTrace(path string) (*ArrivalTrace, error) {
-	if path == "" {
-		return nil, fmt.Errorf("cluster: tracefile: empty path")
-	}
-	fi, err := os.Stat(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: tracefile: %w", err)
-	}
-	if !fi.Mode().IsRegular() {
-		return nil, fmt.Errorf("cluster: tracefile %s: not a regular file", path)
-	}
-	if fi.Size() > maxTraceFileBytes {
-		return nil, fmt.Errorf("cluster: tracefile %s: %d bytes exceeds the %d-byte cap", path, fi.Size(), maxTraceFileBytes)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: tracefile: %w", err)
-	}
-	defer f.Close()
-	tr, err := ParseArrivalTrace(io.LimitReader(f, maxTraceFileBytes))
-	if err != nil {
-		return nil, fmt.Errorf("cluster: tracefile %s: %w", path, err)
-	}
-	return tr, nil
-}
-
-// ParseArrivalTrace parses CSV rows of the form "OFFSET", "OFFSET,CORES"
-// or "OFFSET,CORES,TENANT" (e.g. "30s,4,t02"; an empty CORES field —
-// "30s,,t02" — means "no pin"). Blank lines and lines starting with '#'
-// are skipped, as is a leading header row ("offset,cores,tenant" style —
-// production trace exports usually carry one); CRLF line endings are
-// tolerated. Malformed rows are rejected with their line number. Rows are
-// sorted by offset (stably, so equal offsets keep file order) before
-// returning; when the input was out of order, a single warning is
-// recorded rather than an error — published traces are frequently sorted
-// by tenant, not time.
-func ParseArrivalTrace(r io.Reader) (*ArrivalTrace, error) {
-	type row struct {
-		offset time.Duration
-		cores  int
-		tenant string
-	}
-	var rows []row
-	var warnings []string
-	sc := bufio.NewScanner(r)
-	line := 0
-	sorted := true
-	for sc.Scan() {
-		line++
-		s := strings.TrimSpace(sc.Text()) // also strips a trailing \r
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		fields := strings.Split(s, ",")
-		if len(fields) > 3 {
-			return nil, fmt.Errorf("line %d: %d fields (want OFFSET[,CORES[,TENANT]])", line, len(fields))
-		}
-		off := strings.TrimSpace(fields[0])
-		d, err := time.ParseDuration(off)
-		if err != nil {
-			// Header tolerance: an unparsable first data row that contains
-			// letters ("offset,cores,tenant") is skipped with a warning;
-			// anything later is a data error.
-			if len(rows) == 0 && strings.IndexFunc(off, unicode.IsLetter) >= 0 {
-				warnings = append(warnings, fmt.Sprintf("line %d: skipped header row %q", line, s))
-				continue
-			}
-			return nil, fmt.Errorf("line %d: bad offset %q", line, off)
-		}
-		if d < 0 {
-			return nil, fmt.Errorf("line %d: bad offset %q", line, off)
-		}
-		cores := 0
-		if len(fields) >= 2 {
-			if cs := strings.TrimSpace(fields[1]); cs != "" {
-				c, err := strconv.Atoi(cs)
-				if err != nil || c < 1 {
-					return nil, fmt.Errorf("line %d: bad cores %q", line, cs)
-				}
-				cores = c
-			}
-		}
-		tenant := ""
-		if len(fields) == 3 {
-			tenant = strings.TrimSpace(fields[2])
-		}
-		if len(rows) > 0 && d < rows[len(rows)-1].offset {
-			sorted = false
-		}
-		rows = append(rows, row{offset: d, cores: cores, tenant: tenant})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("empty trace")
-	}
-	if !sorted {
-		warnings = append(warnings, "arrivals out of order: sorted rows by offset")
-		sort.SliceStable(rows, func(i, j int) bool { return rows[i].offset < rows[j].offset })
-	}
-	tr := &ArrivalTrace{
-		Offsets:  make([]time.Duration, len(rows)),
-		Cores:    make([]int, len(rows)),
-		Tenants:  make([]string, len(rows)),
-		Warnings: warnings,
-	}
-	for i, rw := range rows {
-		tr.Offsets[i] = rw.offset
-		tr.Cores[i] = rw.cores
-		tr.Tenants[i] = rw.tenant
-	}
-	return tr, nil
 }

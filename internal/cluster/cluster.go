@@ -415,7 +415,7 @@ func New(cfg Config) (*Scheduler, error) {
 	// (sized by the platform's per-environment ephemeral cap) and a
 	// provisioned-concurrency pool whose environment lifetime is the
 	// platform's. Environment recycling drops the environment's cache.
-	store := storage.Store(fs.Store())
+	store := storage.Store(fs)
 	var tmpCache *warmpool.TmpCache
 	if cfg.TmpCache {
 		tmpCache = warmpool.NewTmpCache(clock, bus, store, warmpool.CacheOptions{
@@ -890,7 +890,7 @@ func Baseline(w workloads.Workload, cores int, seed uint64) (time.Duration, erro
 		Clock:               clock,
 		Net:                 net,
 		Provider:            provider,
-		Store:               fs.Store(),
+		Store:               fs,
 		Backend:             engine.NewStandalone(engine.StandaloneConfig{VMs: vms, UsableCores: cores}),
 		Alloc:               engine.DefaultAllocConfig(engine.AllocStatic, cores, cores),
 		StageLaunchOverhead: engine.DefaultStageLaunchOverhead,

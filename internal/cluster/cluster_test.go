@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -279,6 +280,10 @@ func TestParseArrivals(t *testing.T) {
 	}
 	if _, err := ParseArrivals("poisson:-3s", 3, 1); err == nil {
 		t.Error("negative mean should error")
+	}
+	// The package reads no files; the error points at the reader that does.
+	if _, err := ParseArrivals("tracefile:arrivals.csv", 3, 1); err == nil || !strings.Contains(err.Error(), "tracereplay.Load") {
+		t.Errorf("tracefile spec: error %v, want a pointer to tracereplay.Load", err)
 	}
 	uni, err := ParseArrivals("uniform:10s", 3, 1)
 	if err != nil || len(uni) != 3 || uni[2] != 20*time.Second {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -17,7 +16,7 @@ func FuzzParseArrivals(f *testing.F) {
 		"trace:0s,5s,5s,90s",
 		"poisson:-3s", "bursty:0x1s", "bursty:4x", "trace:", "trace:,",
 		"nope", "", ":", "poisson:", "uniform:nan", "trace:-1s",
-		"tracefile:", "tracefile:/nonexistent", "tracefile:/dev/null",
+		"trace:90s,0s,5s", "uniform:0s", "bursty:1x1s",
 	} {
 		f.Add(spec, 4, uint64(1))
 	}
@@ -38,50 +37,6 @@ func FuzzParseArrivals(f *testing.F) {
 		for _, d := range out {
 			if d < 0 {
 				t.Errorf("ParseArrivals(%q, %d) produced negative offset %v", spec, n, d)
-			}
-		}
-	})
-}
-
-// FuzzParseArrivalTrace feeds arbitrary CSV bytes to the tracefile
-// parser. The contract: never panic, errors carry a line number, and any
-// accepted trace yields sorted non-negative offsets with Cores and
-// Tenants slices of equal length (cores zero-or-positive).
-func FuzzParseArrivalTrace(f *testing.F) {
-	for _, csv := range []string{
-		"0s\n5s\n", "30s,4\n0s\n10s,2\n", "# comment\n\n1m\n",
-		"5s,0\n", "5s,-1\n", "5s,x\n", "bogus\n", "1s,2,3,4\n", "-1s\n", "",
-		// Tenant column, empty-cores, header, CRLF and out-of-order shapes.
-		"0s,4,t00\n5s,2,t01\n", "30s,,t02\n", "offset,cores,tenant\n1s,2,t00\n",
-		"0s,4,t00\r\n5s,2,t01\r\n", "10s,1,t01\n0s,1,t00\n",
-		"offset,cores,tenant\n", "header\n-1s\n",
-	} {
-		f.Add([]byte(csv))
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := ParseArrivalTrace(strings.NewReader(string(data)))
-		if err != nil {
-			if tr != nil {
-				t.Errorf("ParseArrivalTrace returned both a trace and error %v", err)
-			}
-			if !strings.Contains(err.Error(), "line ") && err.Error() != "empty trace" {
-				t.Errorf("error without a line number: %v", err)
-			}
-			return
-		}
-		if len(tr.Offsets) == 0 || len(tr.Cores) != len(tr.Offsets) || len(tr.Tenants) != len(tr.Offsets) {
-			t.Fatalf("accepted trace malformed: %d offsets, %d cores, %d tenants",
-				len(tr.Offsets), len(tr.Cores), len(tr.Tenants))
-		}
-		if !sort.SliceIsSorted(tr.Offsets, func(i, j int) bool { return tr.Offsets[i] < tr.Offsets[j] }) {
-			t.Errorf("offsets not ascending: %v", tr.Offsets)
-		}
-		for i := range tr.Offsets {
-			if tr.Offsets[i] < 0 {
-				t.Errorf("negative offset %v", tr.Offsets[i])
-			}
-			if tr.Cores[i] < 0 {
-				t.Errorf("negative cores %d", tr.Cores[i])
 			}
 		}
 	})

@@ -47,7 +47,7 @@ func newFixture(t *testing.T, cfg Config, execs int, slo time.Duration, store st
 	master := provider.ProvisionReadyVM(cloud.M4XLarge)
 	fs := hdfs.NewCluster(clock, net, []*netsim.Pool{master.EBS})
 	if store == nil {
-		store = fs.Store()
+		store = fs
 	}
 	backend := New(cfg)
 	bus := eventlog.NewBus(simclock.Epoch)
@@ -139,7 +139,7 @@ func TestHybridLaunchSplitsAcrossSubstrates(t *testing.T) {
 func mustCluster(t *testing.T, f *fixture, cfg Config, execs int, slo time.Duration, store storage.Store) *engine.Cluster {
 	t.Helper()
 	if store == nil {
-		store = f.fs.Store()
+		store = f.fs
 	}
 	f.backend = New(cfg)
 	cluster, err := engine.New(engine.Config{

@@ -276,7 +276,7 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 		backend = ss
 		alloc = engine.DefaultAllocConfig(engine.AllocStatic, sc.R, sc.R)
 	case SSFullVM, SSLambda, SSHybrid, SSHybridSegue:
-		store = fs.Store()
+		store = fs
 		free := 0
 		switch sc.Kind {
 		case SSFullVM:

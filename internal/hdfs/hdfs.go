@@ -19,6 +19,8 @@ import (
 	"splitserve/internal/storage"
 )
 
+var _ storage.Store = (*Cluster)(nil)
+
 // Namespace errors.
 var (
 	ErrNotFound = errors.New("hdfs: no such file")
@@ -80,11 +82,27 @@ func (c *Cluster) pools(cl storage.Client) []*netsim.Pool {
 	return append(append([]*netsim.Pool(nil), cl.Net...), c.datanode...)
 }
 
-// WriteBatch creates several files with one namenode round trip and a
+// Name implements storage.Store.
+func (c *Cluster) Name() string { return "hdfs" }
+
+// Durable implements storage.Store: HDFS survives executor/host loss.
+func (c *Cluster) Durable() bool { return true }
+
+// DropHost implements storage.Store: HDFS data does not live on executor
+// hosts, so nothing is lost.
+func (c *Cluster) DropHost(string) {}
+
+// PutAll implements storage.Store: it creates one file per block (block
+// IDs are used verbatim as paths; they already follow the paper's
+// /shuffle/<app>/<executor>/... layout) with one namenode round trip and a
 // single pipelined transfer of their total bytes — how a shuffle map task
 // writes its per-reducer files (sequentially over one connection). If any
 // file already exists, none is created. done is called exactly once.
-func (c *Cluster) WriteBatch(files []storage.Block, cl storage.Client, done func(error)) {
+func (c *Cluster) PutAll(files []storage.Block, cl storage.Client, done func(error)) {
+	if len(files) == 0 {
+		c.clock.After(0, func() { done(nil) })
+		return
+	}
 	c.insts.opWrite.Inc()
 	begun := c.clock.Now()
 	var total int64
@@ -110,10 +128,11 @@ func (c *Cluster) WriteBatch(files []storage.Block, cl storage.Client, done func
 	})
 }
 
-// ReadMany fetches several files with one namenode round trip and one
-// coalesced flow of their summed sizes — how the engine's shuffle reader
-// consumes map outputs. done is called exactly once.
-func (c *Cluster) ReadMany(paths []string, cl storage.Client, done func([]storage.Block, error)) {
+// FetchAll implements storage.Store: it reads several files with one
+// namenode round trip and one coalesced flow of their summed sizes — how
+// the engine's shuffle reader consumes map outputs. done is called exactly
+// once.
+func (c *Cluster) FetchAll(paths []string, cl storage.Client, done func([]storage.Block, error)) {
 	c.insts.opRead.Inc()
 	begun := c.clock.Now()
 	finish := func(out []storage.Block, total int64) {

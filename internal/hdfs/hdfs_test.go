@@ -28,14 +28,14 @@ func newFixture() *fixture {
 	}
 }
 
-// write creates one file through WriteBatch.
+// write creates one file through PutAll.
 func (f *fixture) write(path string, payload any, size int64, done func(error)) {
-	f.fs.WriteBatch([]storage.Block{{ID: path, Payload: payload, Size: size}}, f.cl, done)
+	f.fs.PutAll([]storage.Block{{ID: path, Payload: payload, Size: size}}, f.cl, done)
 }
 
-// read fetches one file through ReadMany.
+// read fetches one file through FetchAll.
 func (f *fixture) read(path string, cl storage.Client, done func(storage.Block, error)) {
-	f.fs.ReadMany([]string{path}, cl, func(bs []storage.Block, err error) {
+	f.fs.FetchAll([]string{path}, cl, func(bs []storage.Block, err error) {
 		if err != nil {
 			done(storage.Block{}, err)
 			return
@@ -85,7 +85,7 @@ func TestDuplicateWriteFails(t *testing.T) {
 	var gotErr error
 	f.write("/f", nil, 10, func(error) {
 		batch := []storage.Block{{ID: "/g", Size: 10}, {ID: "/f", Size: 10}}
-		f.fs.WriteBatch(batch, f.cl, func(err error) { gotErr = err })
+		f.fs.PutAll(batch, f.cl, func(err error) { gotErr = err })
 	})
 	f.clock.Run()
 	if !errors.Is(gotErr, ErrExists) {
@@ -114,9 +114,9 @@ func TestReadManyCoalesces(t *testing.T) {
 	f.clock.Run()
 	start := f.clock.Now()
 	var doneAt time.Time
-	f.fs.ReadMany([]string{"/a", "/b"}, f.cl, func(bs []storage.Block, err error) {
+	f.fs.FetchAll([]string{"/a", "/b"}, f.cl, func(bs []storage.Block, err error) {
 		if err != nil || len(bs) != 2 {
-			t.Errorf("ReadMany: %v %d", err, len(bs))
+			t.Errorf("FetchAll: %v %d", err, len(bs))
 		}
 		doneAt = f.clock.Now()
 	})
@@ -124,7 +124,7 @@ func TestReadManyCoalesces(t *testing.T) {
 	got := doneAt.Sub(start)
 	want := 2*time.Second + metaLatency
 	if got != want {
-		t.Fatalf("ReadMany took %v, want %v", got, want)
+		t.Fatalf("FetchAll took %v, want %v", got, want)
 	}
 }
 

@@ -44,7 +44,6 @@ func parityRun(t *testing.T) ([]byte, map[string]error) {
 	fs.SetEventLog(bus, "parity")
 	hub := telemetry.New(clock)
 	fs.SetTelemetry(hub)
-	store := fs.Store()
 
 	vm := storage.Client{HostID: "vm-1", Net: []*netsim.Pool{net.NewPool("vm-1-nic", netsim.Mbps(1000))}}
 	lambda := storage.Client{
@@ -70,12 +69,12 @@ func parityRun(t *testing.T) ([]byte, map[string]error) {
 	}
 	put := func(at time.Duration, step string, cl storage.Client, blocks []storage.Block) {
 		clock.At(simclock.Epoch.Add(at), func() {
-			store.PutAll(blocks, cl, func(err error) { record(step, err, nil) })
+			fs.PutAll(blocks, cl, func(err error) { record(step, err, nil) })
 		})
 	}
 	fetch := func(at time.Duration, step string, cl storage.Client, ids ...string) {
 		clock.At(simclock.Epoch.Add(at), func() {
-			store.FetchAll(ids, cl, func(bs []storage.Block, err error) { record(step, err, bs) })
+			fs.FetchAll(ids, cl, func(bs []storage.Block, err error) { record(step, err, bs) })
 		})
 	}
 	const mb = 1 << 20

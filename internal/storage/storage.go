@@ -8,9 +8,10 @@
 //   - Local (this package): blocks live on the writing host; reads from
 //     other hosts traverse the source host's disk and NIC; losing a host
 //     loses its blocks — which is what forces Spark's lineage rollback.
-//   - HDFS (internal/hdfs + adapter in internal/spark/shuffle): the paper's
+//   - HDFS (internal/hdfs, whose Cluster is a Store): the paper's
 //     SplitServe state-transfer facility.
-//   - S3 (internal/s3q + adapter): the Qubole Spark-on-Lambda baseline.
+//   - S3 (internal/s3q, through its BucketView): the Qubole
+//     Spark-on-Lambda baseline.
 //
 // All operations are asynchronous on the simulation clock: time is charged
 // through netsim flows and per-request latencies, and payloads (real Go

@@ -1,11 +1,14 @@
-// Package tracereplay ingests production-shaped arrival traces — the
-// Azure-Functions / Google-cluster row shape of (tenant, arrival,
-// runtime, demand) — and replays them through the sharded control plane.
-// It owns three things: the CSV parser (header rows, CRLF, out-of-order
-// arrivals tolerated, like the legacy tracefile parser), a deterministic
-// synthetic multi-tenant trace generator (the committed test fixture
-// comes from it), and replay validation that compares the merged report's
-// per-tenant tables against the trace's empirical distributions.
+// Package tracereplay reads the CSV arrival traces behind
+// `-arrival tracefile:PATH` and replays them through the sharded control
+// plane. A trace comes in one of two shapes: production rows in the
+// Azure-Functions / Google-cluster shape of (tenant, arrival, runtime,
+// demand), or offset rows that give only an arrival offset, optionally
+// with a core pin and a tenant. Both go through one parser (header rows,
+// comments, CRLF and out-of-order arrivals tolerated the same way). The
+// package also owns a deterministic synthetic multi-tenant trace generator
+// (the committed test fixture comes from it) and replay validation that
+// compares the merged report's per-tenant tables against the trace's
+// empirical distributions.
 package tracereplay
 
 import (
@@ -27,18 +30,20 @@ import (
 
 // Row is one traced job submission.
 type Row struct {
-	// Tenant is the submitting tenant's id.
+	// Tenant is the submitting tenant's id ("" on an offset row without
+	// one).
 	Tenant string
 	// Arrival is the submission offset from the start of the trace.
 	Arrival time.Duration
-	// Runtime is the job's traced execution time at full provisioning.
+	// Runtime is the job's traced execution time at full provisioning;
+	// offset rows carry none (0).
 	Runtime time.Duration
-	// Cores is the job's core demand.
+	// Cores is the job's core demand; 0 on an offset row means unpinned.
 	Cores int
 }
 
-// Trace is a parsed production trace: rows sorted by arrival (stably, so
-// equal arrivals keep file order).
+// Trace is a parsed trace: rows sorted by arrival (stably, so equal
+// arrivals keep file order).
 type Trace struct {
 	Rows []Row
 	// Warnings records non-fatal input oddities (skipped header,
@@ -46,22 +51,41 @@ type Trace struct {
 	Warnings []string
 }
 
-// maxTraceFileBytes caps how much of a trace file is read, matching the
-// legacy tracefile cap.
+// Production reports whether the trace holds production rows
+// (TENANT,ARRIVAL,RUNTIME,CORES) rather than offset rows, which carry no
+// runtime.
+func (tr *Trace) Production() bool { return len(tr.Rows) > 0 && tr.Rows[0].Runtime > 0 }
+
+// maxTraceFileBytes caps how much of a trace file is read — a malformed
+// path (FIFO, device, huge file) fails fast instead of wedging the CLI.
 const maxTraceFileBytes = 1 << 20
 
 // Header is the canonical column header the generator writes and the
 // parser skips.
 const Header = "tenant,arrival,runtime,cores"
 
-// Parse reads CSV rows of the form "TENANT,ARRIVAL,RUNTIME,CORES"
-// (e.g. "t03,90s,45s,4"). ARRIVAL and RUNTIME accept Go durations
-// ("1m30s") or plain numbers meaning seconds ("90.5" — the unit most
-// published traces use). Blank lines, '#' comments, a leading header row
-// and CRLF endings are tolerated; out-of-order arrivals are sorted with a
-// single warning.
+// Parse reads a CSV trace in one of two shapes, picked by the column count
+// of the first non-blank, non-comment line (a header row counts):
+//
+//   - four columns are production rows "TENANT,ARRIVAL,RUNTIME,CORES"
+//     (e.g. "t03,90s,45s,4"). ARRIVAL and RUNTIME accept Go durations
+//     ("1m30s") or plain numbers meaning seconds ("90.5" — the unit most
+//     published traces use).
+//   - one to three columns are offset rows "OFFSET", "OFFSET,CORES" or
+//     "OFFSET,CORES,TENANT" (e.g. "30s,4,t02"). OFFSET is a Go duration;
+//     an empty or missing CORES field ("30s,,t02") means "no pin" and
+//     leaves Cores 0. Offset rows have Runtime 0.
+//
+// Blank lines, '#' comments, leading header rows and CRLF endings are
+// tolerated; out-of-order arrivals are sorted with a single warning —
+// published traces are frequently sorted by tenant, not time. Malformed
+// rows are rejected with their line number.
 func Parse(r io.Reader) (*Trace, error) {
 	tr := &Trace{}
+	// rowOf maps one row's fields to a Row, or reports a header row while
+	// no row has been accepted (first); key names the sort column.
+	var rowOf func(fields []string, first bool) (r Row, header bool, err error)
+	var key string
 	sc := bufio.NewScanner(r)
 	line := 0
 	sorted := true
@@ -72,33 +96,24 @@ func Parse(r io.Reader) (*Trace, error) {
 			continue
 		}
 		fields := strings.Split(s, ",")
-		if len(fields) != 4 {
-			return nil, fmt.Errorf("line %d: %d fields (want TENANT,ARRIVAL,RUNTIME,CORES)", line, len(fields))
+		if rowOf == nil {
+			rowOf, key = offsetRow, "offset"
+			if len(fields) == 4 {
+				rowOf, key = productionRow, "arrival"
+			}
 		}
-		tenant := strings.TrimSpace(fields[0])
-		arrival, aerr := parseDur(fields[1])
-		runtime, rerr := parseDur(fields[2])
-		if len(tr.Rows) == 0 && (aerr != nil || rerr != nil) && looksLikeHeader(fields) {
+		row, header, err := rowOf(fields, len(tr.Rows) == 0)
+		if err != nil {
+			return nil, fmt.Errorf("line %d: %w", line, err)
+		}
+		if header {
 			tr.Warnings = append(tr.Warnings, fmt.Sprintf("line %d: skipped header row %q", line, s))
 			continue
 		}
-		if tenant == "" {
-			return nil, fmt.Errorf("line %d: empty tenant", line)
-		}
-		if aerr != nil || arrival < 0 {
-			return nil, fmt.Errorf("line %d: bad arrival %q", line, strings.TrimSpace(fields[1]))
-		}
-		if rerr != nil || runtime <= 0 {
-			return nil, fmt.Errorf("line %d: bad runtime %q", line, strings.TrimSpace(fields[2]))
-		}
-		cores, err := strconv.Atoi(strings.TrimSpace(fields[3]))
-		if err != nil || cores < 1 {
-			return nil, fmt.Errorf("line %d: bad cores %q", line, strings.TrimSpace(fields[3]))
-		}
-		if len(tr.Rows) > 0 && arrival < tr.Rows[len(tr.Rows)-1].Arrival {
+		if len(tr.Rows) > 0 && row.Arrival < tr.Rows[len(tr.Rows)-1].Arrival {
 			sorted = false
 		}
-		tr.Rows = append(tr.Rows, Row{Tenant: tenant, Arrival: arrival, Runtime: runtime, Cores: cores})
+		tr.Rows = append(tr.Rows, row)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
@@ -107,10 +122,69 @@ func Parse(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("empty trace")
 	}
 	if !sorted {
-		tr.Warnings = append(tr.Warnings, "arrivals out of order: sorted rows by arrival")
+		tr.Warnings = append(tr.Warnings, "arrivals out of order: sorted rows by "+key)
 		sort.SliceStable(tr.Rows, func(i, j int) bool { return tr.Rows[i].Arrival < tr.Rows[j].Arrival })
 	}
 	return tr, nil
+}
+
+// productionRow maps "TENANT,ARRIVAL,RUNTIME,CORES". A first row whose
+// ARRIVAL or RUNTIME does not parse and whose every field holds a letter
+// is a header.
+func productionRow(f []string, first bool) (Row, bool, error) {
+	if len(f) != 4 {
+		return Row{}, false, fmt.Errorf("%d fields (want TENANT,ARRIVAL,RUNTIME,CORES)", len(f))
+	}
+	tenant := strings.TrimSpace(f[0])
+	arrival, aerr := parseDur(f[1])
+	runtime, rerr := parseDur(f[2])
+	if first && (aerr != nil || rerr != nil) && looksLikeHeader(f) {
+		return Row{}, true, nil
+	}
+	if tenant == "" {
+		return Row{}, false, fmt.Errorf("empty tenant")
+	}
+	if aerr != nil || arrival < 0 {
+		return Row{}, false, fmt.Errorf("bad arrival %q", strings.TrimSpace(f[1]))
+	}
+	if rerr != nil || runtime <= 0 {
+		return Row{}, false, fmt.Errorf("bad runtime %q", strings.TrimSpace(f[2]))
+	}
+	cores, err := strconv.Atoi(strings.TrimSpace(f[3]))
+	if err != nil || cores < 1 {
+		return Row{}, false, fmt.Errorf("bad cores %q", strings.TrimSpace(f[3]))
+	}
+	return Row{Tenant: tenant, Arrival: arrival, Runtime: runtime, Cores: cores}, false, nil
+}
+
+// offsetRow maps "OFFSET[,CORES[,TENANT]]". A first row whose OFFSET does
+// not parse but holds a letter ("offset,cores,tenant") is a header.
+func offsetRow(f []string, first bool) (Row, bool, error) {
+	if len(f) > 3 {
+		return Row{}, false, fmt.Errorf("%d fields (want OFFSET[,CORES[,TENANT]])", len(f))
+	}
+	off := strings.TrimSpace(f[0])
+	d, err := time.ParseDuration(off)
+	if err != nil && first && strings.IndexFunc(off, unicode.IsLetter) >= 0 {
+		return Row{}, true, nil
+	}
+	if err != nil || d < 0 {
+		return Row{}, false, fmt.Errorf("bad offset %q", off)
+	}
+	row := Row{Arrival: d}
+	if len(f) >= 2 {
+		if cs := strings.TrimSpace(f[1]); cs != "" {
+			c, err := strconv.Atoi(cs)
+			if err != nil || c < 1 {
+				return Row{}, false, fmt.Errorf("bad cores %q", cs)
+			}
+			row.Cores = c
+		}
+	}
+	if len(f) == 3 {
+		row.Tenant = strings.TrimSpace(f[2])
+	}
+	return row, false, nil
 }
 
 // parseDur accepts a Go duration ("1m30s") or a bare number of seconds
@@ -132,8 +206,8 @@ func looksLikeHeader(fields []string) bool {
 	return true
 }
 
-// Load reads a production trace from path. Only regular files up to
-// 1 MiB are accepted, like the legacy tracefile loader.
+// Load reads a trace of either shape from path. Only regular files up to
+// 1 MiB are accepted.
 func Load(path string) (*Trace, error) {
 	if path == "" {
 		return nil, fmt.Errorf("tracereplay: empty path")
@@ -160,39 +234,21 @@ func Load(path string) (*Trace, error) {
 	return tr, nil
 }
 
-// Detect reports whether path looks like a production trace (first data
-// row has the 4-column TENANT,ARRIVAL,RUNTIME,CORES shape) rather than a
-// legacy OFFSET[,CORES[,TENANT]] tracefile. It reads only the first
-// non-comment line.
-func Detect(path string) bool {
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(io.LimitReader(f, 64<<10))
-	for sc.Scan() {
-		s := strings.TrimSpace(sc.Text())
-		if s == "" || strings.HasPrefix(s, "#") {
-			continue
-		}
-		return len(strings.Split(s, ",")) == 4
-	}
-	return false
-}
-
 // runtimeGrid quantizes traced runtimes so Specs reuses baselines (and
 // workload shapes) across jobs with near-identical runtimes: 250 ms
 // buckets with a 250 ms floor.
 const runtimeGrid = 250 * time.Millisecond
 
-// Specs converts the trace into cluster job specs: every row becomes a
+// Specs converts a production trace into cluster job specs: every row becomes a
 // sparkpi job sized so its full-provisioning execution time tracks the
 // traced runtime (quantized to the 250 ms grid), labelled with the row's
 // tenant. Baselines are measured once per distinct (runtime bucket,
 // cores) shape and cached, so 10k-row traces need only a handful of
 // baseline runs.
 func Specs(tr *Trace, seed uint64) ([]cluster.JobSpec, error) {
+	if !tr.Production() {
+		return nil, fmt.Errorf("tracereplay: specs need production rows (%s)", Header)
+	}
 	cal := cluster.NewBaselineCache(seed)
 	specs := make([]cluster.JobSpec, 0, len(tr.Rows))
 	for _, row := range tr.Rows {

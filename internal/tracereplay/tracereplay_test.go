@@ -3,6 +3,7 @@ package tracereplay
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -41,7 +42,8 @@ func TestParseShapes(t *testing.T) {
 		csv  string
 		want string
 	}{
-		{"t00,1\n", "line 1"},
+		// Two columns pick the offset shape, where "t00" is a header.
+		{"t00,1\n", "empty trace"},
 		{"t00,1,2,3,4\n", "line 1"},
 		{",1,2,2\n", "empty tenant"},
 		{"t00,-1,2,2\n", "bad arrival"},
@@ -56,23 +58,186 @@ func TestParseShapes(t *testing.T) {
 	}
 }
 
-func TestDetect(t *testing.T) {
+// TestParsePicksShape: the first data row's column count (a header row
+// counts) picks the shape for the whole file.
+func TestParsePicksShape(t *testing.T) {
+	for _, tc := range []struct {
+		csv        string
+		production bool
+		err        string
+	}{
+		{csv: "tenant,arrival,runtime,cores\nt00,1,2,2\n", production: true},
+		{csv: "# trace\n30s,4,t00\n"},
+		{csv: "\n# c\nt00,1,2,2\n", production: true},
+		{csv: "30s\n", production: false},
+		{csv: "t00,1,2,2\n5s\n", err: "line 2: 1 fields (want TENANT,ARRIVAL,RUNTIME,CORES)"},
+		{csv: "5s\nt00,1,2,2\n", err: "line 2: 4 fields (want OFFSET[,CORES[,TENANT]])"},
+		{csv: "offset,cores,tenant\nt00,1,2,2\n", err: "line 2: 4 fields"},
+	} {
+		tr, err := Parse(strings.NewReader(tc.csv))
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("Parse(%q): error %v, want %q", tc.csv, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Parse(%q): %v", tc.csv, err)
+			continue
+		}
+		if tr.Production() != tc.production {
+			t.Errorf("Parse(%q).Production() = %v, want %v", tc.csv, tr.Production(), tc.production)
+		}
+	}
+}
+
+// TestParseLongPreamble: the shape comes from the first data row however
+// far into the file it starts. The sniffing Parse replaced read only the
+// first 64 KiB, so it sent this file to the offset parser, which rejected
+// its 4-column rows.
+func TestParseLongPreamble(t *testing.T) {
+	csv := strings.Repeat("# "+strings.Repeat("x", 1000)+"\n", 70) + "t00,1,2,2\n"
+	tr, err := Parse(strings.NewReader(csv))
+	if err != nil || !tr.Production() || len(tr.Rows) != 1 {
+		t.Fatalf("Parse: %+v, %v", tr, err)
+	}
+	if legacyDetect([]byte(csv)) {
+		t.Error("the old sniffing now sees past 64 KiB; TestParseLongPreamble is stale")
+	}
+}
+
+// TestParseOffsetRows covers OFFSET and OFFSET,CORES rows: comments, blank
+// lines, spaces around fields and out-of-order rows, and each malformed
+// row rejected with its line number.
+func TestParseOffsetRows(t *testing.T) {
+	tr, err := Parse(strings.NewReader(
+		"# arrival trace\n\n30s,4\n0s\n10s, 2 \n"))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	want := []Row{{Arrival: 0}, {Arrival: 10 * time.Second, Cores: 2}, {Arrival: 30 * time.Second, Cores: 4}}
+	if len(tr.Rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(tr.Rows), len(want))
+	}
+	for i := range want {
+		if tr.Rows[i] != want[i] {
+			t.Fatalf("row %d = %+v, want %+v", i, tr.Rows[i], want[i])
+		}
+	}
+	if tr.Production() {
+		t.Error("offset rows reported as production rows")
+	}
+	// Offset rows carry no runtime or demand to size a replayed job from.
+	if _, err := Specs(tr, 1); err == nil {
+		t.Error("Specs accepted offset rows")
+	}
+
+	for _, tc := range []struct {
+		csv  string
+		line string
+	}{
+		{"5s\nbogus\n", "line 2"},
+		{"5s,-1\n", "line 1"},
+		{"5s,0\n", "line 1"},
+		{"5s,2,t0,extra\n", "line 1"},
+		{"-1s\n", "line 1"},
+		{"5\n", "line 1"},           // offsets need a unit
+		{"header\n-1s\n", "line 2"}, // header skip never hides a data error
+		{"# only comments\n\n", "empty trace"},
+		{"offset,cores,tenant\n", "empty trace"}, // header-only file
+	} {
+		_, err := Parse(strings.NewReader(tc.csv))
+		if err == nil || !strings.Contains(err.Error(), tc.line) {
+			t.Errorf("Parse(%q): error %v, want mention of %q", tc.csv, err, tc.line)
+		}
+	}
+}
+
+// TestParseOffsetTenantColumn covers the offset shapes the multi-tenant
+// control plane ingests: a TENANT third column (with an optionally empty
+// CORES field), a header row, CRLF line endings, and out-of-order arrivals
+// that are sorted with a single recorded warning.
+func TestParseOffsetTenantColumn(t *testing.T) {
+	tr, err := Parse(strings.NewReader(
+		"offset,cores,tenant\r\n10s,2,t01\r\n0s,,t00\r\n30s,4,t01\r\n5s\r\n"))
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
+	}
+	want := []Row{
+		{Tenant: "t00", Arrival: 0},
+		{Arrival: 5 * time.Second},
+		{Tenant: "t01", Arrival: 10 * time.Second, Cores: 2},
+		{Tenant: "t01", Arrival: 30 * time.Second, Cores: 4},
+	}
+	if len(tr.Rows) != len(want) {
+		t.Fatalf("got %d rows, want %d", len(tr.Rows), len(want))
+	}
+	for i := range want {
+		if tr.Rows[i] != want[i] {
+			t.Fatalf("row %d = %+v, want %+v", i, tr.Rows[i], want[i])
+		}
+	}
+	// Exactly two warnings: the skipped header, and one (not per-row)
+	// out-of-order notice.
+	if len(tr.Warnings) != 2 {
+		t.Fatalf("warnings = %q, want header-skip + out-of-order", tr.Warnings)
+	}
+	if !strings.Contains(tr.Warnings[0], "header") || tr.Warnings[1] != "arrivals out of order: sorted rows by offset" {
+		t.Errorf("warnings = %q", tr.Warnings)
+	}
+
+	// A clean, sorted, untenanted trace carries no warnings.
+	clean, err := Parse(strings.NewReader("0s\n5s,4\n"))
+	if err != nil {
+		t.Fatalf("Parse(clean): %v", err)
+	}
+	if len(clean.Warnings) != 0 || clean.Rows[0].Tenant != "" || clean.Rows[1].Tenant != "" {
+		t.Errorf("clean trace: warnings=%q rows=%+v", clean.Warnings, clean.Rows)
+	}
+}
+
+// TestLoad covers the file checks Load makes before parsing, for both
+// shapes.
+func TestLoad(t *testing.T) {
 	dir := t.TempDir()
-	write := func(name, content string) string {
-		path := dir + "/" + name
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+	path := filepath.Join(dir, "arrivals.csv")
+	if err := os.WriteFile(path, []byte("0s\n5s,4\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := Load(path)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	if len(tr.Rows) != 2 || tr.Rows[1] != (Row{Arrival: 5 * time.Second, Cores: 4}) || tr.Production() {
+		t.Fatalf("trace = %+v", tr)
+	}
+
+	for _, bad := range []string{"", filepath.Join(dir, "missing.csv"), "/nonexistent", dir, "/dev/null"} {
+		if _, err := Load(bad); err == nil {
+			t.Errorf("Load(%q) accepted", bad)
+		}
+	}
+	big := filepath.Join(dir, "big.csv")
+	if err := os.WriteFile(big, make([]byte, maxTraceFileBytes+1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Load(big); err == nil || !strings.Contains(err.Error(), "cap") {
+		t.Errorf("oversized file: got %v, want size-cap error", err)
+	}
+
+	// Malformed rows surface the path and line number to the operator.
+	for _, tc := range []struct{ csv, line string }{
+		{"0s\nnope\n", "line 2"},
+		{Header + "\nt00,1,2,2\nt01,x,2,2\n", "line 3"},
+	} {
+		bad := filepath.Join(dir, "bad.csv")
+		if err := os.WriteFile(bad, []byte(tc.csv), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return path
-	}
-	if !Detect(write("prod.csv", "tenant,arrival,runtime,cores\nt00,1,2,2\n")) {
-		t.Error("4-column trace not detected as production shape")
-	}
-	if Detect(write("legacy.csv", "# trace\n30s,4,t00\n")) {
-		t.Error("3-column legacy tracefile misdetected as production shape")
-	}
-	if Detect(dir + "/missing.csv") {
-		t.Error("missing file detected as production shape")
+		if _, err := Load(bad); err == nil ||
+			!strings.Contains(err.Error(), tc.line) || !strings.Contains(err.Error(), bad) {
+			t.Errorf("malformed row in %q: got %v, want path and %s", tc.csv, err, tc.line)
+		}
 	}
 }
 
