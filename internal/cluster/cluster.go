@@ -25,6 +25,7 @@ import (
 	"splitserve/internal/simclock"
 	"splitserve/internal/simrand"
 	"splitserve/internal/spark/engine"
+	"splitserve/internal/spark/shuffle"
 	"splitserve/internal/storage"
 	"splitserve/internal/telemetry"
 	"splitserve/internal/warmpool"
@@ -865,6 +866,13 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 	j.backend = nil
 	j.lambdas = nil
 	j.co = nil
+	// The app is over, so its shuffle files go, as Spark's ContextCleaner
+	// removes an ended application's shuffle data; otherwise its
+	// map-output rows stay reachable through the namenode
+	// (TestLeakFinishedJobShuffleRows). Its tasks were all cancelled when
+	// its executors were removed, so nothing reads the files again, and
+	// the writes they left in flight create nothing when they land.
+	s.fs.RemoveDir(shuffle.AppDir(j.appID))
 	s.kick()
 }
 

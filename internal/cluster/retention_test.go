@@ -1,14 +1,23 @@
 package cluster
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 	"weak"
 
+	"splitserve/internal/eventlog"
+	"splitserve/internal/simclock"
 	"splitserve/internal/spark/engine"
+	"splitserve/internal/spark/rdd"
+	"splitserve/internal/spark/shuffle"
+	"splitserve/internal/storage"
 	"splitserve/internal/workloads"
+	"splitserve/internal/workloads/shufflereuse"
 )
 
 // engineProbe wraps a workload and records a weak pointer to every
@@ -99,5 +108,241 @@ func TestLeakFinishedJobEngines(t *testing.T) {
 			}
 			runtime.KeepAlive(s)
 		})
+	}
+}
+
+// rowProbe is a one-shuffle workload whose rows are pointers, each
+// recorded as a weak pointer when its map task makes it. The shuffle
+// does not combine, so every row is also a map-output row, stored in the
+// job's shuffle files.
+type rowProbe struct {
+	set   *rowSet
+	parts int
+	rows  int // per partition
+}
+
+type probeRow struct{ key, val int }
+
+type rowSet struct {
+	mu   sync.Mutex
+	rows []weak.Pointer[probeRow]
+}
+
+func (p rowProbe) Name() string            { return "rowprobe" }
+func (p rowProbe) DefaultParallelism() int { return p.parts }
+func (p rowProbe) SLO() time.Duration      { return time.Minute }
+
+func (p rowProbe) Run(c *engine.Cluster) (*workloads.Report, error) {
+	return workloads.Timed(c, p.Name(), func() (string, int, error) {
+		ctx := rdd.NewContext()
+		src := ctx.Source("rows", p.parts, func(part int) []rdd.Row {
+			out := make([]rdd.Row, p.rows)
+			p.set.mu.Lock()
+			for i := range out {
+				r := &probeRow{key: part*p.rows + i, val: 1}
+				p.set.rows = append(p.set.rows, weak.Make(r))
+				out[i] = r
+			}
+			p.set.mu.Unlock()
+			return out
+		}, 2e5, 4<<10)
+		counts := src.Exchange("count", p.parts,
+			func(r rdd.Row) rdd.Key { return r.(*probeRow).key },
+			func(_ int, groups []rdd.Group) []rdd.Row {
+				n := 0
+				for _, g := range groups {
+					for _, r := range g.Rows {
+						n += r.(*probeRow).val
+					}
+				}
+				return []rdd.Row{n}
+			}, 2e5, 8)
+		job, err := c.RunJob(counts, p.Name())
+		if err != nil {
+			return "", 0, err
+		}
+		n := 0
+		for _, r := range job.Rows() {
+			n += r.(int)
+		}
+		if want := p.parts * p.rows; n != want {
+			return "", 0, fmt.Errorf("rowprobe counted %d rows, want %d", n, want)
+		}
+		return fmt.Sprintf("%d rows", n), 1, nil
+	})
+}
+
+// live collects garbage and counts the probed rows still reachable.
+func (s *rowSet) live() int {
+	runtime.GC()
+	n := 0
+	for _, w := range s.rows {
+		if w.Value() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLeakFinishedJobShuffleRows: a finished job's map-output rows must
+// not stay reachable through the namenode, which drops the job's shuffle
+// directory when the job settles. With the /tmp cache tier, a warm
+// environment's cache keeps its own copies until the environment is
+// recycled (the cache is capped per environment), so the test recycles
+// every environment first; nothing else may hold a row.
+func TestLeakFinishedJobShuffleRows(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", Config{PoolCores: 4, Strategy: StrategyBridge}},
+		{"warmpool-tmpcache", Config{PoolCores: 4, Strategy: StrategyBridge, WarmPool: 4, TmpCache: true}},
+	}
+	base, err := Baseline(rowProbe{set: &rowSet{}, parts: 4, rows: 50}, 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			set := &rowSet{}
+			cfg := tc.cfg
+			cfg.Policy, cfg.SLOFactor, cfg.Seed = FairShare(), 3, 5
+			for i := 0; i < 8; i++ {
+				cfg.Jobs = append(cfg.Jobs, JobSpec{
+					Workload: rowProbe{set: set, parts: 4, rows: 50},
+					Cores:    4, Arrival: time.Duration(i) * time.Second, Baseline: base,
+				})
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s.Clock().Step() {
+			}
+			if rep.Completed != len(cfg.Jobs) {
+				t.Fatalf("%d of %d jobs completed", rep.Completed, len(cfg.Jobs))
+			}
+			if want := len(cfg.Jobs) * 4 * 50; len(set.rows) < want {
+				t.Fatalf("probed %d rows, want at least %d", len(set.rows), want)
+			}
+			if s.warm != nil {
+				if s.tmpCache.Tracked() == 0 {
+					t.Fatal("no warm environment cached a block; the /tmp tier is untested")
+				}
+				for _, env := range s.warm.IdleBreakdown(s.Clock().Now()) {
+					s.tmpCache.Recycle(env.ID)
+				}
+			}
+			if n := set.live(); n != 0 {
+				t.Errorf("%d of %d finished jobs' map-output rows are still reachable", n, len(set.rows))
+			}
+			runtime.KeepAlive(s)
+		})
+	}
+}
+
+// tinyShuffleJob is a small real shuffle: 4 map tasks, each writing 4
+// buckets, read twice.
+func tinyShuffleJob() *shufflereuse.Workload {
+	return shufflereuse.New(shufflereuse.Config{
+		Partitions: 4, RowsPerPartition: 50, RowBytes: 16 << 10, Keys: 200, Reuse: 2,
+	})
+}
+
+// errWriteLost is the injected failure of failWrite.
+var errWriteLost = errors.New("injected: shuffle write acknowledgement lost")
+
+// failWrite fails the first shuffle write under dir the moment it is
+// issued, while the write itself goes on to land in the backing store:
+// the job aborts mid-shuffle with its writes in flight.
+type failWrite struct {
+	storage.Store
+	clock  *simclock.Clock
+	dir    string
+	failed bool
+}
+
+func (f *failWrite) PutAll(blocks []storage.Block, cl storage.Client, done func(error)) {
+	if f.failed || len(blocks) == 0 || !strings.HasPrefix(blocks[0].ID, f.dir) {
+		f.Store.PutAll(blocks, cl, done)
+		return
+	}
+	f.failed = true
+	f.Store.PutAll(blocks, cl, func(error) {})
+	f.clock.After(0, func() { done(errWriteLost) })
+}
+
+// TestFinishedJobsLeaveNoShuffleFiles: once a day has run, the namenode
+// holds no file, whatever the job count, including the files of a job
+// that failed while its map tasks' writes were still in flight.
+func TestFinishedJobsLeaveNoShuffleFiles(t *testing.T) {
+	base, err := Baseline(tinyShuffleJob(), 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jobs := range []int{10, 100} {
+		for _, failing := range []bool{false, true} {
+			name := fmt.Sprintf("jobs=%d", jobs)
+			if failing {
+				name += "/one-fails"
+			}
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{
+					PoolCores: 4, Policy: FIFO(), Strategy: StrategyBridge,
+					WarmPool: 4, TmpCache: true, Seed: 5,
+				}
+				for i := 0; i < jobs; i++ {
+					cfg.Jobs = append(cfg.Jobs, JobSpec{
+						Workload: tinyShuffleJob(), Cores: 4,
+						Arrival: time.Duration(i) * 200 * time.Millisecond, Baseline: base,
+					})
+				}
+				s, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var fail *failWrite
+				if failing {
+					victim := s.jobs[jobs/2]
+					fail = &failWrite{Store: s.store, clock: s.clock, dir: shuffle.AppDir(victim.appID)}
+					s.store = fail
+				}
+				rep, err := s.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				writes := 0
+				for _, ev := range s.bus.Events() {
+					if ev.Type == eventlog.HDFSWrite {
+						writes++
+					}
+				}
+				if writes < jobs {
+					t.Fatalf("%d shuffle writes for %d jobs; the day shuffles too little", writes, jobs)
+				}
+				if n := s.fs.FileCount(); n != 0 {
+					t.Errorf("%d shuffle files left after Run", n)
+				}
+				for s.Clock().Step() {
+				}
+				if n := s.fs.FileCount(); n != 0 {
+					t.Errorf("%d shuffle files left once every write in flight landed", n)
+				}
+				wantFailed := 0
+				if failing {
+					wantFailed = 1
+					if !fail.failed {
+						t.Fatal("no shuffle write of the victim job was failed")
+					}
+				}
+				if rep.Failed != wantFailed || rep.Completed != jobs-wantFailed {
+					t.Fatalf("%d completed, %d failed; want %d, %d", rep.Completed, rep.Failed, jobs-wantFailed, wantFailed)
+				}
+			})
+		}
 	}
 }

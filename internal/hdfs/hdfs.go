@@ -6,11 +6,18 @@
 // Spark master on an m4.xlarge (750 Mbps dedicated EBS bandwidth), the
 // bandwidth bottleneck its PageRank discussion revolves around. Every
 // transfer therefore crosses the client's own pools and the datanode's.
+//
+// Files live until RemoveDir deletes their directory, as `hdfs dfs -rm -r`
+// does. The cluster layer removes each finished application's shuffle
+// directory, as Spark's ContextCleaner does when an application ends.
+// Removal is not modelled: it takes no virtual time, moves no bytes and
+// emits no event.
 package hdfs
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"time"
 
 	"splitserve/internal/eventlog"
@@ -42,7 +49,16 @@ type Cluster struct {
 	net      *netsim.Network
 	datanode []*netsim.Pool
 
-	files    map[string]file
+	files map[string]file
+	// writes numbers the writes issued so far; landing counts those whose
+	// namenode round trip is still in flight. removed lists the
+	// directories removed while any write was in flight, with the number
+	// of the last write issued before each removal: those writes create
+	// nothing under it when they land.
+	writes  uint64
+	landing int
+	removed []removal
+
 	insts    hdfsInstruments
 	bus      *eventlog.Bus
 	eventApp string
@@ -109,15 +125,13 @@ func (c *Cluster) PutAll(files []storage.Block, cl storage.Client, done func(err
 	for _, blk := range files {
 		total += blk.Size
 	}
+	c.writes++
+	c.landing++
+	seq := c.writes
 	c.clock.After(metaLatency, func() {
-		for _, blk := range files {
-			if _, ok := c.files[blk.ID]; ok {
-				done(fmt.Errorf("writing %s: %w", blk.ID, ErrExists))
-				return
-			}
-		}
-		for _, blk := range files {
-			c.files[blk.ID] = file{size: blk.Size, payload: blk.Payload}
+		if err := c.create(seq, files); err != nil {
+			done(err)
+			return
 		}
 		c.net.StartFlow(float64(total), cl.RateCap, c.pools(cl), func() {
 			c.insts.bytesWritten.Add(float64(total))
@@ -126,6 +140,83 @@ func (c *Cluster) PutAll(files []storage.Block, cl storage.Client, done func(err
 			done(nil)
 		})
 	})
+}
+
+// create lands write seq's namenode round trip: it creates the write's
+// files, none if any of them exists, and skips those under a directory
+// removed after the write was issued.
+func (c *Cluster) create(seq uint64, files []storage.Block) error {
+	defer c.landed()
+	for _, blk := range files {
+		if _, ok := c.files[blk.ID]; ok {
+			return fmt.Errorf("writing %s: %w", blk.ID, ErrExists)
+		}
+	}
+	for _, blk := range files {
+		if !c.removedAfter(seq, blk.ID) {
+			c.files[blk.ID] = file{size: blk.Size, payload: blk.Payload}
+		}
+	}
+	return nil
+}
+
+// landed counts one write's namenode round trip as landed. Once none is
+// in flight, no write issued before a past removal is left to skip.
+func (c *Cluster) landed() {
+	if c.landing--; c.landing == 0 && len(c.removed) > 0 {
+		clear(c.removed)
+		c.removed = c.removed[:0]
+	}
+}
+
+// removedAfter reports whether path lies under a directory removed after
+// write seq was issued.
+func (c *Cluster) removedAfter(seq uint64, path string) bool {
+	for _, r := range c.removed {
+		if seq <= r.last && under(path, r.dir) {
+			return true
+		}
+	}
+	return false
+}
+
+// removal is one RemoveDir call made while writes were in flight: last is
+// the number of the last write issued before it.
+type removal struct {
+	dir  string
+	last uint64
+}
+
+// under reports whether path lies in directory dir, written with or
+// without its trailing slash.
+func under(path, dir string) bool {
+	dir = strings.TrimSuffix(dir, "/")
+	return len(path) > len(dir) && path[len(dir)] == '/' && strings.HasPrefix(path, dir)
+}
+
+// RemoveDir deletes every file under dir, as `hdfs dfs -rm -r` does. It
+// also covers the writes already issued whose namenode round trip has not
+// landed: their files under dir are never created. Removing a directory
+// that holds nothing is a no-op. Removal is not modelled: it takes no
+// virtual time and emits no event.
+func (c *Cluster) RemoveDir(dir string) {
+	if c.landing > 0 {
+		c.removed = append(c.removed, removal{dir: dir, last: c.writes})
+	}
+	if len(c.files) == 0 {
+		return
+	}
+	for path := range c.files {
+		if under(path, dir) {
+			delete(c.files, path)
+		}
+	}
+	if len(c.files) == 0 {
+		// A Go map keeps the table of its largest size; an emptied
+		// namespace starts a new one, so a busy spell's table does not
+		// outlive its files.
+		c.files = make(map[string]file)
+	}
 }
 
 // FetchAll implements storage.Store: it reads several files with one

@@ -19,7 +19,8 @@ type hdfsInstruments struct {
 // SetTelemetry points the filesystem at a telemetry hub. A nil hub (or
 // never calling) leaves it untelemetered. hdfs_namespace_ops_total keeps
 // its delete, rename, stat and list series, which stay 0: the shuffle
-// path only writes and reads, and the exported metric set is a format.
+// path only writes and reads (RemoveDir is not modelled, so it counts no
+// delete), and the exported metric set is a format.
 func (c *Cluster) SetTelemetry(h *telemetry.Hub) {
 	op := func(name string) *telemetry.Counter {
 		return h.Counter("hdfs_namespace_ops_total", telemetry.L("op", name))

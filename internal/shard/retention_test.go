@@ -9,8 +9,10 @@ import (
 	"weak"
 
 	"splitserve/internal/cluster"
+	"splitserve/internal/hdfs"
 	"splitserve/internal/spark/engine"
 	"splitserve/internal/workloads"
+	"splitserve/internal/workloads/shufflereuse"
 )
 
 // engineProbe wraps a workload and records a weak pointer to every
@@ -93,6 +95,81 @@ func TestLeakShardedJobEngines(t *testing.T) {
 				t.Errorf("%d of %d finished jobs' engines are still reachable (%d steals)", n, len(set.engines), rep.Steals)
 			}
 			runtime.KeepAlive(m)
+		})
+	}
+}
+
+// storeProbe wraps a workload and records the namenode its engine writes
+// shuffle files to: each shard's own.
+type storeProbe struct {
+	workloads.Workload
+	fss map[*hdfs.Cluster]bool
+}
+
+func (p storeProbe) Run(c *engine.Cluster) (*workloads.Report, error) {
+	p.fss[c.Store().(*hdfs.Cluster)] = true
+	return p.Workload.Run(c)
+}
+
+// TestShardedJobsLeaveNoShuffleFiles: on the sharded path every shard's
+// namenode ends the day empty, whatever the job count, stolen jobs
+// included. Each shard's scheduler drops a job's shuffle directory when
+// the job settles there.
+func TestShardedJobsLeaveNoShuffleFiles(t *testing.T) {
+	job := func() workloads.Workload {
+		return shufflereuse.New(shufflereuse.Config{
+			Partitions: 4, RowsPerPartition: 50, RowBytes: 16 << 10, Keys: 200, Reuse: 2,
+		})
+	}
+	base, err := cluster.Baseline(job(), 4, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenantOn := func(shard int) string {
+		for i := 0; ; i++ {
+			if name := fmt.Sprintf("t%02d", i); ShardOf(name, 2) == shard {
+				return name
+			}
+		}
+	}
+	busy, light := tenantOn(0), tenantOn(1)
+	for _, jobs := range []int{10, 100} {
+		t.Run(fmt.Sprintf("jobs=%d", jobs), func(t *testing.T) {
+			fss := map[*hdfs.Cluster]bool{}
+			var specs []cluster.JobSpec
+			for i := 0; i < jobs; i++ {
+				tenant := busy
+				if i%6 == 5 {
+					tenant = light
+				}
+				specs = append(specs, cluster.JobSpec{
+					Workload: storeProbe{job(), fss}, Tenant: tenant, Cores: 4,
+					Arrival: time.Duration(i) * time.Second, Baseline: base,
+				})
+			}
+			m, err := New(Config{Shards: 2, Cluster: cluster.Config{
+				Jobs: specs, PoolCores: 8, Seed: 5, Strategy: cluster.StrategyQueue,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for m.Clock().Step() {
+			}
+			if rep.Completed != jobs {
+				t.Fatalf("%d of %d jobs completed", rep.Completed, jobs)
+			}
+			if rep.Steals == 0 || len(fss) != 2 {
+				t.Fatalf("%d steals onto %d shards' namenodes; the stolen-job path is untested", rep.Steals, len(fss))
+			}
+			for fs := range fss {
+				if n := fs.FileCount(); n != 0 {
+					t.Errorf("a shard's namenode holds %d shuffle files after the day (%d steals)", n, rep.Steals)
+				}
+			}
 		})
 	}
 }

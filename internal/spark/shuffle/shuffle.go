@@ -124,12 +124,10 @@ type firstSeen struct {
 }
 
 // BlockID names one shuffle block the way the paper's HDFS layout does:
-// the writing executor's unique ID is the directory entry point.
+// the writing executor's unique ID is the directory entry point, under
+// the application's AppDir.
 func BlockID(appID, execID string, shuffleID, mapPart, reducePart int) string {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, "/shuffle/"...)
-	buf = append(buf, appID...)
-	buf = append(buf, '/')
+	buf := appendAppDir(make([]byte, 0, 64), appID)
 	buf = append(buf, execID...)
 	buf = append(buf, "/shuffle_"...)
 	buf = strconv.AppendInt(buf, int64(shuffleID), 10)
@@ -138,6 +136,20 @@ func BlockID(appID, execID string, shuffleID, mapPart, reducePart int) string {
 	buf = append(buf, '_')
 	buf = strconv.AppendInt(buf, int64(reducePart), 10)
 	return string(buf)
+}
+
+// AppDir is the directory that holds every shuffle block of application
+// appID: "/shuffle/<appID>/". Removing it drops the application's shuffle
+// data, as Spark does when an application ends.
+func AppDir(appID string) string {
+	var buf [64]byte
+	return string(appendAppDir(buf[:0], appID))
+}
+
+func appendAppDir(buf []byte, appID string) []byte {
+	buf = append(buf, "/shuffle/"...)
+	buf = append(buf, appID...)
+	return append(buf, '/')
 }
 
 // shuffleNote is the Note of a shuffle's write and read events.
@@ -286,23 +298,6 @@ func (t *Tracker) UnregisterHost(hostID string) []int {
 	}
 	sort.Ints(affected)
 	return affected
-}
-
-// AllBlockIDs returns every registered block ID of a shuffle (for cleanup).
-func (t *Tracker) AllBlockIDs(shuffleID int) []string {
-	s := t.mustGet(shuffleID)
-	var out []string
-	for _, st := range s.status {
-		if st == nil {
-			continue
-		}
-		for r, id := range st.BlockIDs {
-			if st.Sizes[r] > 0 {
-				out = append(out, id)
-			}
-		}
-	}
-	return out
 }
 
 // Reduces returns the reduce partition count of a shuffle.

@@ -2,6 +2,7 @@ package shuffle
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -81,6 +82,22 @@ func TestBlockIDLayout(t *testing.T) {
 	want := "/shuffle/app-1/exec-vm-2/shuffle_3_7_11"
 	if got != want {
 		t.Fatalf("BlockID = %q, want %q", got, want)
+	}
+}
+
+// TestAppDirHoldsBlockIDs: every block an application writes lies under
+// its AppDir, and under no other application's, even one whose ID
+// extends it.
+func TestAppDirHoldsBlockIDs(t *testing.T) {
+	if got, want := AppDir("app-1"), "/shuffle/app-1/"; got != want {
+		t.Fatalf("AppDir = %q, want %q", got, want)
+	}
+	id := BlockID("app-1", "j012-v03", 2, 3, 4)
+	if !strings.HasPrefix(id, AppDir("app-1")) || strings.HasPrefix(id, AppDir("app-10")) {
+		t.Fatalf("BlockID %q against AppDir %q and %q", id, AppDir("app-1"), AppDir("app-10"))
+	}
+	if id := BlockID("app-10", "e", 0, 0, 0); strings.HasPrefix(id, AppDir("app-1")) {
+		t.Fatalf("BlockID %q of app-10 lies under app-1's AppDir", id)
 	}
 }
 
@@ -166,16 +183,6 @@ func TestTrackerUnregisterHost(t *testing.T) {
 	}
 	if tr.UnregisterHost("h3") != nil {
 		t.Fatal("unknown host affected shuffles")
-	}
-}
-
-func TestTrackerAllBlockIDs(t *testing.T) {
-	tr := NewTracker()
-	tr.Register(1, 1, 3)
-	tr.AddMapOutput(1, newStatus(0, "h1", []int64{1, 0, 2}))
-	ids := tr.AllBlockIDs(1)
-	if len(ids) != 2 {
-		t.Fatalf("AllBlockIDs = %v", ids)
 	}
 }
 
