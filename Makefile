@@ -39,7 +39,8 @@ leaks:
 
 # allocs runs the allocation-budget tests (testing.AllocsPerRun: a registry
 # hit, one clock event, a JSONL line, an emitted event, a network flow, a
-# shuffle regroup, a report's JSON, a merge of event logs)
+# shuffle regroup, a report's JSON, a merge of event logs, an attribution
+# pass)
 # outside the race detector, whose instrumentation adds allocations of its
 # own.
 allocs:
@@ -59,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzWriteJSONL -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzReportJSON -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/attrib -run '^$$' -fuzz FuzzCauseColumns -fuzztime $(FUZZTIME)
 
 # check is the full pre-commit gate: the gofmt gate, static analysis of
 # both modules, the race run, the retention tests, the allocation-budget

@@ -20,7 +20,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 
@@ -75,7 +74,7 @@ const (
 )
 
 // causeOrder is the vocabulary in canonical (report) order; a cause's
-// position in it is its column in the fixed-size tables of causeSums.
+// position in it is its place in a CauseUS or CauseUSD column.
 var causeOrder = [...]Cause{
 	QueueWait, AdmissionDelay, VMBoot, LambdaColdStart, WarmHitSaved,
 	Compute, ShuffleWrite, ShuffleFetch, TmpCacheSaved, StragglerTail,
@@ -150,45 +149,52 @@ type Segment struct {
 func (s Segment) DurUS() int64 { return s.EndUS - s.StartUS }
 
 // JobAttribution is one job's causal decomposition: the critical path
-// as segments plus the per-cause blame, savings and dollar tables.
+// as segments plus the per-cause blame, savings and dollar columns.
+//
+// BlameUS holds every blame cause, zeros included, and its values sum to
+// MakespanUS exactly. SavedUS holds savings causes: counterfactual
+// microseconds avoided. CostUSD splits the job's reconstructed dollars
+// proportionally to blame time. Each column encodes as the JSON object
+// keyed by cause name of the splitserve-attrib/v1 schema; an empty
+// SavedUS or CostUSD is left out through encoding/json's omitzero, which
+// needs go.mod's go1.24.0 toolchain (an older encoding/json would write
+// it as {}).
 type JobAttribution struct {
-	App        string `json:"app"`
-	Name       string `json:"name,omitempty"` // workload name
-	Tenant     string `json:"tenant,omitempty"`
-	ArrivalUS  int64  `json:"arrival_us"`
-	EndUS      int64  `json:"end_us"`
-	MakespanUS int64  `json:"makespan_us"`
-	Failed     bool   `json:"failed,omitempty"`
-	// BlameUS maps blame causes to critical-path microseconds; values
-	// sum to MakespanUS exactly. SavedUS maps savings causes to
-	// counterfactual microseconds avoided. CostUSD splits the job's
-	// reconstructed dollars proportionally to blame time.
-	BlameUS map[Cause]int64   `json:"blame_us"`
-	SavedUS map[Cause]int64   `json:"saved_us,omitempty"`
-	CostUSD map[Cause]float64 `json:"cost_usd,omitempty"`
-	Path    []Segment         `json:"path"`
+	App        string    `json:"app"`
+	Name       string    `json:"name,omitempty"` // workload name
+	Tenant     string    `json:"tenant,omitempty"`
+	ArrivalUS  int64     `json:"arrival_us"`
+	EndUS      int64     `json:"end_us"`
+	MakespanUS int64     `json:"makespan_us"`
+	Failed     bool      `json:"failed,omitempty"`
+	BlameUS    CauseUS   `json:"blame_us"`
+	SavedUS    CauseUS   `json:"saved_us,omitzero"`
+	CostUSD    CauseUSD  `json:"cost_usd,omitzero"`
+	Path       []Segment `json:"path"`
 }
 
 // BlameSumUS returns the sum of all blame components (savings excluded).
 func (j *JobAttribution) BlameSumUS() int64 {
 	var sum int64
-	for c, v := range j.BlameUS {
-		if !c.Savings() {
-			sum += v
+	for i := range numCauses {
+		if blameCauses&(1<<i) != 0 {
+			sum += j.BlameUS.v[i]
 		}
 	}
 	return sum
 }
 
 // Table aggregates blame across a set of jobs (per tenant, backend,
-// workload, or the whole run). Map keys are cause names so encoding/json
-// sorts them deterministically.
+// workload, or the whole run), in the same fixed cause columns as
+// JobAttribution and with the same JSON form. BlameUS is always written,
+// empty or not; SavedUS and CostUSD only when they hold a key, through
+// omitzero and so, as for JobAttribution, on go.mod's go1.24.0 toolchain.
 type Table struct {
-	Jobs       int                `json:"jobs"`
-	MakespanUS int64              `json:"makespan_us"`
-	BlameUS    map[string]int64   `json:"blame_us"`
-	SavedUS    map[string]int64   `json:"saved_us,omitempty"`
-	CostUSD    map[string]float64 `json:"cost_usd,omitempty"`
+	Jobs       int      `json:"jobs"`
+	MakespanUS int64    `json:"makespan_us"`
+	BlameUS    CauseUS  `json:"blame_us"`
+	SavedUS    CauseUS  `json:"saved_us,omitzero"`
+	CostUSD    CauseUSD `json:"cost_usd,omitzero"`
 }
 
 // Dominant returns the blame cause carrying the most time in the table
@@ -198,11 +204,11 @@ type Table struct {
 func (t *Table) Dominant() (Cause, int64) {
 	var best Cause
 	var bestV int64 = -1
-	for _, c := range Causes {
+	for i, c := range causeOrder {
 		if c.Savings() {
 			continue
 		}
-		if v := t.BlameUS[string(c)]; v > bestV {
+		if v := t.BlameUS.v[i]; v > bestV {
 			best, bestV = c, v
 		}
 	}
@@ -212,8 +218,28 @@ func (t *Table) Dominant() (Cause, int64) {
 	return best, bestV
 }
 
+// addJob folds one job's columns into the table. Dollars are rounded
+// after every job, in job order.
+func (t *Table) addJob(j *JobAttribution) {
+	t.Jobs++
+	t.MakespanUS += j.MakespanUS
+	for i := range numCauses {
+		t.BlameUS.v[i] += j.BlameUS.v[i]
+		t.SavedUS.v[i] += j.SavedUS.v[i]
+		if j.CostUSD.set&(1<<i) != 0 {
+			t.CostUSD.v[i] = round6(t.CostUSD.v[i] + j.CostUSD.v[i])
+		}
+	}
+	t.BlameUS.set |= j.BlameUS.set
+	t.SavedUS.set |= j.SavedUS.set
+	t.CostUSD.set |= j.CostUSD.set
+}
+
 // Report is the full splitserve-attrib/v1 document: every job's
-// decomposition plus the aggregate tables.
+// decomposition plus the aggregate tables. In memory each job and table
+// holds fixed cause columns (read with Get, or loop over Causes); the
+// JSON is the v1 schema unchanged, each column an object keyed by cause
+// name.
 type Report struct {
 	Schema string           `json:"schema"`
 	Jobs   []JobAttribution `json:"jobs"`
@@ -241,7 +267,8 @@ func (r *Report) JSON() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// ParseReport loads a report written by JSON, rejecting other schemas.
+// ParseReport loads a report written by JSON, rejecting other schemas and
+// cause keys outside the vocabulary.
 func ParseReport(data []byte) (*Report, error) {
 	var r Report
 	if err := json.Unmarshal(data, &r); err != nil {
@@ -258,146 +285,49 @@ func ParseReport(data []byte) (*Report, error) {
 // cluster job = one app; an engine-only log is one app with several
 // Spark jobs inside it).
 func Analyze(events []eventlog.Event) *Report {
-	rep := &Report{Schema: SchemaV1, Jobs: []JobAttribution{}}
-	jobs, sums, tmpBytes := attributeJobs(events)
-	var totals tableRow
+	rep := &Report{Schema: SchemaV1, Jobs: []JobAttribution{}, Totals: &Table{}}
+	jobs, tmpBytes := attributeJobs(events)
 	if len(jobs) == 0 {
-		rep.Totals = totals.table()
 		return rep
 	}
 	rep.Jobs = jobs
 
-	// The tables accumulate in fixed-size cause columns and become maps
-	// once, at the end. Backend tables carry blame splits only, no job
-	// counts.
-	var tenants, workloads, backends tableGroup
+	// Backend tables carry blame splits only, no job counts.
+	totals := rep.Totals
+	rep.ByTenant = map[string]*Table{}
+	rep.ByBackend = map[string]*Table{}
+	rep.ByWorkload = map[string]*Table{}
 	for i := range jobs {
-		j, js := &jobs[i], &sums[i]
-		totals.addJob(j, js)
-		tenants.row(j.Tenant).addJob(j, js)
-		workloads.row(nameOr(j.Name, j.App)).addJob(j, js)
+		j := &jobs[i]
+		totals.addJob(j)
+		row(rep.ByTenant, j.Tenant).addJob(j)
+		row(rep.ByWorkload, nameOr(j.Name, j.App)).addJob(j)
 		for _, seg := range j.Path {
 			backend := seg.Kind
 			if backend == "" {
 				backend = "driver"
 			}
-			bt := &backends.row(backend).sums
-			c := causeIndex(seg.Cause)
-			bt.blame[c] += seg.DurUS()
-			bt.blameSet |= 1 << c
+			row(rep.ByBackend, backend).BlameUS.add(causeIndex(seg.Cause), seg.DurUS())
 		}
 	}
 	// Run-level /tmp cache savings: cache-hit events carry no app (the
 	// pool is shared), so the modeled avoided fetch time lands on the
 	// totals table only.
 	if tmpBytes > 0 {
-		totals.sums.saved[tmpCacheSavedIdx] += bytesToUS(tmpBytes)
-		totals.sums.savedSet |= 1 << tmpCacheSavedIdx
+		totals.SavedUS.add(tmpCacheSavedIdx, bytesToUS(tmpBytes))
 	}
-	rep.Totals = totals.table()
-	rep.ByTenant = tenants.tables()
-	rep.ByBackend = backends.tables()
-	rep.ByWorkload = workloads.tables()
 	return rep
 }
 
-// causeSet holds one bit per cause, by position in Causes.
-type causeSet uint16
-
-// causeSums is one job's or one table's cause columns: blame, savings
-// and dollars per cause, by position in Causes, with the set of causes
-// each column holds a key for (a zero that was written stays apart from
-// an absent key).
-type causeSums struct {
-	blame, saved                [numCauses]int64
-	cost                        [numCauses]float64
-	blameSet, savedSet, costSet causeSet
-}
-
-// add folds one job's columns into a table's. Dollars are rounded after
-// every job, in job order.
-func (t *causeSums) add(j *causeSums) {
-	for i := range numCauses {
-		t.blame[i] += j.blame[i]
-		t.saved[i] += j.saved[i]
-		if j.costSet&(1<<i) != 0 {
-			t.cost[i] = round6(t.cost[i] + j.cost[i])
-		}
-	}
-	t.blameSet |= j.blameSet
-	t.savedSet |= j.savedSet
-	t.costSet |= j.costSet
-}
-
-// tableRow is one table under construction.
-type tableRow struct {
-	key        string
-	jobs       int
-	makespanUS int64
-	sums       causeSums
-}
-
-func (r *tableRow) addJob(j *JobAttribution, js *causeSums) {
-	r.jobs++
-	r.makespanUS += j.MakespanUS
-	r.sums.add(js)
-}
-
-// table renders the row as a Table. A column with no keys is nil, except
-// blame, which is always present.
-func (r *tableRow) table() *Table {
-	s := &r.sums
-	t := &Table{Jobs: r.jobs, MakespanUS: r.makespanUS,
-		BlameUS: make(map[string]int64, bits.OnesCount16(uint16(s.blameSet)))}
-	if s.savedSet != 0 {
-		t.SavedUS = make(map[string]int64, bits.OnesCount16(uint16(s.savedSet)))
-	}
-	if s.costSet != 0 {
-		t.CostUSD = make(map[string]float64, bits.OnesCount16(uint16(s.costSet)))
-	}
-	for i, c := range causeOrder {
-		bit := causeSet(1) << i
-		if s.blameSet&bit != 0 {
-			t.BlameUS[string(c)] = s.blame[i]
-		}
-		if s.savedSet&bit != 0 {
-			t.SavedUS[string(c)] = s.saved[i]
-		}
-		if s.costSet&bit != 0 {
-			t.CostUSD[string(c)] = s.cost[i]
-		}
+// row returns the table for key in a group of tables (per tenant,
+// workload or backend), adding it on first sight.
+func row(group map[string]*Table, key string) *Table {
+	t := group[key]
+	if t == nil {
+		t = &Table{}
+		group[key] = t
 	}
 	return t
-}
-
-// tableGroup is a keyed set of tables (per tenant, workload or backend)
-// under construction, in first-seen key order.
-type tableGroup struct {
-	index map[string]int
-	rows  []tableRow
-}
-
-// row returns the table for key, adding it on first sight.
-func (g *tableGroup) row(key string) *tableRow {
-	if g.index == nil {
-		g.index = map[string]int{}
-	}
-	i, ok := g.index[key]
-	if !ok {
-		i = len(g.rows)
-		g.rows = append(g.rows, tableRow{key: key})
-		g.index[key] = i
-	}
-	return &g.rows[i]
-}
-
-// tables renders the group as the report's map of tables.
-func (g *tableGroup) tables() map[string]*Table {
-	out := make(map[string]*Table, len(g.rows))
-	for i := range g.rows {
-		out[g.rows[i].key] = g.rows[i].table()
-	}
-	return out
 }
 
 func nameOr(name, fallback string) string {
@@ -449,21 +379,21 @@ func (r *Report) String() string {
 		if c.Savings() {
 			continue
 		}
-		v := r.Totals.BlameUS[string(c)]
+		v := r.Totals.BlameUS.Get(c)
 		sum += v
 		share := 0.0
 		if r.Totals.MakespanUS > 0 {
 			share = 100 * float64(v) / float64(r.Totals.MakespanUS)
 		}
 		fmt.Fprintf(&b, "%-18s %12s %7.1f%% %11.6f$\n",
-			string(c), usLabel(v), share, r.Totals.CostUSD[string(c)])
+			string(c), usLabel(v), share, r.Totals.CostUSD.Get(c))
 	}
 	fmt.Fprintf(&b, "%-18s %12s\n", "sum", usLabel(sum))
 	for _, c := range Causes {
 		if !c.Savings() {
 			continue
 		}
-		if v := r.Totals.SavedUS[string(c)]; v != 0 {
+		if v := r.Totals.SavedUS.Get(c); v != 0 {
 			fmt.Fprintf(&b, "%-18s %12s  (counterfactual, outside the sum)\n",
 				string(c), usLabel(v))
 		}
@@ -476,7 +406,7 @@ func (r *Report) String() string {
 		for _, n := range names {
 			t := r.ByWorkload[n]
 			fmt.Fprintf(&b, "%-18s %5d %12s %14s\n",
-				n, t.Jobs, usLabel(t.MakespanUS), topCause(t.BlameUS))
+				n, t.Jobs, usLabel(t.MakespanUS), topCause(&t.BlameUS))
 		}
 	}
 	return b.String()
@@ -491,16 +421,13 @@ func sortedKeys(m map[string]*Table) []string {
 	return keys
 }
 
-func topCause(blame map[string]int64) string {
+// topCause returns the cause carrying the most time in a blame column,
+// ties broken by name, or "-" for an empty column.
+func topCause(blame *CauseUS) string {
 	best, bestV := "-", int64(-1)
-	names := make([]string, 0, len(blame))
-	for c := range blame {
-		names = append(names, c)
-	}
-	sort.Strings(names)
-	for _, c := range names {
-		if blame[c] > bestV {
-			best, bestV = c, blame[c]
+	for _, i := range byName {
+		if blame.set&(1<<i) != 0 && blame.v[i] > bestV {
+			best, bestV = string(causeOrder[i]), blame.v[i]
 		}
 	}
 	return best

@@ -2,6 +2,7 @@ package attrib_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -116,7 +117,7 @@ func TestBlameSumsToMakespan(t *testing.T) {
 				t.Errorf("seed %d app %s: path covers %d µs < makespan %d µs",
 					seed, j.App, pathSum, j.MakespanUS)
 			}
-			if v := j.BlameUS[attrib.PreemptOverhead]; v != 0 {
+			if v := j.BlameUS.Get(attrib.PreemptOverhead); v != 0 {
 				t.Errorf("seed %d app %s: preempt_overhead = %d, want 0 (reserved)", seed, j.App, v)
 			}
 		}
@@ -186,15 +187,15 @@ func TestWarmpoolDiffConcentrated(t *testing.T) {
 	cold := attrib.Analyze(clusterEvents(t, warmComparableConfig(t, 0)))
 	warm := attrib.Analyze(clusterEvents(t, warmComparableConfig(t, 4)))
 
-	coldCS := cold.Totals.BlameUS[string(attrib.LambdaColdStart)]
-	warmCS := warm.Totals.BlameUS[string(attrib.LambdaColdStart)]
+	coldCS := cold.Totals.BlameUS.Get(attrib.LambdaColdStart)
+	warmCS := warm.Totals.BlameUS.Get(attrib.LambdaColdStart)
 	if coldCS == 0 {
 		t.Fatal("cold run shows no lambda_cold_start blame on the critical path")
 	}
 	if warmCS >= coldCS {
 		t.Errorf("warm pool did not reduce cold-start blame: cold %d µs, warm %d µs", coldCS, warmCS)
 	}
-	if warm.Totals.SavedUS[string(attrib.WarmHitSaved)] == 0 {
+	if warm.Totals.SavedUS.Get(attrib.WarmHitSaved) == 0 {
 		t.Error("warm run credits no warm_hit_saved")
 	}
 
@@ -240,6 +241,21 @@ func TestParseReportRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseReportUnknownCause: a cause key outside the vocabulary, in a
+// job's or a table's column, fails the parse with an error naming it.
+func TestParseReportUnknownCause(t *testing.T) {
+	for _, doc := range []string{
+		`{"schema":"splitserve-attrib/v1","jobs":[{"app":"a","blame_us":{"compute":1,"gpu_wait":2},"path":[]}],"totals":{"jobs":1,"makespan_us":3,"blame_us":{}}}`,
+		`{"schema":"splitserve-attrib/v1","jobs":[],"totals":{"jobs":0,"makespan_us":0,"blame_us":{},"saved_us":{"gpu_wait":1}}}`,
+		`{"schema":"splitserve-attrib/v1","jobs":[],"totals":{"jobs":0,"makespan_us":0,"blame_us":{}},"by_tenant":{"t":{"jobs":0,"makespan_us":0,"blame_us":{},"cost_usd":{"gpu_wait":0.5}}}}`,
+	} {
+		_, err := attrib.ParseReport([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), `"gpu_wait"`) {
+			t.Errorf("ParseReport(%s): err = %v, want one naming \"gpu_wait\"", doc, err)
+		}
+	}
+}
+
 // TestSyntheticGapAttribution pins the gap rules on a hand-built log:
 // queue wait before admission, an executor-registration wait blamed on
 // vm_boot, task time as compute, and teardown as driver compute.
@@ -277,8 +293,8 @@ func TestSyntheticGapAttribution(t *testing.T) {
 		attrib.Compute:   sec(5), // 4 s task + 1 s teardown
 	}
 	for c, v := range want {
-		if j.BlameUS[c] != v {
-			t.Errorf("blame[%s] = %d, want %d", c, j.BlameUS[c], v)
+		if j.BlameUS.Get(c) != v {
+			t.Errorf("blame[%s] = %d, want %d", c, j.BlameUS.Get(c), v)
 		}
 	}
 	if got := j.BlameSumUS(); got != j.MakespanUS {
@@ -347,12 +363,12 @@ func TestAdmissionDelayCause(t *testing.T) {
 		mk(eventlog.ClusterFinish, sec(6), nil),
 	}
 	j := attrib.Analyze(events).Jobs[0]
-	if j.BlameUS[attrib.AdmissionDelay] != sec(4) {
-		t.Errorf("admission_delay = %d, want %d", j.BlameUS[attrib.AdmissionDelay], sec(4))
+	if j.BlameUS.Get(attrib.AdmissionDelay) != sec(4) {
+		t.Errorf("admission_delay = %d, want %d", j.BlameUS.Get(attrib.AdmissionDelay), sec(4))
 	}
-	if j.BlameUS[attrib.QueueWait] != 0 {
+	if j.BlameUS.Get(attrib.QueueWait) != 0 {
 		t.Errorf("queue_wait = %d, want 0 when the admission policy delayed the job",
-			j.BlameUS[attrib.QueueWait])
+			j.BlameUS.Get(attrib.QueueWait))
 	}
 }
 

@@ -107,13 +107,12 @@ func (al *appLog) stageIndex(st int) int32 {
 
 // attributeJobs extracts per-app logs from the stream and runs the
 // causal decomposition on each, in first-arrival order (ties broken by
-// app name) so the report layout is deterministic. sums holds each
-// job's cause columns, for the aggregate tables; tmpBytes is the
-// run's /tmp cache hit bytes.
-func attributeJobs(events []eventlog.Event) (jobs []JobAttribution, sums []causeSums, tmpBytes int64) {
+// app name) so the report layout is deterministic. tmpBytes is the run's
+// /tmp cache hit bytes.
+func attributeJobs(events []eventlog.Event) (jobs []JobAttribution, tmpBytes int64) {
 	apps, tmpBytes := collectApps(events)
 	if len(apps) == 0 {
-		return nil, nil, tmpBytes
+		return nil, tmpBytes
 	}
 	order := make([]*appLog, len(apps))
 	for i := range apps {
@@ -126,11 +125,11 @@ func attributeJobs(events []eventlog.Event) (jobs []JobAttribution, sums []cause
 		return strings.Compare(a.app, b.app)
 	})
 	jobs = make([]JobAttribution, len(order))
-	sums = make([]causeSums, len(order))
+	var scratch walkScratch
 	for i, al := range order {
-		jobs[i] = attributeApp(al, &sums[i])
+		scratch.attributeApp(al, &jobs[i])
 	}
-	return jobs, sums, tmpBytes
+	return jobs, tmpBytes
 }
 
 // openTask keys a task_start awaiting its end.
@@ -139,11 +138,71 @@ type openTask struct {
 	stage, task int
 }
 
+// perApp gathers one kind of record across the run, in log order, each
+// tagged with its app, until spread hands every app its own.
+type perApp[T any] struct {
+	items []T
+	apps  []int32
+}
+
+func newPerApp[T any](n int) perApp[T] {
+	return perApp[T]{items: make([]T, 0, n), apps: make([]int32, 0, n)}
+}
+
+func (p *perApp[T]) add(app int32, v T) {
+	p.items = append(p.items, v)
+	p.apps = append(p.apps, app)
+}
+
+// spread sorts the records by app into one array, a counting sort that
+// keeps each app's records in log order, and hands each app its own as a
+// capacity-limited slice, stored through slot.
+func (p *perApp[T]) spread(apps []appLog, slot func(*appLog) *[]T) {
+	end := make([]int, len(apps)+1)
+	for _, a := range p.apps {
+		end[a+1]++
+	}
+	for i := 1; i < len(end); i++ {
+		end[i] += end[i-1]
+	}
+	all := make([]T, len(p.items))
+	for k, a := range p.apps {
+		all[end[a]] = p.items[k]
+		end[a]++
+	}
+	// end[a] now ends app a's records; the previous app's end starts them.
+	lo := 0
+	for a := range apps {
+		*slot(&apps[a]) = all[lo:end[a]:end[a]]
+		lo = end[a]
+	}
+}
+
 // collectApps partitions the stream by application. Events with no app
 // (cloud control plane, warm pool) are shared context and not a job;
 // of them, only the /tmp cache hits count, summed into tmpBytes.
 func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
-	index := map[string]int32{}
+	// Count first, so the apps, their index and the run's task and
+	// shuffle records are allocated once, at their size. Every job of a
+	// cluster log arrives; an engine-only log has none and grows.
+	var arrivals, ends, nreads, nwrites int
+	for k := range events {
+		switch events[k].Type {
+		case eventlog.ClusterArrive:
+			arrivals++
+		case eventlog.TaskEnd, eventlog.TaskFailed:
+			ends++
+		case eventlog.ShuffleRead:
+			nreads++
+		case eventlog.ShuffleWrite:
+			nwrites++
+		}
+	}
+	apps = make([]appLog, 0, arrivals)
+	index := make(map[string]int32, arrivals)
+	tasks := newPerApp[taskIval](ends)
+	reads := newPerApp[ioPoint](nreads)
+	writes := newPerApp[ioPoint](nwrites)
 	open := map[openTask]int64{} // open task starts, all apps
 	last := int32(-1)            // the previous event's app
 	appOf := func(name string) int32 {
@@ -221,7 +280,7 @@ func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
 				// and would stall the backward walk.
 				continue
 			}
-			al.tasks = append(al.tasks, taskIval{
+			tasks.add(a, taskIval{
 				startUS: start, endUS: e.TS,
 				stage: e.Stage, task: e.Task,
 				exec: e.Exec, kind: al.execs[x].kind,
@@ -239,13 +298,14 @@ func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
 			x := &al.execs[al.execIndex(e.Exec)]
 			x.remUS, x.removed = e.TS, true
 		case eventlog.ShuffleRead:
-			al := &apps[appOf(e.App)]
-			al.reads = append(al.reads, ioPoint{tsUS: e.TS, task: e.Task, bytes: e.Bytes})
+			reads.add(appOf(e.App), ioPoint{tsUS: e.TS, task: e.Task, bytes: e.Bytes})
 		case eventlog.ShuffleWrite:
-			al := &apps[appOf(e.App)]
-			al.writes = append(al.writes, ioPoint{tsUS: e.TS, task: e.Task, exec: e.Exec, bytes: e.Bytes})
+			writes.add(appOf(e.App), ioPoint{tsUS: e.TS, task: e.Task, exec: e.Exec, bytes: e.Bytes})
 		}
 	}
+	tasks.spread(apps, func(al *appLog) *[]taskIval { return &al.tasks })
+	reads.spread(apps, func(al *appLog) *[]ioPoint { return &al.reads })
+	writes.spread(apps, func(al *appLog) *[]ioPoint { return &al.writes })
 
 	kept := apps[:0]
 	var scratch medianScratch
@@ -322,15 +382,21 @@ func (sc *medianScratch) computeMedians(al *appLog) {
 	sc.offsets, sc.durs = off, durs
 }
 
+// walkScratch is the backward walk's working space, reused across apps.
+type walkScratch struct {
+	segs   []Segment
+	byExec [][]*taskIval
+}
+
 // attributeApp runs the backward critical-path walk over one app and
-// converts the path into blame segments that tile [arrival, end]. sums
-// receives the job's cause columns.
-func attributeApp(al *appLog, sums *causeSums) JobAttribution {
+// converts the path into blame segments that tile [arrival, end], written
+// with the job's cause columns into ja.
+func (sc *walkScratch) attributeApp(al *appLog, ja *JobAttribution) {
 	tenant := al.tenant
 	if tenant == "" {
 		tenant = tenantOf(al.app)
 	}
-	ja := JobAttribution{
+	*ja = JobAttribution{
 		App:        al.app,
 		Name:       al.name,
 		Tenant:     tenant,
@@ -361,7 +427,13 @@ func attributeApp(al *appLog, sums *causeSums) JobAttribution {
 
 	// Per-executor index (sorted by end, inherited from the sort above)
 	// for the same-executor predecessor lookup.
-	byExec := make([][]*taskIval, len(al.execs))
+	for len(sc.byExec) < len(al.execs) {
+		sc.byExec = append(sc.byExec, nil)
+	}
+	byExec := sc.byExec[:len(al.execs)]
+	for x := range byExec {
+		byExec[x] = byExec[x][:0]
+	}
 	for i := range tasks {
 		x := tasks[i].execIdx
 		byExec[x] = append(byExec[x], &tasks[i])
@@ -372,7 +444,7 @@ func attributeApp(al *appLog, sums *causeSums) JobAttribution {
 	// then asks what bound the critical task's *start* — the same
 	// executor finishing earlier work, the executor registering, or the
 	// stage becoming ready — and jumps to that constraint.
-	var segs []Segment
+	segs := sc.segs[:0]
 	cursor := al.endUS
 	var forced *taskIval // causal predecessor chosen by the last step
 	first := true
@@ -496,30 +568,27 @@ func attributeApp(al *appLog, sums *causeSums) JobAttribution {
 		})
 	}
 
-	// Reverse into time order, drop empty segments in place, and total
-	// up. Every blame cause appears in the table, zeros included, so
-	// diffs and goldens have a fixed key set.
-	slices.Reverse(segs)
-	ja.Path = segs[:0]
-	for _, s := range segs {
-		if d := s.DurUS(); d > 0 {
-			ja.Path = append(ja.Path, s)
-			sums.blame[causeIndex(s.Cause)] += d
+	sc.segs = segs
+
+	// Reverse into time order, drop empty segments, and total up. Every
+	// blame cause appears in the column, zeros included, so diffs and
+	// goldens have a fixed key set.
+	n := 0
+	for i := range segs {
+		if segs[i].DurUS() > 0 {
+			n++
 		}
 	}
-	if ja.Path == nil {
-		ja.Path = []Segment{}
-	}
-	sums.blameSet = blameCauses
-	ja.BlameUS = make(map[Cause]int64, numCauses)
-	for i, c := range Causes {
-		if !c.Savings() {
-			ja.BlameUS[c] = sums.blame[i]
+	ja.Path = make([]Segment, 0, n)
+	for i := len(segs) - 1; i >= 0; i-- {
+		if d := segs[i].DurUS(); d > 0 {
+			ja.Path = append(ja.Path, segs[i])
+			ja.BlameUS.v[causeIndex(segs[i].Cause)] += d
 		}
 	}
-	attachWarmSavings(&ja, sums)
-	attachDollars(al, &ja, sums)
-	return ja
+	ja.BlameUS.set = blameCauses
+	attachWarmSavings(ja)
+	attachDollars(al, ja)
 }
 
 // latestEndingAtOrBefore returns the task with the greatest end <=
@@ -652,9 +721,10 @@ func taskBytes(points []ioPoint, t *taskIval, byExec bool) int64 {
 // executor wait served by a warm-pool environment (executor IDs carry
 // the pool's -wNN suffix): the counterfactual is the nominal cold start
 // the warm hit avoided.
-func attachWarmSavings(ja *JobAttribution, sums *causeSums) {
+func attachWarmSavings(ja *JobAttribution) {
 	var seen []string
 	var saved int64
+	credited := false
 	for _, seg := range ja.Path {
 		if seg.Cause != LambdaColdStart || seg.Exec == "" || slices.Contains(seen, seg.Exec) {
 			continue
@@ -665,12 +735,11 @@ func attachWarmSavings(ja *JobAttribution, sums *causeSums) {
 		seen = append(seen, seg.Exec)
 		if s := int64(NominalColdStartUS) - seg.DurUS(); s > 0 {
 			saved += s
-			sums.savedSet |= 1 << warmHitSavedIdx
+			credited = true
 		}
 	}
-	if sums.savedSet != 0 {
-		sums.saved[warmHitSavedIdx] = saved
-		ja.SavedUS = map[Cause]int64{WarmHitSaved: saved}
+	if credited {
+		ja.SavedUS.put(warmHitSavedIdx, saved)
 	}
 }
 
@@ -692,20 +761,15 @@ func isWarmExec(exec string) bool {
 // attachDollars reconstructs the job's spend from executor lifetimes in
 // the log at nominal rates and splits it across causes proportionally
 // to blame time.
-func attachDollars(al *appLog, ja *JobAttribution, sums *causeSums) {
+func attachDollars(al *appLog, ja *JobAttribution) {
 	total := al.dollars()
 	if total <= 0 || ja.MakespanUS <= 0 {
 		return
 	}
-	sums.costSet = blameCauses
-	ja.CostUSD = make(map[Cause]float64, numCauses)
-	for i, c := range Causes {
-		if c.Savings() {
-			continue
+	for i := range numCauses {
+		if blameCauses&(1<<i) != 0 {
+			ja.CostUSD.put(i, round6(total*float64(ja.BlameUS.v[i])/float64(ja.MakespanUS)))
 		}
-		v := round6(total * float64(sums.blame[i]) / float64(ja.MakespanUS))
-		sums.cost[i] = v
-		ja.CostUSD[c] = v
 	}
 }
 

@@ -41,17 +41,17 @@ func DiffReports(old, new *Report) *Diff {
 	for _, c := range Causes {
 		e := DiffEntry{Cause: c, Savings: c.Savings()}
 		if c.Savings() {
-			e.OldUS = old.Totals.SavedUS[string(c)]
-			e.NewUS = new.Totals.SavedUS[string(c)]
+			e.OldUS = old.Totals.SavedUS.Get(c)
+			e.NewUS = new.Totals.SavedUS.Get(c)
 			e.DeltaUS = e.NewUS - e.OldUS
 			e.WorseUS = -e.DeltaUS // less saved = worse
 		} else {
-			e.OldUS = old.Totals.BlameUS[string(c)]
-			e.NewUS = new.Totals.BlameUS[string(c)]
+			e.OldUS = old.Totals.BlameUS.Get(c)
+			e.NewUS = new.Totals.BlameUS.Get(c)
 			e.DeltaUS = e.NewUS - e.OldUS
 			e.WorseUS = e.DeltaUS // more blame = worse
-			e.OldUSD = old.Totals.CostUSD[string(c)]
-			e.NewUSD = new.Totals.CostUSD[string(c)]
+			e.OldUSD = old.Totals.CostUSD.Get(c)
+			e.NewUSD = new.Totals.CostUSD.Get(c)
 			e.DeltaUSD = round6(e.NewUSD - e.OldUSD)
 		}
 		d.Entries = append(d.Entries, e)

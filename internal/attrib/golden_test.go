@@ -1,6 +1,7 @@
 package attrib_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -168,7 +169,8 @@ type attribGolden struct {
 }
 
 // TestAttributionGolden pins the bytes of attrib.Analyze(...).JSON() for
-// each of goldenLogs. Regenerate with:
+// each of goldenLogs, and checks each report survives a ParseReport round
+// trip. Regenerate with:
 //
 //	go test ./internal/attrib -run TestAttributionGolden -update
 func TestAttributionGolden(t *testing.T) {
@@ -188,6 +190,18 @@ func TestAttributionGolden(t *testing.T) {
 		}
 		sum := sha256.Sum256(js)
 		got[g.name] = attribGolden{Jobs: len(rep.Jobs), SHA256: hex.EncodeToString(sum[:])}
+		// The pinned report parses back to the same bytes and diffs
+		// against the report it came from as all zeros.
+		parsed, err := attrib.ParseReport(js)
+		if err != nil {
+			t.Fatalf("%s: ParseReport: %v", g.name, err)
+		}
+		if again, err := parsed.JSON(); err != nil || !bytes.Equal(again, js) {
+			t.Errorf("%s: the parsed report re-encodes to other bytes (err %v)", g.name, err)
+		}
+		if d := attrib.DiffReports(parsed, rep); !d.AllZero() {
+			t.Errorf("%s: the parsed report diffs against Analyze's:\n%s", g.name, d)
+		}
 	}
 	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")

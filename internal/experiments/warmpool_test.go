@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"splitserve/internal/attrib"
 )
 
 // TestWarmPoolCrossover is the acceptance check of the warm-pool
@@ -76,8 +78,8 @@ func TestWarmPoolCrossover(t *testing.T) {
 				t.Fatalf("%s gap=%s: run has no attribution", run.Mode, cell.Gap)
 			}
 			var sum int64
-			for _, v := range a.Totals.BlameUS {
-				sum += v
+			for _, c := range attrib.Causes {
+				sum += a.Totals.BlameUS.Get(c)
 			}
 			if sum != a.Totals.MakespanUS {
 				t.Errorf("%s gap=%s: blame sum %d != makespan %d",
