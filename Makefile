@@ -30,10 +30,11 @@ race:
 	$(GO) test -race -count=2 -skip 'Allocs|Allocat(es|ing)' -timeout 30m ./...
 
 # leaks runs the retention tests (TestLeak*: a finished job's engine, a
-# finished job's shuffle rows, a released Lambda's callback, a finished
-# flow's callback, a fired or cancelled timer's func must all become
-# unreachable) three times outside the race detector. Their assertions
-# depend on the garbage collector, so a flake shows up as its own step.
+# finished job's shuffle rows, an ended Lambda's record, a released
+# Lambda's callback, a finished flow's callback, a fired or cancelled
+# timer's func must all become unreachable) three times outside the race
+# detector. Their assertions depend on the garbage collector, so a flake
+# shows up as its own step.
 leaks:
 	$(GO) test -count=3 -run '^TestLeak' ./...
 

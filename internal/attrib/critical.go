@@ -31,9 +31,9 @@ type ioPoint struct {
 	bytes int64
 }
 
-// execInfo is one executor of an app. An app has a handful, so they live
-// in a slice searched linearly, in the order the log first names them:
-// registration order in any log the engine writes.
+// execInfo is one executor of an app. An app has a handful, so they are
+// searched linearly; the app's execs list them in the order the log first
+// names them: registration order in any log the engine writes.
 type execInfo struct {
 	id    string
 	kind  string // "vm" | "lambda": the last executor_add naming one
@@ -80,29 +80,43 @@ type appLog struct {
 	// looseEndUS is the latest engine-level end observed (job_end, task
 	// ends) — the fallback end for logs without cluster events.
 	looseEndUS int64
+	// While collectApps reads the stream, the app's executors and stages
+	// are in run-wide lists: lastExec and lastStage are the positions of
+	// its newest (-1 before the first), nexecs and nstages its counts.
+	lastExec, lastStage int32
+	nexecs, nstages     int32
 }
 
-// execIndex returns the index of executor id, adding it on first sight.
-func (al *appLog) execIndex(id string) int32 {
-	for i := range al.execs {
-		if al.execs[i].id == id {
-			return int32(i)
+// execIndex returns the app's index of executor id and its record in the
+// run-wide list execs, adding it on first sight; a is the app's index in
+// the run. The search runs from the newest executor.
+func (al *appLog) execIndex(execs *keyed[execInfo], a int32, id string) (int32, *execInfo) {
+	x := al.nexecs
+	for g := al.lastExec; g >= 0; g = execs.prev[g] {
+		x--
+		if execs.items[g].id == id {
+			return x, &execs.items[g]
 		}
 	}
-	al.execs = append(al.execs, execInfo{id: id})
-	return int32(len(al.execs) - 1)
+	g := execs.push(a, &al.lastExec, execInfo{id: id})
+	al.nexecs++
+	return al.nexecs - 1, &execs.items[g]
 }
 
-// stageIndex returns the index of stage st, adding it on first sight.
-// The search runs from the newest stage, the one events usually name.
-func (al *appLog) stageIndex(st int) int32 {
-	for i := len(al.stages) - 1; i >= 0; i-- {
-		if al.stages[i].stage == st {
-			return int32(i)
+// stageIndex returns the app's index of stage st and its record in the
+// run-wide list stages, adding it on first sight. The search runs from
+// the newest stage, the one events usually name.
+func (al *appLog) stageIndex(stages *keyed[stageInfo], a int32, st int) (int32, *stageInfo) {
+	x := al.nstages
+	for g := al.lastStage; g >= 0; g = stages.prev[g] {
+		x--
+		if stages.items[g].stage == st {
+			return x, &stages.items[g]
 		}
 	}
-	al.stages = append(al.stages, stageInfo{stage: st})
-	return int32(len(al.stages) - 1)
+	g := stages.push(a, &al.lastStage, stageInfo{stage: st})
+	al.nstages++
+	return al.nstages - 1, &stages.items[g]
 }
 
 // attributeJobs extracts per-app logs from the stream and runs the
@@ -178,18 +192,46 @@ func (p *perApp[T]) spread(apps []appLog, slot func(*appLog) *[]T) {
 	}
 }
 
+// keyed gathers the run's records of one kind that collectApps finds by
+// key and updates while it reads the stream. Each app's records are
+// chained newest-first through prev, so an app searches only its own,
+// until spread hands every app its own in first-sight order.
+type keyed[T any] struct {
+	perApp[T]
+	prev []int32
+}
+
+func newKeyed[T any](n int) keyed[T] {
+	return keyed[T]{perApp: newPerApp[T](n), prev: make([]int32, 0, n)}
+}
+
+// push adds v as app a's newest record, chained after the one at *last,
+// and moves *last to it. It returns v's position.
+func (k *keyed[T]) push(a int32, last *int32, v T) int32 {
+	g := int32(len(k.items))
+	k.add(a, v)
+	k.prev = append(k.prev, *last)
+	*last = g
+	return g
+}
+
 // collectApps partitions the stream by application. Events with no app
 // (cloud control plane, warm pool) are shared context and not a job;
 // of them, only the /tmp cache hits count, summed into tmpBytes.
 func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
-	// Count first, so the apps, their index and the run's task and
-	// shuffle records are allocated once, at their size. Every job of a
-	// cluster log arrives; an engine-only log has none and grows.
-	var arrivals, ends, nreads, nwrites int
+	// Count first, so the apps, their index and the run's task, shuffle,
+	// executor and stage records are allocated once, at their size. Every
+	// job of a cluster log arrives; an engine-only log has none and grows,
+	// as do executors and stages first named by a task.
+	var arrivals, ends, nreads, nwrites, nadds, nstages int
 	for k := range events {
 		switch events[k].Type {
 		case eventlog.ClusterArrive:
 			arrivals++
+		case eventlog.ExecutorAdd:
+			nadds++
+		case eventlog.StageStart:
+			nstages++
 		case eventlog.TaskEnd, eventlog.TaskFailed:
 			ends++
 		case eventlog.ShuffleRead:
@@ -203,6 +245,8 @@ func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
 	tasks := newPerApp[taskIval](ends)
 	reads := newPerApp[ioPoint](nreads)
 	writes := newPerApp[ioPoint](nwrites)
+	execs := newKeyed[execInfo](nadds)
+	stages := newKeyed[stageInfo](nstages)
 	open := map[openTask]int64{} // open task starts, all apps
 	last := int32(-1)            // the previous event's app
 	appOf := func(name string) int32 {
@@ -212,7 +256,9 @@ func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
 		i, ok := index[name]
 		if !ok {
 			i = int32(len(apps))
-			apps = append(apps, appLog{app: name, arrivalUS: -1, admitUS: -1, endUS: -1})
+			apps = append(apps, appLog{
+				app: name, arrivalUS: -1, admitUS: -1, endUS: -1, lastExec: -1, lastStage: -1,
+			})
 			index[name] = i
 		}
 		last = i
@@ -257,18 +303,19 @@ func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
 				al.looseEndUS = e.TS
 			}
 		case eventlog.StageStart:
-			al := &apps[appOf(e.App)]
-			st := &al.stages[al.stageIndex(e.Stage)]
+			a := appOf(e.App)
+			_, st := apps[a].stageIndex(&stages, a, e.Stage)
 			if !st.started || e.TS < st.startUS {
 				st.startUS, st.started = e.TS, true
 			}
 		case eventlog.TaskStart:
 			a := appOf(e.App)
-			open[openTask{a, apps[a].execIndex(e.Exec), e.Stage, e.Task}] = e.TS
+			x, _ := apps[a].execIndex(&execs, a, e.Exec)
+			open[openTask{a, x, e.Stage, e.Task}] = e.TS
 		case eventlog.TaskEnd, eventlog.TaskFailed:
 			a := appOf(e.App)
 			al := &apps[a]
-			x := al.execIndex(e.Exec)
+			x, xi := al.execIndex(&execs, a, e.Exec)
 			k := openTask{a, x, e.Stage, e.Task}
 			start, ok := open[k]
 			if !ok {
@@ -280,22 +327,23 @@ func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
 				// and would stall the backward walk.
 				continue
 			}
+			stageIdx, _ := al.stageIndex(&stages, a, e.Stage)
 			tasks.add(a, taskIval{
 				startUS: start, endUS: e.TS,
 				stage: e.Stage, task: e.Task,
-				exec: e.Exec, kind: al.execs[x].kind,
-				execIdx: x, stageIdx: al.stageIndex(e.Stage),
+				exec: e.Exec, kind: xi.kind,
+				execIdx: x, stageIdx: stageIdx,
 			})
 		case eventlog.ExecutorAdd:
-			al := &apps[appOf(e.App)]
-			x := &al.execs[al.execIndex(e.Exec)]
+			a := appOf(e.App)
+			_, x := apps[a].execIndex(&execs, a, e.Exec)
 			x.addUS, x.added = e.TS, true
 			if e.Kind != "" {
 				x.kind = e.Kind
 			}
 		case eventlog.ExecutorRemove:
-			al := &apps[appOf(e.App)]
-			x := &al.execs[al.execIndex(e.Exec)]
+			a := appOf(e.App)
+			_, x := apps[a].execIndex(&execs, a, e.Exec)
 			x.remUS, x.removed = e.TS, true
 		case eventlog.ShuffleRead:
 			reads.add(appOf(e.App), ioPoint{tsUS: e.TS, task: e.Task, bytes: e.Bytes})
@@ -306,6 +354,8 @@ func collectApps(events []eventlog.Event) (apps []appLog, tmpBytes int64) {
 	tasks.spread(apps, func(al *appLog) *[]taskIval { return &al.tasks })
 	reads.spread(apps, func(al *appLog) *[]ioPoint { return &al.reads })
 	writes.spread(apps, func(al *appLog) *[]ioPoint { return &al.writes })
+	execs.spread(apps, func(al *appLog) *[]execInfo { return &al.execs })
+	stages.spread(apps, func(al *appLog) *[]stageInfo { return &al.stages })
 
 	kept := apps[:0]
 	var scratch medianScratch

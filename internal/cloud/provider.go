@@ -110,10 +110,10 @@ type Lambda struct {
 	Egress *netsim.Pool
 
 	expiry *simclock.Timer
-	// onKill is the caller's expiry callback. The record outlives its
-	// invocation (Lambdas keeps it for billing), so onKill is cleared once
-	// the invocation ends: it typically closes over the launching job's
-	// whole engine.
+	// onKill is the caller's expiry callback. The record may outlive its
+	// invocation (the launching fleet keeps it to bill its job), so onKill
+	// is cleared once the invocation ends: it typically closes over the
+	// launching job's whole engine.
 	onKill    func(*Lambda)
 	startSpan *telemetry.Span
 	lifeSpan  *telemetry.Span
@@ -163,7 +163,11 @@ func DefaultOptions() Options {
 }
 
 // Provider simulates the cloud control plane: VM provisioning and Lambda
-// invocation on the simulation clock.
+// invocation on the simulation clock. It keeps every VM it provisions,
+// but no ledger of invocations: an invocation's record is reachable only
+// from its caller (in the engine, the engine.Fleet that launched it) and
+// from its own pending start-up and expiry timers, so it goes once its
+// caller lets go and it has ended.
 type Provider struct {
 	clock *simclock.Clock
 	net   *netsim.Network
@@ -175,11 +179,10 @@ type Provider struct {
 	// warm is the single source of truth for ambient warm-environment
 	// availability (memoryMB -> count), shared bookkeeping with the
 	// provisioned-concurrency layer in internal/warmpool.
-	warm    *warmpool.Accounting
-	vms     []*VM
-	lambdas []*Lambda
-	insts   providerInstruments
-	bus     *eventlog.Bus
+	warm  *warmpool.Accounting
+	vms   []*VM
+	insts providerInstruments
+	bus   *eventlog.Bus
 }
 
 // SetEventLog attaches an event-log bus; the provider emits control-plane
@@ -223,9 +226,6 @@ func (p *Provider) Limits() LambdaLimits { return p.opts.Limits }
 
 // VMs returns all instances ever requested (for billing and inspection).
 func (p *Provider) VMs() []*VM { return append([]*VM(nil), p.vms...) }
-
-// Lambdas returns all invocations ever made.
-func (p *Provider) Lambdas() []*Lambda { return append([]*Lambda(nil), p.lambdas...) }
 
 // BootDelay samples one VM boot delay.
 func (p *Provider) BootDelay() time.Duration {
@@ -359,10 +359,11 @@ func (p *Provider) invoke(cfg LambdaConfig, cold, provisioned bool, ready func(*
 		ColdStart:   cold,
 		Provisioned: provisioned,
 		InvokedAt:   p.clock.Now(),
-		Egress:      p.net.NewPool(id+"/egress", netsim.Mbps(cfg.EgressMbps()*jitter)),
-		onKill:      expired,
+		// The pool's name only labels netsim's capacity panic, so the
+		// invocation ID serves as it is.
+		Egress: p.net.NewPool(id, netsim.Mbps(cfg.EgressMbps()*jitter)),
+		onKill: expired,
 	}
-	p.lambdas = append(p.lambdas, l)
 	si := startIdx(cold)
 	p.insts.lambdaInvocations[si].Inc()
 	p.insts.lambdasInFlight.Inc()

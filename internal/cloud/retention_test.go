@@ -5,6 +5,9 @@ import (
 	"testing"
 	"time"
 	"weak"
+
+	"splitserve/internal/eventlog"
+	"splitserve/internal/simclock"
 )
 
 // capturingCallback returns an expiry callback that closes over a fresh
@@ -16,12 +19,35 @@ func capturingCallback(fired *bool) (func(*Lambda), weak.Pointer[[64]byte]) {
 	return func(*Lambda) { obj[0]++; *fired = true }, weak.Make(obj)
 }
 
-// TestLeakReleasedLambdaCallback: the provider keeps every
-// invocation record for billing, but a released record must not keep its
-// expiry callback, or everything the callback captured outlives the
-// invocation.
+// logged counts the bus's events of type typ naming invocation id.
+func logged(bus *eventlog.Bus, typ eventlog.Type, id string) int {
+	n := 0
+	for _, ev := range bus.Events() {
+		if ev.Type == typ && ev.Exec == id {
+			n++
+		}
+	}
+	return n
+}
+
+// dropRecord lets go of the caller's last reference to an ended
+// invocation, *l, and reports whether the record or its egress pool is
+// still reachable: the provider keeps no ledger of invocations.
+func dropRecord(l **Lambda) (record, egress bool) {
+	wl, we := weak.Make(*l), weak.Make((*l).Egress)
+	*l = nil
+	runtime.GC()
+	return wl.Value() != nil, we.Value() != nil
+}
+
+// TestLeakReleasedLambdaCallback: a released invocation record must not
+// keep its expiry callback, or everything the callback captured outlives
+// the invocation while the caller keeps the record to bill it. Once the
+// caller lets go, the provider must not keep the record either.
 func TestLeakReleasedLambdaCallback(t *testing.T) {
 	c, p := newProvider(DefaultOptions())
+	bus := eventlog.NewBus(simclock.Epoch)
+	p.SetEventLog(bus)
 	var fired bool
 	expired, captured := capturingCallback(&fired)
 	l, err := p.Invoke(LambdaConfig{MemoryMB: 1536}, nil, expired)
@@ -42,16 +68,22 @@ func TestLeakReleasedLambdaCallback(t *testing.T) {
 	if captured.Value() != nil {
 		t.Error("the released invocation still reaches its expiry callback's captures")
 	}
-	if got := p.Lambdas(); len(got) != 1 || got[0] != l || l.State != LambdaFinished {
-		t.Errorf("billing record lost after release: %d records, state %v", len(got), l.State)
+	if l.State != LambdaFinished || logged(bus, eventlog.LambdaInvoke, l.ID) != 1 || logged(bus, eventlog.LambdaRelease, l.ID) != 1 {
+		t.Errorf("state %v after release, want one lambda_invoke and one lambda_release of %s", l.State, l.ID)
 	}
+	if record, egress := dropRecord(&l); record || egress {
+		t.Errorf("the provider keeps a released invocation: record %v, egress pool %v", record, egress)
+	}
+	runtime.KeepAlive(p)
 }
 
 // TestLeakExpiredLambdaCallback: once the platform kills an
 // invocation at the lifetime cap, its callback has run and must not be
-// reachable from the record either.
+// reachable from the record either, nor the record from the provider.
 func TestLeakExpiredLambdaCallback(t *testing.T) {
 	c, p := newProvider(DefaultOptions())
+	bus := eventlog.NewBus(simclock.Epoch)
+	p.SetEventLog(bus)
 	var fired bool
 	expired, captured := capturingCallback(&fired)
 	l, err := p.Invoke(LambdaConfig{MemoryMB: 1536}, nil, expired)
@@ -67,7 +99,11 @@ func TestLeakExpiredLambdaCallback(t *testing.T) {
 	if captured.Value() != nil {
 		t.Error("the expired invocation still reaches its expiry callback's captures")
 	}
-	if got := p.Lambdas(); len(got) != 1 || got[0] != l {
-		t.Errorf("billing record lost after expiry: %d records", len(got))
+	if logged(bus, eventlog.LambdaInvoke, l.ID) != 1 {
+		t.Errorf("want one lambda_invoke of %s", l.ID)
 	}
+	if record, egress := dropRecord(&l); record || egress {
+		t.Errorf("the provider keeps an expired invocation: record %v, egress pool %v", record, egress)
+	}
+	runtime.KeepAlive(p)
 }

@@ -98,7 +98,7 @@ func (b *jobBackend) reconcile() {
 		if b.s.warm != nil {
 			env = b.s.warm.Acquire()
 		}
-		b.j.lambdas = append(b.j.lambdas, f.LaunchLambda(lambdaMemoryMB, engine.LambdaLaunchDelay, env))
+		f.LaunchLambda(lambdaMemoryMB, engine.LambdaLaunchDelay, env)
 	}
 }
 

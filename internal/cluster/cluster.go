@@ -211,19 +211,14 @@ type job struct {
 	backend *jobBackend
 	cluster *engine.Cluster
 	co      *coroutine
-	lambdas []*cloud.Lambda
-	meter   billing.Meter
+	err     error
 
-	report *workloads.Report
-	err    error
-
-	// workDist and execHosts are captured from the engine when the job
-	// settles, so finish can drop its reference to the engine while
-	// reports and invariant checks keep what they need. That frees the
-	// engine only while nothing else that outlives the job reaches it
-	// (see finish).
-	workDist  map[engine.ExecKind]engine.WorkStats
-	execHosts map[string]string // VM executor ID -> host VM ID
+	// The job's report row reads only these, settled by finish: the
+	// workload name its report gave, its work split and its bill. Nothing
+	// else of the job's run outlives it (see finish).
+	workload                    string
+	workDist                    engine.WorkSplit
+	costVM, costLambda, costUSD float64
 
 	// delayed records that deadline admission held the job back at least
 	// once; shedReason is set when admission rejected it outright.
@@ -476,7 +471,6 @@ func (s *Scheduler) addJob(spec JobSpec) *job {
 	id := len(s.jobs)
 	prefix := execPrefix(s.cfg.IDPrefix, id)
 	j := &job{spec: spec, id: id, appID: prefix + "-" + spec.Name, execPrefix: prefix}
-	j.meter.SetTelemetry(s.hub)
 	s.jobs = append(s.jobs, j)
 	s.inPhase[jobPending]++
 	return j
@@ -815,7 +809,9 @@ func (s *Scheduler) Pump() {
 func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 	now := s.clock.Now()
 	j.finishedAt = now
-	j.report = rep
+	if rep != nil {
+		j.workload = rep.Workload
+	}
 	j.err = err
 	if err != nil {
 		s.setPhase(j, jobFailed)
@@ -833,38 +829,42 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 		}
 	}
 	// Bill the job: each VM executor is one core of its host for its
-	// registered lifetime; each Lambda for its billed duration.
+	// registered lifetime; each Lambda its fleet launched for its billed
+	// duration. The job keeps the totals, not the meter's line items.
+	var meter billing.Meter
+	meter.SetTelemetry(s.hub)
 	if j.cluster != nil {
-		j.execHosts = make(map[string]string)
 		for _, e := range j.cluster.AllExecutors() {
 			if e.Kind != engine.ExecVM || e.VM == nil {
 				continue
 			}
-			j.execHosts[e.ID] = e.VM.ID
 			end := e.RemovedAt
 			if e.State != engine.ExecDead {
 				end = now
 			}
-			j.meter.AddVM(e.HostID, e.VM.Type.PricePerHour, e.VM.Type.VCPUs, 1, end.Sub(e.RegisteredAt))
+			meter.AddVM(e.HostID, e.VM.Type.PricePerHour, e.VM.Type.VCPUs, 1, end.Sub(e.RegisteredAt))
 		}
 		j.workDist = j.cluster.WorkDistribution()
 	}
-	for _, l := range j.lambdas {
-		j.meter.AddLambda(l.ID, lambdaMemoryMB, l.BilledDuration(now))
+	for _, l := range j.backend.fleet.Lambdas() {
+		meter.AddLambda(l.ID, lambdaMemoryMB, l.BilledDuration(now))
 	}
+	byKind := meter.TotalByKind()
+	j.costVM, j.costLambda, j.costUSD = byKind["vm"], byKind["lambda"], meter.Total()
 	// The job is settled: drop the scheduler's references to its
-	// simulation state. That frees the engine only while nothing that
-	// outlives the job reaches it. The provider keeps every Lambda for
-	// billing, so it clears an invocation's expiry callback (which closes
-	// over the fleet, the backend and the engine) once the invocation
-	// ends; netsim pools outlive the job too, so removed flows, whose
-	// done callbacks reach tasks, leave no pointer in their slices.
-	// TestLeakFinishedJobEngines holds every finished engine unreachable.
-	// Launch callbacks still in flight hold their own references and
-	// self-release on the closed fleet.
+	// simulation state. That frees the engine, the backend and the
+	// fleet's Lambda records only while nothing that outlives the job
+	// reaches them. The provider keeps no invocation ledger, and it clears
+	// an invocation's expiry callback (which closes over the fleet, the
+	// backend and the engine) once the invocation ends; netsim pools
+	// outlive the job too, so removed flows, whose done callbacks reach
+	// tasks, leave no pointer in their slices. TestLeakFinishedJobEngines
+	// holds every finished engine unreachable, TestLeakEndedLambdas every
+	// Lambda record, egress pool and workload report. Launch callbacks
+	// still in flight hold their own references and self-release on the
+	// closed fleet.
 	j.cluster = nil
 	j.backend = nil
-	j.lambdas = nil
 	j.co = nil
 	// The app is over, so its shuffle files go, as Spark's ContextCleaner
 	// removes an ended application's shuffle data; otherwise its

@@ -11,6 +11,7 @@ import (
 
 	"splitserve/internal/eventlog"
 	"splitserve/internal/simrand"
+	"splitserve/internal/spark/engine"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -208,7 +209,19 @@ func TestElasticityPropertyInvariants(t *testing.T) {
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			var violation error
+			// Resolve each task_start's host VM while the job's engine is
+			// alive (a settled job keeps no executor map), then require
+			// every task_start to predate its host's release.
+			byApp := map[string]*job{}
+			for _, j := range s.jobs {
+				byApp[j.appID] = j
+			}
+			type start struct {
+				exec, vm string
+				ts       int64
+			}
+			var starts []start
+			var violation, unresolved error
 			nEvents := 0
 			s.Events().Subscribe(func(ev eventlog.Event) {
 				nEvents++
@@ -216,6 +229,19 @@ func TestElasticityPropertyInvariants(t *testing.T) {
 					if err := s.pool.CheckInvariants(); err != nil {
 						violation = fmt.Errorf("event %d (%s): %w", nEvents, ev.Type, err)
 					}
+				}
+				if ev.Type != eventlog.TaskStart || unresolved != nil {
+					return
+				}
+				var e *engine.Executor
+				if j := byApp[ev.App]; j != nil && j.cluster != nil {
+					e = j.cluster.Executor(ev.Exec)
+				}
+				switch {
+				case e == nil:
+					unresolved = fmt.Errorf("task_start on %s of %s: no live job engine knows the executor", ev.Exec, ev.App)
+				case e.Kind == engine.ExecVM:
+					starts = append(starts, start{ev.Exec, e.VM.ID, ev.TS})
 				}
 			})
 			if _, err := s.Run(); err != nil {
@@ -228,33 +254,23 @@ func TestElasticityPropertyInvariants(t *testing.T) {
 			if nEvents == 0 {
 				t.Fatal("no events observed")
 			}
-
-			// Map executors to their host VM, then require every task_start
-			// to predate its host's release.
-			execVM := map[string]string{}
-			for _, j := range s.jobs {
-				for id, host := range j.execHosts {
-					execVM[id] = host
-				}
+			if unresolved != nil {
+				t.Fatal(unresolved)
 			}
+			if len(starts) == 0 {
+				t.Fatal("no task started on a VM executor")
+			}
+
 			releasedAt := map[string]int64{}
-			events := s.Events().Events()
-			for _, ev := range events {
+			for _, ev := range s.Events().Events() {
 				if ev.Type == eventlog.VMReleaseIdle {
 					releasedAt[ev.Exec] = ev.TS
 				}
 			}
-			for _, ev := range events {
-				if ev.Type != eventlog.TaskStart {
-					continue
-				}
-				vmID, ok := execVM[ev.Exec]
-				if !ok {
-					continue // Lambda executor
-				}
-				if rel, ok := releasedAt[vmID]; ok && ev.TS >= rel {
+			for _, st := range starts {
+				if rel, ok := releasedAt[st.vm]; ok && st.ts >= rel {
 					t.Errorf("task started on %s at %dus, but host %s was released at %dus",
-						ev.Exec, ev.TS, vmID, rel)
+						st.exec, st.ts, st.vm, rel)
 				}
 			}
 		})

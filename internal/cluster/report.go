@@ -11,7 +11,6 @@ import (
 	"splitserve/internal/billing"
 	"splitserve/internal/cloud"
 	"splitserve/internal/simclock"
-	"splitserve/internal/spark/engine"
 	"splitserve/internal/telemetry"
 )
 
@@ -181,9 +180,7 @@ func (s *Scheduler) buildReport() *Report {
 			Tenant:    j.spec.Tenant,
 			Cores:     j.spec.Cores,
 			ArrivalUS: us(j.arrivalAt.Sub(simclock.Epoch)),
-		}
-		if j.report != nil {
-			jr.Workload = j.report.Workload
+			Workload:  j.workload,
 		}
 		deadline := j.allowance(s.cfg.SLOFactor)
 		jr.DeadlineUS = us(deadline)
@@ -200,17 +197,12 @@ func (s *Scheduler) buildReport() *Report {
 				end = j.finishedAt
 			}
 		}
-		if j.workDist != nil {
-			vm, la := j.workDist[engine.ExecVM], j.workDist[engine.ExecLambda]
-			jr.VMExecutors, jr.VMTasks = vm.Executors, vm.Tasks
-			jr.LambdaExecutors, jr.LambdaTasks = la.Executors, la.Tasks
-			vmBusy += vm.Busy
-			lambdaBusy += la.Busy
-		}
-		byKind := j.meter.TotalByKind()
-		jr.CostVMUSD = byKind["vm"]
-		jr.CostLambdaUSD = byKind["lambda"]
-		jr.CostUSD = j.meter.Total()
+		vm, la := j.workDist.VM, j.workDist.Lambda
+		jr.VMExecutors, jr.VMTasks = vm.Executors, vm.Tasks
+		jr.LambdaExecutors, jr.LambdaTasks = la.Executors, la.Tasks
+		vmBusy += vm.Busy
+		lambdaBusy += la.Busy
+		jr.CostVMUSD, jr.CostLambdaUSD, jr.CostUSD = j.costVM, j.costLambda, j.costUSD
 
 		if p := j.spec.Pick; p != nil {
 			jr.AllocPolicy = p.Policy

@@ -10,7 +10,9 @@ import (
 	"time"
 	"weak"
 
+	"splitserve/internal/cloud"
 	"splitserve/internal/eventlog"
+	"splitserve/internal/netsim"
 	"splitserve/internal/simclock"
 	"splitserve/internal/spark/engine"
 	"splitserve/internal/spark/rdd"
@@ -51,11 +53,22 @@ func (s *probeSet) live() int {
 	return n
 }
 
+// invokes counts the run's lambda_invoke events.
+func invokes(s *Scheduler) int {
+	n := 0
+	for _, ev := range s.bus.Events() {
+		if ev.Type == eventlog.LambdaInvoke {
+			n++
+		}
+	}
+	return n
+}
+
 // TestLeakFinishedJobEngines: once a job finishes, nothing the scheduler
 // keeps for its report — cloud records, network pools, the warm pool, the
 // event log — may reach the job's engine. Bridged jobs are the case that
-// matters: every Lambda they launch stays in the provider's billing list,
-// and its expiry callback and egress pool once led back to the engine.
+// matters: their Lambdas' expiry callbacks and egress pools once led back
+// to the engine, while the provider kept every Lambda for billing.
 func TestLeakFinishedJobEngines(t *testing.T) {
 	arrivals := make([]time.Duration, 12)
 	for i := range arrivals {
@@ -100,13 +113,122 @@ func TestLeakFinishedJobEngines(t *testing.T) {
 			if rep.Completed != len(cfg.Jobs) || len(set.engines) != len(cfg.Jobs) {
 				t.Fatalf("%d of %d jobs completed on %d engines", rep.Completed, len(cfg.Jobs), len(set.engines))
 			}
-			if got := len(s.provider.Lambdas()) > 0; got != tc.lambdas {
+			if got := invokes(s) > 0; got != tc.lambdas {
 				t.Fatalf("Lambdas launched: %v, want %v", got, tc.lambdas)
 			}
 			if n := set.live(); n != 0 {
 				t.Errorf("%d of %d finished jobs' engines are still reachable", n, len(set.engines))
 			}
 			runtime.KeepAlive(s)
+		})
+	}
+}
+
+// lambdaProbe wraps a workload and, when it returns, records weak
+// pointers to its report and to every Lambda its job's fleet launched
+// and their egress pools, so a test can ask which outlive the job.
+type lambdaProbe struct {
+	workloads.Workload
+	set *lambdaSet
+}
+
+type lambdaSet struct {
+	s           *Scheduler
+	lambdas     []weak.Pointer[cloud.Lambda]
+	pools       []weak.Pointer[netsim.Pool]
+	reports     []weak.Pointer[workloads.Report]
+	provisioned int
+}
+
+func (p lambdaProbe) Run(c *engine.Cluster) (*workloads.Report, error) {
+	rep, err := p.Workload.Run(c)
+	set := p.set
+	for _, j := range set.s.jobs {
+		if j.cluster != c {
+			continue
+		}
+		// The backend shuts down after the workload returns, so its fleet
+		// launches nothing more.
+		for _, l := range j.backend.fleet.Lambdas() {
+			set.lambdas = append(set.lambdas, weak.Make(l))
+			set.pools = append(set.pools, weak.Make(l.Egress))
+			if l.Provisioned {
+				set.provisioned++
+			}
+		}
+	}
+	if rep != nil {
+		set.reports = append(set.reports, weak.Make(rep))
+	}
+	return rep, err
+}
+
+// liveWeak counts the weak pointers whose objects are still reachable.
+func liveWeak[T any](ws []weak.Pointer[T]) int {
+	n := 0
+	for _, w := range ws {
+		if w.Value() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestLeakEndedLambdas: once Run returns, no Lambda record a finished
+// job's fleet launched, no egress pool of one and no workload report may
+// stay reachable while the scheduler and its report are kept: the
+// provider keeps no invocation ledger, and a settled job keeps only the
+// scalars of its report row.
+func TestLeakEndedLambdas(t *testing.T) {
+	arrivals := make([]time.Duration, 12)
+	for i := range arrivals {
+		arrivals[i] = time.Duration(i) * 2 * time.Second
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"bridge", Config{Jobs: testJobs(t, arrivals, 4, 4, 2), PoolCores: 4}},
+		{"warmpool-tmpcache", Config{Jobs: warmJobs(t, 12), PoolCores: 4, WarmPool: 4, TmpCache: true}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			set := &lambdaSet{}
+			cfg := tc.cfg
+			cfg.Policy, cfg.Strategy, cfg.SLOFactor, cfg.Seed = FairShare(), StrategyBridge, 3, 5
+			for i := range cfg.Jobs {
+				cfg.Jobs[i].Workload = lambdaProbe{cfg.Jobs[i].Workload, set}
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			set.s = s
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Completed != len(cfg.Jobs) || len(set.reports) != len(cfg.Jobs) {
+				t.Fatalf("%d of %d jobs completed, %d reports", rep.Completed, len(cfg.Jobs), len(set.reports))
+			}
+			if n := invokes(s); len(set.lambdas) != n || n == 0 {
+				t.Fatalf("the fleets launched %d Lambdas, the log has %d lambda_invoke events", len(set.lambdas), n)
+			}
+			if cfg.WarmPool > 0 && set.provisioned == 0 {
+				t.Fatal("no Lambda ran on a warm-pool environment; the warm path is untested")
+			}
+			runtime.GC()
+			if n := liveWeak(set.lambdas); n != 0 {
+				t.Errorf("%d of %d Lambda records are still reachable", n, len(set.lambdas))
+			}
+			if n := liveWeak(set.pools); n != 0 {
+				t.Errorf("%d of %d Lambda egress pools are still reachable", n, len(set.pools))
+			}
+			if n := liveWeak(set.reports); n != 0 {
+				t.Errorf("%d of %d workload reports are still reachable", n, len(set.reports))
+			}
+			runtime.KeepAlive(s)
+			runtime.KeepAlive(rep)
 		})
 	}
 }

@@ -239,6 +239,10 @@ func (b *SplitServe) scheduleAgeDrains() {
 	}
 }
 
+// Lambdas returns every Lambda the backend launched, in launch order, for
+// billing. The slice is the backend's own; callers must not modify it.
+func (b *SplitServe) Lambdas() []*cloud.Lambda { return b.fleet.Lambdas() }
+
 // Shutdown releases every live Lambda (end of scenario) so billing stops.
 // Lambdas are released in registration order so the resulting removal
 // events are deterministic.

@@ -39,6 +39,17 @@ func (f *fixture) count(typ eventlog.Type) int {
 	return n
 }
 
+// lambdas returns every Lambda the backend launched; a check that loops
+// over them must see at least one.
+func (f *fixture) lambdas(t *testing.T) []*cloud.Lambda {
+	t.Helper()
+	ls := f.backend.fleet.Lambdas()
+	if len(ls) == 0 {
+		t.Fatal("the backend launched no Lambda")
+	}
+	return ls
+}
+
 func newFixture(t *testing.T, cfg Config, execs int, slo time.Duration, store storage.Store) *fixture {
 	t.Helper()
 	clock := simclock.New(simclock.Epoch)
@@ -228,7 +239,7 @@ func TestSegueMovesWorkToVMs(t *testing.T) {
 		t.Fatalf("segue caused %d task failures (rollback)", got)
 	}
 	// All lambdas must be decommissioned and released.
-	for _, l := range f.provider.Lambdas() {
+	for _, l := range f.lambdas(t) {
 		if l.State == cloud.LambdaRunning || l.State == cloud.LambdaStarting {
 			t.Fatalf("lambda %s still running after segue", l.ID)
 		}
@@ -272,7 +283,7 @@ func TestTTLSafetyDrainAvoidsExpiry(t *testing.T) {
 	if drained == 0 {
 		t.Fatal("TTL safety margin never drained a lambda")
 	}
-	for _, l := range f.provider.Lambdas() {
+	for _, l := range f.lambdas(t) {
 		if l.State == cloud.LambdaExpired {
 			t.Fatalf("lambda %s expired despite safety drain", l.ID)
 		}
@@ -302,7 +313,7 @@ func TestLambdaExpiryCausesRecoveryButJobCompletes(t *testing.T) {
 		t.Fatalf("rows = %d", len(job.Rows()))
 	}
 	expired := 0
-	for _, l := range f.provider.Lambdas() {
+	for _, l := range f.lambdas(t) {
 		if l.State == cloud.LambdaExpired {
 			expired++
 		}
@@ -321,7 +332,7 @@ func TestShutdownReleasesLambdas(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.backend.Shutdown()
-	for _, l := range f.provider.Lambdas() {
+	for _, l := range f.lambdas(t) {
 		if l.State == cloud.LambdaRunning {
 			t.Fatalf("lambda %s running after Shutdown", l.ID)
 		}
@@ -374,7 +385,7 @@ func TestHybridWorkDistributionTracked(t *testing.T) {
 		t.Fatal(err)
 	}
 	dist := f.cluster.WorkDistribution()
-	vm, la := dist[engine.ExecVM], dist[engine.ExecLambda]
+	vm, la := dist.VM, dist.Lambda
 	if vm.Executors != 4 || la.Executors != 8 {
 		t.Fatalf("executors = %+v / %+v", vm, la)
 	}

@@ -356,10 +356,14 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 		}
 	}
 	dist := cluster.WorkDistribution()
-	res.VMWork = dist[engine.ExecVM]
-	res.LambdaWork = dist[engine.ExecLambda]
+	res.VMWork = dist.VM
+	res.LambdaWork = dist.Lambda
 
-	meter := billMarginal(cluster, provider, objStore, initialIDs, master.ID, clock.Now(), hub)
+	var lambdas []*cloud.Lambda
+	if ss != nil {
+		lambdas = ss.Lambdas()
+	}
+	meter := billMarginal(cluster, provider, lambdas, objStore, initialIDs, master.ID, clock.Now(), hub)
 	res.CostUSD = meter.Total()
 	res.ByKind = meter.TotalByKind()
 	return res, nil
@@ -368,8 +372,9 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 // billMarginal computes the job's marginal cost: pre-existing worker VM
 // cores are charged proportionally for their peak concurrent use over the
 // job; VMs procured during the run (autoscale, segue) are charged in full
-// from request to job end; Lambdas per billed duration; S3 per request.
-func billMarginal(cluster *engine.Cluster, provider *cloud.Provider, objStore *s3q.Store, initialIDs map[string]bool, masterID string, end time.Time, hub *telemetry.Hub) *billing.Meter {
+// from request to job end; lambdas, the backend's invocations in launch
+// order, per billed duration; S3 per request.
+func billMarginal(cluster *engine.Cluster, provider *cloud.Provider, lambdas []*cloud.Lambda, objStore *s3q.Store, initialIDs map[string]bool, masterID string, end time.Time, hub *telemetry.Hub) *billing.Meter {
 	var meter billing.Meter
 	meter.SetTelemetry(hub)
 
@@ -421,7 +426,7 @@ func billMarginal(cluster *engine.Cluster, provider *cloud.Provider, objStore *s
 			USD:      billing.VMCost(vm.Type.PricePerHour, vm.Uptime(end)),
 		})
 	}
-	for _, l := range provider.Lambdas() {
+	for _, l := range lambdas {
 		meter.AddLambda(l.ID, l.Config.MemoryMB, l.BilledDuration(end))
 	}
 	puts, gets := objStore.Counts("qubole-shuffle")

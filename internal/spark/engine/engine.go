@@ -419,18 +419,25 @@ type WorkStats struct {
 	Busy      time.Duration
 }
 
+// WorkSplit is a job's work by executor kind.
+type WorkSplit struct {
+	VM, Lambda WorkStats
+}
+
 // WorkDistribution reports how the job's work split across VM- and
 // Lambda-based executors — the paper's fine-grained work-distribution
 // analysis enabled by unique executor IDs.
-func (c *Cluster) WorkDistribution() map[ExecKind]WorkStats {
-	out := make(map[ExecKind]WorkStats, 2)
+func (c *Cluster) WorkDistribution() WorkSplit {
+	var out WorkSplit
 	for _, id := range c.order {
 		e := c.execs[id]
-		st := out[e.Kind]
+		st := &out.VM
+		if e.Kind == ExecLambda {
+			st = &out.Lambda
+		}
 		st.Executors++
 		st.Tasks += e.TasksRun
 		st.Busy += e.BusyTime
-		out[e.Kind] = st
 	}
 	return out
 }

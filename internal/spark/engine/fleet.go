@@ -40,7 +40,9 @@ const (
 // live and in flight per kind, launches them on VM cores and Lambdas,
 // keeps tasks off Lambdas near the platform's lifetime cap and drains
 // them, removes the executors of expired Lambdas, and gives back what an
-// executor held when it goes. A backend keeps only where its VM cores
+// executor held when it goes. It also keeps every Lambda it launched, the
+// only list of them (the provider keeps none), so its backend can bill
+// them; they go with the fleet. A backend keeps only where its VM cores
 // come from and its policy. Start binds a Fleet before its first launch.
 type Fleet struct {
 	// Desired is the executor total the engine last asked for.
@@ -55,8 +57,10 @@ type Fleet struct {
 	hooks  FleetHooks
 	// envs maps a provisioned Lambda executor to the warm-pool
 	// environment hosting it.
-	envs   map[string]*warmpool.Env
-	closed bool
+	envs map[string]*warmpool.Env
+	// lambdas are the fleet's invocations in launch order.
+	lambdas []*cloud.Lambda
+	closed  bool
 }
 
 // FleetHooks connect a Fleet to the backend that owns it.
@@ -83,6 +87,10 @@ func (f *Fleet) Start(c *Cluster, prefix string, h FleetHooks) {
 
 // Live counts registered executors.
 func (f *Fleet) Live() int { return f.VMLive + f.LambdaLive }
+
+// Lambdas returns every Lambda the fleet launched, in launch order. The
+// slice is the fleet's own; callers must not modify it.
+func (f *Fleet) Lambdas() []*cloud.Lambda { return f.lambdas }
 
 // InFlight counts launches not yet registered or dropped.
 func (f *Fleet) InFlight() int { return f.VMPending + f.LambdaPending }
@@ -145,8 +153,8 @@ func (f *Fleet) LaunchVM(vm *cloud.VM, memMB int, credits *cloud.CreditGauge, ch
 }
 
 // LaunchLambda invokes a Lambda of memMB for one executor, on the
-// warm-pool environment env or on demand when env is nil, and returns it.
-// The executor registers delay after the Lambda is up, unless the fleet is
+// warm-pool environment env or on demand when env is nil, adds it to
+// Lambdas and returns it. The executor registers delay after the Lambda is up, unless the fleet is
 // closed or already has Desired executors; a dropped launch releases the
 // Lambda and its environment. Callers validate memMB before the run, so a
 // rejected invocation is a bug and panics.
@@ -169,6 +177,7 @@ func (f *Fleet) LaunchLambda(memMB int, delay time.Duration, env *warmpool.Env) 
 	if err != nil {
 		panic(err)
 	}
+	f.lambdas = append(f.lambdas, l)
 	return l
 }
 

@@ -13,6 +13,7 @@ package sparkpi
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 
 	"splitserve/internal/simrand"
@@ -74,7 +75,14 @@ func New(cfg Config) *Workload {
 	if cfg.CostPerDart <= 0 {
 		cfg.CostPerDart = 0.4
 	}
-	return &Workload{cfg: cfg, name: fmt.Sprintf("sparkpi-%g", float64(cfg.Darts))}
+	return &Workload{cfg: cfg, name: workloadName(cfg.Darts)}
+}
+
+// workloadName is the name of a run of darts: "sparkpi-%g" of the count
+// as a float64, built without fmt.
+func workloadName(darts int64) string {
+	var buf [32]byte
+	return string(strconv.AppendFloat(append(buf[:0], "sparkpi-"...), float64(darts), 'g', -1, 64))
 }
 
 // Name implements workloads.Workload.

@@ -1,6 +1,7 @@
 package sparkpi
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -99,4 +100,19 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(Config{Darts: 0, Partitions: 1})
+}
+
+// TestNameMatchesSprintf holds the workload name byte-equal to the
+// fmt.Sprintf("sparkpi-%g", float64(darts)) form it replaced, including
+// counts printed in the e form.
+func TestNameMatchesSprintf(t *testing.T) {
+	for _, darts := range []int64{
+		1, 7, 100, 200000, 999999, 1000000, 1234567, 20_000_000,
+		1e10, 1<<53 + 1, 1 << 62, 1<<63 - 1,
+	} {
+		want := fmt.Sprintf("sparkpi-%g", float64(darts))
+		if got := New(Config{Darts: darts, Partitions: 1}).Name(); got != want {
+			t.Errorf("darts %d: name %q, want %q", darts, got, want)
+		}
+	}
 }
