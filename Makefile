@@ -30,18 +30,18 @@ race:
 	$(GO) test -race -count=2 -skip 'Allocs|Allocat(es|ing)' -timeout 30m ./...
 
 # leaks runs the retention tests (TestLeak*: a finished job's engine, a
-# finished job's shuffle rows, an ended Lambda's record, a released
-# Lambda's callback, a finished flow's callback, a fired or cancelled
-# timer's func must all become unreachable) three times outside the race
-# detector. Their assertions depend on the garbage collector, so a flake
+# finished job's shuffle rows, a settled job's workload, an ended Lambda's
+# record, a released Lambda's callback, a finished flow's callback, a fired
+# or cancelled timer's func must all become unreachable) three times
+# outside the race detector. Their assertions depend on the garbage collector, so a flake
 # shows up as its own step.
 leaks:
 	$(GO) test -count=3 -run '^TestLeak' ./...
 
-# allocs runs the allocation-budget tests (testing.AllocsPerRun: a registry
-# hit, one clock event, a JSONL line, an emitted event, a network flow, a
-# shuffle regroup, a report's JSON, a merge of event logs, an attribution
-# pass)
+# allocs runs the allocation-budget tests (allocation counts: a registry
+# hit, a warm clock event allocates nothing, a JSONL line, an emitted
+# event, a network flow, a shuffle regroup, a report's JSON, a merge of
+# event logs, an attribution pass, a token-SparkPi cluster day per job)
 # outside the race detector, whose instrumentation adds allocations of its
 # own.
 allocs:

@@ -11,6 +11,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"splitserve/internal/telemetry"
@@ -122,20 +123,63 @@ type Item struct {
 // ready to use.
 type Meter struct {
 	items []Item
+	insts *instruments
+}
+
+// instruments holds the per-kind billing counters of one hub, shared by
+// every meter on it. A kind's pair is resolved on its first billed line,
+// so a kind never billed exports no counters. Meters on one hub may run
+// on different goroutines, so mu guards the list.
+type instruments struct {
 	hub   *telemetry.Hub
+	mu    sync.Mutex
+	kinds []kindCounters
+}
+
+type kindCounters struct {
+	kind        string
+	cost, items *telemetry.Counter
+}
+
+var instrumentsKey telemetry.MemoKey
+
+func newInstruments(h *telemetry.Hub) *instruments { return &instruments{hub: h} }
+
+// of returns kind's counters, resolving them on the kind's first line.
+func (in *instruments) of(kind string) kindCounters {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	for _, k := range in.kinds {
+		if k.kind == kind {
+			return k
+		}
+	}
+	kl := telemetry.L("kind", kind)
+	k := kindCounters{
+		kind:  kind,
+		cost:  in.hub.Counter("billing_cost_usd_total", kl),
+		items: in.hub.Counter("billing_items_total", kl),
+	}
+	in.kinds = append(in.kinds, k)
+	return k
 }
 
 // SetTelemetry makes the meter mirror cost accrual into per-kind
 // billing_cost_usd_total and billing_items_total counters on hub.
-func (m *Meter) SetTelemetry(h *telemetry.Hub) { m.hub = h }
+func (m *Meter) SetTelemetry(h *telemetry.Hub) {
+	m.insts = nil
+	if h != nil {
+		m.insts = telemetry.Memo(h, &instrumentsKey, newInstruments)
+	}
+}
 
 // Add records a billed line.
 func (m *Meter) Add(item Item) {
 	m.items = append(m.items, item)
-	if m.hub != nil {
-		kl := telemetry.L("kind", item.Kind)
-		m.hub.Counter("billing_cost_usd_total", kl).Add(item.USD)
-		m.hub.Counter("billing_items_total", kl).Inc()
+	if m.insts != nil {
+		k := m.insts.of(item.Kind)
+		k.cost.Add(item.USD)
+		k.items.Inc()
 	}
 }
 
@@ -166,6 +210,22 @@ func (m *Meter) Total() float64 {
 		sum += it.USD
 	}
 	return sum
+}
+
+// Totals returns the VM, Lambda and overall subtotals, each summed in
+// item order: the same floats as TotalByKind's "vm" and "lambda" entries
+// (0 when absent) and Total, without building the map.
+func (m *Meter) Totals() (vm, lambda, total float64) {
+	for _, it := range m.items {
+		switch it.Kind {
+		case "vm":
+			vm += it.USD
+		case "lambda":
+			lambda += it.USD
+		}
+		total += it.USD
+	}
+	return vm, lambda, total
 }
 
 // TotalByKind returns per-kind subtotals.

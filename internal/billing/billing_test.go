@@ -2,9 +2,12 @@ package billing
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"splitserve/internal/telemetry"
 )
 
 func approx(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -196,5 +199,69 @@ func TestVMSavings(t *testing.T) {
 	// Actual beyond the counterfactual clamps at zero, never negative.
 	if got := VMSavings(3.6, 2*time.Hour, time.Hour); got != 0 {
 		t.Fatalf("VMSavings(actual > counterfactual) = %v, want 0", got)
+	}
+}
+
+// TestMeterTotalsMatchByKind: Totals sums each kind in item order, so its
+// floats are TotalByKind's entries (0 for a kind never billed) and Total,
+// bit for bit.
+func TestMeterTotalsMatchByKind(t *testing.T) {
+	var m Meter
+	if vm, lambda, total := m.Totals(); vm != 0 || lambda != 0 || total != 0 {
+		t.Fatalf("empty meter Totals = %v, %v, %v", vm, lambda, total)
+	}
+	for i := 0; i < 50; i++ {
+		m.AddLambda("l", 1536, time.Duration(i*37)*time.Millisecond)
+		if i%3 == 0 {
+			m.AddVM("vm", 0.2, 4, 1, time.Duration(i)*time.Second+time.Minute)
+		}
+		if i%7 == 0 {
+			m.AddS3("s3", int64(i), int64(2*i))
+		}
+	}
+	vm, lambda, total := m.Totals()
+	byKind := m.TotalByKind()
+	if vm != byKind["vm"] || lambda != byKind["lambda"] || total != m.Total() {
+		t.Fatalf("Totals = %v, %v, %v; TotalByKind and Total give %v, %v, %v",
+			vm, lambda, total, byKind["vm"], byKind["lambda"], m.Total())
+	}
+}
+
+// TestMetersOnOneHubShareCounters: every meter on a hub adds into the
+// hub's per-kind counters, and a kind no meter billed exports none. The
+// meters bill from goroutines of their own, as the hub's instruments
+// allow, so the race detector sees the shared counter set.
+func TestMetersOnOneHubShareCounters(t *testing.T) {
+	hub := telemetry.NewUntraced()
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var m Meter
+			m.SetTelemetry(hub)
+			m.AddVM("vm", 3.6, 1, 1, time.Minute)
+			m.AddLambda("l", 1024, 100*time.Millisecond)
+			m.AddLambda("l", 1024, 100*time.Millisecond)
+		}()
+	}
+	wg.Wait()
+	counters := map[string]float64{}
+	for _, c := range hub.Report().Counters {
+		counters[c.Name+"/"+c.Labels["kind"]] = c.Value
+	}
+	want := map[string]float64{
+		"billing_items_total/vm":        3,
+		"billing_items_total/lambda":    6,
+		"billing_cost_usd_total/vm":     3 * VMCost(3.6, time.Minute),
+		"billing_cost_usd_total/lambda": 6 * LambdaCost(1024, 100*time.Millisecond),
+	}
+	if len(counters) != len(want) {
+		t.Fatalf("hub counters = %v, want exactly %v", counters, want)
+	}
+	for k, v := range want {
+		if !approx(counters[k], v, 1e-12) {
+			t.Errorf("%s = %v, want %v", k, counters[k], v)
+		}
 	}
 }

@@ -109,7 +109,7 @@ type Lambda struct {
 	// memory-proportional egress limit).
 	Egress *netsim.Pool
 
-	expiry *simclock.Timer
+	expiry simclock.Timer
 	// onKill is the caller's expiry callback. The record may outlive its
 	// invocation (the launching fleet keeps it to bill its job), so onKill
 	// is cleared once the invocation ends: it typically closes over the
@@ -416,10 +416,7 @@ func (p *Provider) Release(l *Lambda) {
 	if l.State != LambdaRunning && l.State != LambdaStarting {
 		return
 	}
-	if l.expiry != nil {
-		l.expiry.Cancel()
-		l.expiry = nil
-	}
+	l.expiry.Cancel()
 	l.State = LambdaFinished
 	l.EndedAt = p.clock.Now()
 	l.onKill = nil

@@ -450,6 +450,9 @@ func New(cfg Config) (*Scheduler, error) {
 		}
 		s.addJob(spec)
 	}
+	// Each job holds its own spec from here; a settled job drops its
+	// workload, which this slice would otherwise keep for the whole run.
+	s.cfg.Jobs = nil
 	return s, nil
 }
 
@@ -561,6 +564,7 @@ func (s *Scheduler) Finalize() *Report {
 			s.setPhase(j, jobFailed)
 			j.finishedAt = s.clock.Now()
 			j.err = fmt.Errorf("cluster: job %s never completed (queued or stalled)", j.appID)
+			j.spec.Workload = nil
 			s.insts.jobsFailed.Inc()
 		}
 	}
@@ -849,23 +853,24 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 	for _, l := range j.backend.fleet.Lambdas() {
 		meter.AddLambda(l.ID, lambdaMemoryMB, l.BilledDuration(now))
 	}
-	byKind := meter.TotalByKind()
-	j.costVM, j.costLambda, j.costUSD = byKind["vm"], byKind["lambda"], meter.Total()
+	j.costVM, j.costLambda, j.costUSD = meter.Totals()
 	// The job is settled: drop the scheduler's references to its
-	// simulation state. That frees the engine, the backend and the
-	// fleet's Lambda records only while nothing that outlives the job
-	// reaches them. The provider keeps no invocation ledger, and it clears
-	// an invocation's expiry callback (which closes over the fleet, the
-	// backend and the engine) once the invocation ends; netsim pools
-	// outlive the job too, so removed flows, whose done callbacks reach
-	// tasks, leave no pointer in their slices. TestLeakFinishedJobEngines
-	// holds every finished engine unreachable, TestLeakEndedLambdas every
-	// Lambda record, egress pool and workload report. Launch callbacks
+	// simulation state and its workload. That frees the engine, the
+	// backend and the fleet's Lambda records only while nothing that
+	// outlives the job reaches them. The provider keeps no invocation
+	// ledger, and it clears an invocation's expiry callback (which closes
+	// over the fleet, the backend and the engine) once the invocation
+	// ends; netsim pools outlive the job too, so removed flows, whose done
+	// callbacks reach tasks, leave no pointer in their slices.
+	// TestLeakFinishedJobEngines holds every finished engine unreachable,
+	// TestLeakEndedLambdas every Lambda record, egress pool and workload
+	// report, TestLeakSettledJobWorkloads every workload. Launch callbacks
 	// still in flight hold their own references and self-release on the
 	// closed fleet.
 	j.cluster = nil
 	j.backend = nil
 	j.co = nil
+	j.spec.Workload = nil
 	// The app is over, so its shuffle files go, as Spark's ContextCleaner
 	// removes an ended application's shuffle data; otherwise its
 	// map-output rows stay reachable through the namenode

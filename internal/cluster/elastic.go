@@ -145,6 +145,7 @@ func (s *Scheduler) shed(j *job, reason string) {
 	s.setPhase(j, jobShed)
 	j.finishedAt = s.clock.Now()
 	j.shedReason = reason
+	j.spec.Workload = nil
 	s.insts.jobsShed.Inc()
 	s.emit(eventlog.ClusterShed, j, func(ev *eventlog.Event) {
 		ev.Cores = j.spec.Cores

@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -162,14 +162,25 @@ func (s *Scheduler) buildReport() *Report {
 		StretchHist:   s.insts.stretch.Snapshot(),
 	}
 	end := simclock.Epoch
-	var waits []time.Duration
-	var stretches []float64
+	// A migrated job re-ran (and is reported) on the shard that stole it;
+	// counting it here would double-report it in merged tables. Every
+	// other job gets a row, so the rows and the per-job samples are sized
+	// up front. JobReports stays nil on a day with no rows.
+	reported := 0
+	for _, j := range s.jobs {
+		if j.phase != jobMigrated {
+			reported++
+		}
+	}
+	if reported > 0 {
+		r.JobReports = make([]JobReport, 0, reported)
+	}
+	waits := make([]time.Duration, 0, reported)
+	stretches := make([]float64, 0, reported)
 	var vmBusy, lambdaBusy time.Duration
 	var runErrSum, costErrSum float64
 
 	for _, j := range s.jobs {
-		// A migrated job re-ran (and is reported) on the shard that stole
-		// it; counting it here would double-report it in merged tables.
 		if j.phase == jobMigrated {
 			continue
 		}
@@ -258,10 +269,9 @@ func (s *Scheduler) buildReport() *Report {
 			sum += w
 		}
 		r.QueueWaitMeanUS = us(sum / time.Duration(len(waits)))
-		sorted := append([]time.Duration(nil), waits...)
-		sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-		r.QueueWaitP50US = us(autoscale.Quantile(sorted, 0.50))
-		r.QueueWaitP99US = us(autoscale.Quantile(sorted, 0.99))
+		slices.Sort(waits)
+		r.QueueWaitP50US = us(autoscale.Quantile(waits, 0.50))
+		r.QueueWaitP99US = us(autoscale.Quantile(waits, 0.99))
 	}
 	if len(stretches) > 0 {
 		sum := 0.0
@@ -269,9 +279,8 @@ func (s *Scheduler) buildReport() *Report {
 			sum += v
 		}
 		r.MeanStretch = sum / float64(len(stretches))
-		sorted := append([]float64(nil), stretches...)
-		sort.Float64s(sorted)
-		r.P99Stretch = autoscale.Quantile(sorted, 0.99)
+		slices.Sort(stretches)
+		r.P99Stretch = autoscale.Quantile(stretches, 0.99)
 	}
 
 	// Capacity: base pool cores for the makespan, procured cores from

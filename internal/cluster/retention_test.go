@@ -233,6 +233,85 @@ func TestLeakEndedLambdas(t *testing.T) {
 	}
 }
 
+// heldWorkload wraps a job's workload in its own allocation, so a test
+// can hold a weak pointer to exactly what the job's spec carries.
+type heldWorkload struct{ workloads.Workload }
+
+// TestLeakSettledJobWorkloads: a settled job keeps its report fields, not
+// its workload. Neither the scheduler's config nor the job's spec may
+// reach the workload once the job completed, failed or was shed: a
+// failed job is one whose workload returned an error, or one still
+// running or never admitted when the day is cut off.
+func TestLeakSettledJobWorkloads(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  func(t *testing.T) Config
+		want func(rep *Report) bool
+	}{
+		{"completed", func(t *testing.T) Config {
+			return Config{Jobs: testJobs(t, []time.Duration{0, time.Second, 2 * time.Second, 3 * time.Second}, 4, 4, 2),
+				PoolCores: 4, Strategy: StrategyBridge}
+		}, func(rep *Report) bool { return rep.Completed == rep.Jobs }},
+		{"shed", func(t *testing.T) Config {
+			return Config{Jobs: testJobs(t, []time.Duration{0, time.Second, 2 * time.Second}, 4, 8, 4),
+				PoolCores: 4, Strategy: StrategyQueue, SLOFactor: 1.2, Admission: AdmissionDeadline}
+		}, func(rep *Report) bool { return rep.Shed > 0 }},
+		{"failed", func(t *testing.T) Config {
+			jobs := testJobs(t, []time.Duration{0, time.Second}, 4, 4, 2)
+			jobs[1].Workload = failingWorkload{jobs[1].Workload}
+			return Config{Jobs: jobs, PoolCores: 4, Strategy: StrategyBridge}
+		}, func(rep *Report) bool { return rep.Failed == 1 }},
+		{"cut-off", func(t *testing.T) Config {
+			return Config{Jobs: testJobs(t, []time.Duration{0, 0, 0}, 4, 4, 2),
+				PoolCores: 4, Policy: FIFO(), Strategy: StrategyQueue, MaxSimTime: time.Second}
+		}, func(rep *Report) bool { return rep.Failed == rep.Jobs && rep.JobReports[2].StartUS == 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg(t)
+			if cfg.Policy == nil {
+				cfg.Policy = FairShare()
+			}
+			cfg.Seed = 5
+			held := make([]weak.Pointer[heldWorkload], len(cfg.Jobs))
+			for i := range cfg.Jobs {
+				w := &heldWorkload{cfg.Jobs[i].Workload}
+				held[i] = weak.Make(w)
+				cfg.Jobs[i].Workload = w
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg = Config{} // the test keeps no spec of its own
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.want(rep) {
+				t.Fatalf("the day did not reach the %s path: %d jobs, %d completed, %d failed, %d shed",
+					tc.name, rep.Jobs, rep.Completed, rep.Failed, rep.Shed)
+			}
+			runtime.GC()
+			if n := liveWeak(held); n != 0 {
+				t.Errorf("%d of %d settled jobs' workloads are still reachable", n, len(held))
+			}
+			runtime.KeepAlive(s)
+			runtime.KeepAlive(rep)
+		})
+	}
+}
+
+// failingWorkload runs its workload, then reports an error.
+type failingWorkload struct{ workloads.Workload }
+
+func (w failingWorkload) Run(c *engine.Cluster) (*workloads.Report, error) {
+	if _, err := w.Workload.Run(c); err != nil {
+		return nil, err
+	}
+	return nil, errors.New("workload failed on purpose")
+}
+
 // rowProbe is a one-shuffle workload whose rows are pointers, each
 // recorded as a weak pointer when its map task makes it. The shuffle
 // does not combine, so every row is also a map-output row, stored in the

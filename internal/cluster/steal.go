@@ -56,8 +56,10 @@ func (s *Scheduler) Steal() (JobSpec, time.Time, bool) {
 	}
 	s.setPhase(j, jobMigrated)
 	j.finishedAt = s.clock.Now()
-	s.kick() // compact the active set and refresh gauges next pass
-	return j.spec, j.arrivalAt, true
+	spec := j.spec
+	j.spec.Workload = nil // the destination runs it now
+	s.kick()              // compact the active set and refresh gauges next pass
+	return spec, j.arrivalAt, true
 }
 
 // Inject re-submits a stolen job on this scheduler at the current

@@ -52,7 +52,7 @@ type Network struct {
 	left     []int32
 
 	// timer is the one completion timer, armed for next.
-	timer *simclock.Timer
+	timer simclock.Timer
 	next  *Flow
 	fire  func()
 }

@@ -43,7 +43,7 @@ type refFlow struct {
 	pools     []*refPool
 	rate      float64
 	settledAt time.Time
-	timer     *simclock.Timer
+	timer     simclock.Timer
 	done      func()
 	finished  bool
 }
@@ -110,10 +110,7 @@ func (n *refNetwork) Cancel(f *refFlow) bool {
 // completion timer.
 func (n *refNetwork) detach(f *refFlow) {
 	f.finished = true
-	if f.timer != nil {
-		f.timer.Cancel()
-		f.timer = nil
-	}
+	f.timer.Cancel()
 	n.flows = refRemoveFlow(n.flows, f)
 	for _, p := range f.pools {
 		p.flows = refRemoveFlow(p.flows, f)
@@ -261,10 +258,7 @@ func (n *refNetwork) recompute() {
 // rate.
 func (n *refNetwork) reschedule() {
 	for _, f := range n.flows {
-		if f.timer != nil {
-			f.timer.Cancel()
-			f.timer = nil
-		}
+		f.timer.Cancel()
 		if f.remaining <= epsilonBytes {
 			n.completeAt(f, 0)
 			continue

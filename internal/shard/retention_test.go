@@ -16,18 +16,27 @@ import (
 )
 
 // engineProbe wraps a workload and records a weak pointer to every
-// engine it runs on, wherever the job ends up running.
+// engine it runs on, wherever the job ends up running. Jobs carry it by
+// pointer, so the set can also ask whether a settled job's spec still
+// holds its workload.
 type engineProbe struct {
 	workloads.Workload
 	set *probeSet
 }
 
 type probeSet struct {
-	mu      sync.Mutex
-	engines []weak.Pointer[engine.Cluster]
+	mu        sync.Mutex
+	engines   []weak.Pointer[engine.Cluster]
+	workloads []weak.Pointer[engineProbe]
 }
 
-func (p engineProbe) Run(c *engine.Cluster) (*workloads.Report, error) {
+func (s *probeSet) wrap(w workloads.Workload) *engineProbe {
+	p := &engineProbe{w, s}
+	s.workloads = append(s.workloads, weak.Make(p))
+	return p
+}
+
+func (p *engineProbe) Run(c *engine.Cluster) (*workloads.Report, error) {
 	p.set.mu.Lock()
 	p.set.engines = append(p.set.engines, weak.Make(c))
 	p.set.mu.Unlock()
@@ -48,7 +57,8 @@ func (s *probeSet) live() int {
 
 // TestLeakShardedJobEngines: the sharded manager keeps every shard's
 // scheduler for the merged report and event stream; no finished job's
-// engine may stay reachable through them, stolen jobs included. One busy
+// engine or workload may stay reachable through them (the manager's
+// config and every shard's included), stolen jobs included. One busy
 // tenant and one light tenant on different shards make the light shard
 // steal under queueing.
 func TestLeakShardedJobEngines(t *testing.T) {
@@ -70,7 +80,7 @@ func TestLeakShardedJobEngines(t *testing.T) {
 					tenant = light
 				}
 				spec := testSpec(t, tenant, time.Duration(i)*time.Second, 4, 4, 2)
-				spec.Workload = engineProbe{spec.Workload, set}
+				spec.Workload = set.wrap(spec.Workload)
 				specs = append(specs, spec)
 			}
 			m, err := New(Config{Shards: 2, Cluster: cluster.Config{
@@ -79,20 +89,31 @@ func TestLeakShardedJobEngines(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			jobs := len(specs)
+			specs = nil // the test keeps no spec of its own
 			rep, err := m.Run()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for m.Clock().Step() {
 			}
-			if rep.Completed != len(specs) || len(set.engines) != len(specs) {
-				t.Fatalf("%d of %d jobs completed on %d engines", rep.Completed, len(specs), len(set.engines))
+			if rep.Completed != jobs || len(set.engines) != jobs {
+				t.Fatalf("%d of %d jobs completed on %d engines", rep.Completed, jobs, len(set.engines))
 			}
 			if strategy == cluster.StrategyQueue && rep.Steals == 0 {
 				t.Fatal("no job was stolen; the stolen-job path is untested")
 			}
 			if n := set.live(); n != 0 {
 				t.Errorf("%d of %d finished jobs' engines are still reachable (%d steals)", n, len(set.engines), rep.Steals)
+			}
+			live := 0
+			for _, w := range set.workloads {
+				if w.Value() != nil {
+					live++
+				}
+			}
+			if live != 0 {
+				t.Errorf("%d of %d settled jobs' workloads are still reachable (%d steals)", live, jobs, rep.Steals)
 			}
 			runtime.KeepAlive(m)
 		})

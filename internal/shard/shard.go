@@ -157,6 +157,9 @@ func New(cfg Config) (*Manager, error) {
 		})
 		parts[sh] = append(parts[sh], spec)
 	}
+	// The shards own the specs from here; a settled job drops its
+	// workload, which the manager's copy would otherwise keep.
+	m.cfg.Cluster.Jobs = nil
 
 	perShardCores := cfg.Cluster.PoolCores / cfg.Shards
 	for i := 0; i < cfg.Shards; i++ {

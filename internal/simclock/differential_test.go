@@ -21,8 +21,17 @@ type clockPair struct {
 	// firing log entries are appended by the scheduled closures; both
 	// clocks append tagged entries so order mismatches localize.
 	heapLog, wheelLog []string
-	heapTimers        []*Timer
-	wheelTimers       []*Timer
+	// Every handle ever returned stays held, long after its event fired
+	// or was cancelled and the clock recycled the event for a later
+	// schedule, so stale handles are exercised on every operation.
+	heapTimers  []Timer
+	wheelTimers []Timer
+	// The model: whether timer i is still pending on each clock, and
+	// the instant it is due. Both clocks recycle events the same way, so
+	// the model, not the other clock, is what catches a stale handle
+	// acting on the event that reused its slot.
+	heapLive, wheelLive []bool
+	due                 []time.Time
 }
 
 func newClockPair() *clockPair {
@@ -32,11 +41,16 @@ func newClockPair() *clockPair {
 func (p *clockPair) schedule(d time.Duration) {
 	id := len(p.heapTimers)
 	p.heapTimers = append(p.heapTimers, p.heap.After(d, func() {
+		p.heapLive[id] = false
 		p.heapLog = append(p.heapLog, fmt.Sprintf("%d@%d", id, p.heap.Since(Epoch)))
 	}))
 	p.wheelTimers = append(p.wheelTimers, p.wheel.After(d, func() {
+		p.wheelLive[id] = false
 		p.wheelLog = append(p.wheelLog, fmt.Sprintf("%d@%d", id, p.wheel.Since(Epoch)))
 	}))
+	p.heapLive = append(p.heapLive, true)
+	p.wheelLive = append(p.wheelLive, true)
+	p.due = append(p.due, p.heap.Now().Add(max(d, 0)))
 }
 
 func (p *clockPair) cancel(i int) {
@@ -45,9 +59,10 @@ func (p *clockPair) cancel(i int) {
 	}
 	i %= len(p.heapTimers)
 	got, want := p.wheelTimers[i].Cancel(), p.heapTimers[i].Cancel()
-	if got != want {
-		panic(fmt.Sprintf("Cancel(timer %d): wheel=%v heap=%v", i, got, want))
+	if got != want || got != p.heapLive[i] {
+		panic(fmt.Sprintf("Cancel(timer %d): wheel=%v heap=%v model=%v", i, got, want, p.heapLive[i]))
 	}
+	p.heapLive[i], p.wheelLive[i] = false, false
 }
 
 func (p *clockPair) reschedule(i int, d time.Duration) {
@@ -56,8 +71,11 @@ func (p *clockPair) reschedule(i int, d time.Duration) {
 	}
 	i %= len(p.heapTimers)
 	got, want := p.wheelTimers[i].Reschedule(d), p.heapTimers[i].Reschedule(d)
-	if got != want {
-		panic(fmt.Sprintf("Reschedule(timer %d): wheel=%v heap=%v", i, got, want))
+	if got != want || got != p.heapLive[i] {
+		panic(fmt.Sprintf("Reschedule(timer %d): wheel=%v heap=%v model=%v", i, got, want, p.heapLive[i]))
+	}
+	if got {
+		p.due[i] = p.heap.Now().Add(max(d, 0))
 	}
 }
 
@@ -73,7 +91,8 @@ func (p *clockPair) runFor(d time.Duration) {
 	p.wheel.RunFor(d)
 }
 
-// check compares every observable of the two clocks.
+// check compares every observable of the two clocks, and every handle
+// either clock ever returned against the model.
 func (p *clockPair) check() error {
 	h, w := p.heap, p.wheel
 	if !h.Now().Equal(w.Now()) {
@@ -87,6 +106,19 @@ func (p *clockPair) check() error {
 	wo := obs{w.Fired(), w.Cancelled(), w.Compactions(), w.Pending(), w.Ghosts(), w.HeapHighWater()}
 	if ho != wo {
 		return fmt.Errorf("counters: heap=%+v wheel=%+v", ho, wo)
+	}
+	for i := range p.heapTimers {
+		for _, side := range []struct {
+			name string
+			tm   Timer
+			live bool
+		}{{"heap", p.heapTimers[i], p.heapLive[i]}, {"wheel", p.wheelTimers[i], p.wheelLive[i]}} {
+			at, ok := side.tm.When()
+			if ok != side.live || ok && !at.Equal(p.due[i]) {
+				return fmt.Errorf("%s timer %d: When = %s, %v; model pending=%v due %s",
+					side.name, i, at, ok, side.live, p.due[i])
+			}
+		}
 	}
 	if len(p.heapLog) != len(p.wheelLog) {
 		return fmt.Errorf("firing log length: heap=%d wheel=%d", len(p.heapLog), len(p.wheelLog))

@@ -3,10 +3,9 @@ package simclock
 import "container/heap"
 
 // eventHeap is a binary min-heap of events ordered by (key, seq) — earliest
-// instant first, scheduling order within an instant. It maintains
-// event.index so entries can be found in O(1) and marked dead (-1) when
-// removed. It backs the heap-indexed Clock (NewHeapBacked) and serves as
-// the wheel's near-term ready queue and far-future overflow queue.
+// instant first, scheduling order within an instant. It backs the
+// heap-indexed Clock (NewHeapBacked) and serves as the wheel's near-term
+// ready queue and far-future overflow queue.
 type eventHeap []*event
 
 func (h eventHeap) Len() int { return len(h) }
@@ -18,38 +17,26 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
+func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
+func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
 
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
 	ev := old[n-1]
-	old[n-1] = nil // let the event be collected once fired
-	ev.index = -1
+	old[n-1] = nil // the slot must not keep a popped event reachable
 	*h = old[:n-1]
 	return ev
 }
 
-// compactHeap removes every ghost (fn == nil) entry from h in place,
-// reindexes the survivors, and restores the heap invariant. Returns the
-// number of entries removed.
+// compactHeap removes every ghost (fn == nil) entry from h in place and
+// restores the heap invariant. Returns the number of entries removed.
 func compactHeap(h *eventHeap) int {
 	kept := (*h)[:0]
 	for _, ev := range *h {
 		if ev.fn != nil {
 			kept = append(kept, ev)
-		} else {
-			ev.index = -1
 		}
 	}
 	removed := len(*h) - len(kept)
@@ -57,9 +44,6 @@ func compactHeap(h *eventHeap) int {
 		(*h)[i] = nil
 	}
 	*h = kept
-	for i, ev := range kept {
-		ev.index = i
-	}
 	heap.Init(h)
 	return removed
 }

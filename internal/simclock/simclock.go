@@ -56,7 +56,17 @@ type Clock struct {
 	compactions uint64
 
 	obs StepObserver
+
+	// free holds fired and popped-ghost events for At to reuse, at most
+	// freeCap of them. Neither drive loop empties the queue (both stop at
+	// a completion flag), so an uncapped list would keep a burst's worth
+	// of events alive for the rest of the run.
+	free []*event
 }
+
+// freeCap bounds the recycled-event list: enough to absorb the churn of a
+// busy step loop, small enough that a burst's peak is not kept.
+const freeCap = 1024
 
 // StepObserver receives the host wall-clock duration of each Step call.
 // It is the hook internal/perfstat uses to measure clock-loop occupancy;
@@ -70,27 +80,23 @@ type StepObserver interface {
 // event order are unaffected.
 func (c *Clock) SetStepObserver(o StepObserver) { c.obs = o }
 
-// Timer is a handle to a scheduled event that can be cancelled or
-// rescheduled before it fires. Each event embeds the Timer that At
-// returns for it, so scheduling allocates the event alone.
+// Timer is a value handle to a scheduled event that can be cancelled or
+// rescheduled before it fires. The clock recycles an event once it fired
+// or its ghost left the queue, so the handle carries the sequence number
+// its event was scheduled under: once that no longer matches, the handle
+// is stale and every method reports the timer gone without touching the
+// event that reuses the slot. The zero Timer is a handle to nothing.
 type Timer struct {
-	ev *event
+	ev  *event
+	seq uint64
 }
 
 type event struct {
-	at  time.Time
-	key int64 // at - clock start, in ns: the queue's comparison key
-	seq uint64
-	fn  func()
-	// index is non-negative while the entry is queued and -1 once it
-	// fired, was compacted away, or was popped. The heaps maintain it;
-	// wheel slots park it at 0.
-	index int
-	clock *Clock // owner, for ghost accounting on cancel
-	// timer is the handle At returns. After a Reschedule it keeps
-	// pointing at the event that replaced this one, whose own timer
-	// goes unused.
-	timer Timer
+	at    time.Time
+	key   int64 // at - clock start, in ns: the queue's comparison key
+	seq   uint64
+	fn    func()
+	clock *Clock // owner, for ghost accounting and recycling
 }
 
 // New returns a Clock whose current time is start, indexed by the
@@ -142,7 +148,7 @@ func (c *Clock) Compactions() uint64 { return c.compactions }
 
 // After schedules fn to run d after the current virtual time. Negative
 // durations are treated as zero. The returned Timer may be used to cancel.
-func (c *Clock) After(d time.Duration, fn func()) *Timer {
+func (c *Clock) After(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -151,31 +157,54 @@ func (c *Clock) After(d time.Duration, fn func()) *Timer {
 
 // At schedules fn at instant t. If t is in the virtual past, the event fires
 // at the current time (never before already-queued events at the same time).
-func (c *Clock) At(t time.Time, fn func()) *Timer {
+func (c *Clock) At(t time.Time, fn func()) Timer {
 	if fn == nil {
 		panic("simclock: nil event func")
 	}
 	if t.Before(c.now) {
 		t = c.now
 	}
-	ev := &event{at: t, key: int64(t.Sub(c.start)), seq: c.seq, fn: fn, clock: c}
-	ev.timer.ev = ev
+	var ev *event
+	if n := len(c.free); n > 0 {
+		ev, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	*ev = event{at: t, key: int64(t.Sub(c.start)), seq: c.seq, fn: fn, clock: c}
 	c.seq++
 	c.queue.push(ev)
 	if n := c.queue.len(); n > c.highWater {
 		c.highWater = n
 	}
-	return &ev.timer
+	return Timer{ev: ev, seq: ev.seq}
+}
+
+// recycle offers an event that left the queue for good (fired, or a ghost
+// popped from the front) to At for reuse.
+func (c *Clock) recycle(ev *event) {
+	if len(c.free) < freeCap {
+		c.free = append(c.free, ev)
+	}
+}
+
+// pending returns t's event while it is still queued and live, or nil if
+// the timer fired, was cancelled or rescheduled away, or the handle is
+// stale (its event was recycled for another schedule).
+func (t *Timer) pending() *event {
+	ev := t.ev
+	if ev == nil || ev.seq != t.seq || ev.fn == nil {
+		return nil
+	}
+	return ev
 }
 
 // Cancel removes the event from the queue if it has not fired yet. It
 // reports whether the event was still pending.
 func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.index < 0 {
+	ev := t.pending()
+	if ev == nil {
 		return false
 	}
-	ev := t.ev
-	t.ev = nil
 	ev.cancel()
 	return true
 }
@@ -186,17 +215,18 @@ func (t *Timer) Cancel() bool {
 // moved timer re-enters scheduling order: against other events at its new
 // instant it fires as if it had just been scheduled. The abandoned entry
 // becomes a ghost, lazily discarded exactly like a cancellation (but not
-// counted in Cancelled).
+// counted in Cancelled). t then handles the moved event; other copies of
+// the old handle go stale.
 func (t *Timer) Reschedule(d time.Duration) bool {
-	if t == nil || t.ev == nil || t.ev.index < 0 {
+	old := t.pending()
+	if old == nil {
 		return false
 	}
-	old := t.ev
 	c := old.clock
 	fn := old.fn
 	old.fn = nil
 	c.ghosts++
-	t.ev = c.After(d, fn).ev
+	*t = c.After(d, fn)
 	c.maybeCompact()
 	return true
 }
@@ -204,19 +234,18 @@ func (t *Timer) Reschedule(d time.Duration) bool {
 // When returns the instant at which the timer is scheduled to fire. It
 // reports false if the timer already fired or was cancelled.
 func (t *Timer) When() (time.Time, bool) {
-	if t == nil || t.ev == nil || t.ev.index < 0 {
+	ev := t.pending()
+	if ev == nil {
 		return time.Time{}, false
 	}
-	return t.ev.at, true
+	return ev.at, true
 }
 
 func (e *event) cancel() {
-	if e.index >= 0 {
-		e.fn = nil // release closure; the queue entry is lazily discarded
-		e.clock.cancelled++
-		e.clock.ghosts++
-		e.clock.maybeCompact()
-	}
+	e.fn = nil // release closure; the queue entry is lazily discarded
+	e.clock.cancelled++
+	e.clock.ghosts++
+	e.clock.maybeCompact()
 }
 
 // maybeCompact rebuilds the queue without ghost entries once they dominate
@@ -256,6 +285,7 @@ func (c *Clock) step() bool {
 		}
 		if ev.fn == nil { // cancelled
 			c.ghosts--
+			c.recycle(ev)
 			continue
 		}
 		if ev.at.After(c.now) {
@@ -264,6 +294,7 @@ func (c *Clock) step() bool {
 		fn := ev.fn
 		ev.fn = nil
 		c.fired++
+		c.recycle(ev)
 		fn()
 		return true
 	}
@@ -322,6 +353,7 @@ func (c *Clock) peek() (time.Time, bool) {
 		if ev.fn == nil { // ghost at the front: discard, exactly like step
 			c.queue.popMin()
 			c.ghosts--
+			c.recycle(ev)
 			continue
 		}
 		return ev.at, true

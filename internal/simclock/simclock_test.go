@@ -207,7 +207,7 @@ func TestQuickCancelSubset(t *testing.T) {
 	prop := func(delaysMS []uint16, cancelMask []bool) bool {
 		c := New(Epoch)
 		fired := 0
-		var timers []*Timer
+		var timers []Timer
 		for _, d := range delaysMS {
 			timers = append(timers, c.After(time.Duration(d)*time.Millisecond, func() { fired++ }))
 		}
@@ -288,7 +288,7 @@ func TestGhostEntriesBounded(t *testing.T) {
 	const rounds, perRound = 10, 10_000
 	fired := 0
 	for r := 0; r < rounds; r++ {
-		timers := make([]*Timer, 0, perRound)
+		timers := make([]Timer, 0, perRound)
 		for i := 0; i < perRound; i++ {
 			timers = append(timers, c.After(time.Hour, func() { t.Fatal("cancelled timer fired") }))
 		}

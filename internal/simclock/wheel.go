@@ -81,7 +81,6 @@ func (q *wheelQueue) place(ev *event) {
 	for l := 0; l < wheelLevels; l++ {
 		if t>>(levelBits*(l+1)) == q.cursor>>(levelBits*(l+1)) {
 			s := (t >> (levelBits * l)) & slotMask
-			ev.index = 0 // parked: non-negative means "still queued"
 			q.slots[l][s] = append(q.slots[l][s], ev)
 			q.occ[l][s>>6] |= 1 << uint(s&63)
 			return
@@ -207,7 +206,6 @@ func (q *wheelQueue) compact() int {
 				if ev.fn != nil {
 					kept = append(kept, ev)
 				} else {
-					ev.index = -1
 					removed++
 				}
 			}

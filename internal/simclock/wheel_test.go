@@ -96,6 +96,9 @@ func FuzzTimerWheel(f *testing.F) {
 	f.Add([]byte{0x04, 0xff, 0x01, 0x02, 0x03})             // schedule far, cancel, steps
 	f.Add([]byte{0x40, 0x08, 0x80, 0x20, 0x02, 0x03, 0x03}) // mixed delays + reschedule
 	f.Add([]byte{0xfc, 0xff, 0xfc, 0x00, 0x03, 0x03, 0x03}) // overflow-horizon delays
+	// fire timer 0, schedule timer 1 into its recycled event, then cancel
+	// and reschedule through timer 0's stale handle
+	f.Add([]byte{0x04, 0x00, 0x03, 0x00, 0x04, 0x00, 0x01, 0x00, 0x02, 0x00, 0x03, 0x00})
 	f.Fuzz(func(t *testing.T, program []byte) {
 		p := newClockPair()
 		last := p.wheel.Now()

@@ -50,48 +50,56 @@ func checkChaosResult(t *testing.T, job *Job, rows int) {
 	}
 }
 
+// chaosHostLossRun runs chaosJob on eight executors of one VM while three
+// random host losses, drawn from seed, strike in the first 30 s. It
+// returns the job, the cluster and RunJob's error.
+func chaosHostLossRun(t *testing.T, seed uint64, rows int, bus *eventlog.Bus) (*Job, *Cluster, error) {
+	t.Helper()
+	rng := simrand.New(seed)
+	clock := simclock.New(simclock.Epoch)
+	net := netsim.New(clock)
+	provider := cloud.NewProvider(clock, net, simrand.New(seed+1), cloud.DefaultOptions())
+	vm := provider.ProvisionReadyVM(cloud.M44XLarge)
+	backend := NewStandalone(StandaloneConfig{VMs: []*cloud.VM{vm}})
+	cluster, err := New(Config{
+		AppID: "chaos", Clock: clock, Net: net, Provider: provider,
+		Store:   storage.NewLocal(clock, net),
+		Backend: backend,
+		Events:  bus,
+		Alloc:   DefaultAllocConfig(AllocStatic, 8, 8),
+		// Generous retries: we kill repeatedly.
+		MaxTaskAttempts: 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Schedule 3 random kills in the first 30 s. The backend replaces
+	// nothing (static alloc), so capacity shrinks, but at most 3 of 8
+	// executors die.
+	for i := 0; i < 3; i++ {
+		at := time.Duration(rng.Intn(30000)) * time.Millisecond
+		clock.After(at, func() {
+			live := cluster.Executors()
+			if len(live) <= 2 {
+				return
+			}
+			victim := live[rng.Intn(len(live))]
+			// Host loss: blocks AND cache die (worst case).
+			cluster.RemoveExecutor(victim.ID, true, "chaos kill")
+		})
+	}
+	ctx := rdd.NewContext()
+	job, err := cluster.RunJob(chaosJob(ctx, rows, 8), "chaos")
+	return job, cluster, err
+}
+
 // TestChaosRandomHostLoss kills random executors (with their host-local
 // blocks) at random instants; lineage recovery must always produce the
 // exact answer.
 func TestChaosRandomHostLoss(t *testing.T) {
 	const rows = 5200
 	prop := func(seed uint64) bool {
-		rng := simrand.New(seed)
-		clock := simclock.New(simclock.Epoch)
-		net := netsim.New(clock)
-		provider := cloud.NewProvider(clock, net, simrand.New(seed+1), cloud.DefaultOptions())
-		vm := provider.ProvisionReadyVM(cloud.M44XLarge)
-		backend := NewStandalone(StandaloneConfig{VMs: []*cloud.VM{vm}})
-		cluster, err := New(Config{
-			AppID: "chaos", Clock: clock, Net: net, Provider: provider,
-			Store:   storage.NewLocal(clock, net),
-			Backend: backend,
-			Alloc:   DefaultAllocConfig(AllocStatic, 8, 8),
-			// Generous retries: we kill repeatedly.
-			MaxTaskAttempts: 10,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Schedule 3 random kills in the first minute. The backend
-		// replaces nothing (static alloc), so capacity shrinks, but at
-		// most 3 of 8 executors die.
-		kills := 0
-		for i := 0; i < 3; i++ {
-			at := time.Duration(rng.Intn(30000)) * time.Millisecond
-			clock.After(at, func() {
-				live := cluster.Executors()
-				if len(live) <= 2 {
-					return
-				}
-				victim := live[rng.Intn(len(live))]
-				kills++
-				// Host loss: blocks AND cache die (worst case).
-				cluster.RemoveExecutor(victim.ID, true, "chaos kill")
-			})
-		}
-		ctx := rdd.NewContext()
-		job, err := cluster.RunJob(chaosJob(ctx, rows, 8), "chaos")
+		job, cluster, err := chaosHostLossRun(t, seed, rows, nil)
 		if err != nil {
 			// Retry exhaustion is allowed only if we killed enough
 			// executors to starve the job; anything else is a bug.
@@ -108,6 +116,31 @@ func TestChaosRandomHostLoss(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChaosHostLossResubmitsIncompleteStage pins the seed that stalled
+// the engine: all eight executors share one VM, and the first host loss
+// drops two finished map outputs of the still-running rekey stage. Its
+// remaining tasks then finish with nothing pending or running while its
+// output is incomplete, so the stage must be resubmitted rather than
+// left to wait out MaxSimTime.
+func TestChaosHostLossResubmitsIncompleteStage(t *testing.T) {
+	const rows = 5200
+	bus := eventlog.NewBus(simclock.Epoch)
+	job, _, err := chaosHostLossRun(t, 0xe716c22475209067, rows, bus)
+	if err != nil {
+		t.Fatalf("RunJob: %v", err)
+	}
+	checkChaosResult(t, job, rows)
+	resubmitted := false
+	for _, ev := range bus.Events() {
+		if ev.Type == eventlog.StageResubmitted && ev.Note == "rekey" {
+			resubmitted = true
+		}
+	}
+	if !resubmitted {
+		t.Fatal("no stage_resubmitted event for rekey: the seed no longer reaches the lost-output path")
 	}
 }
 

@@ -191,7 +191,7 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Events != nil {
 		c.tracker.SetEventLog(cfg.Events, cfg.Clock.Now, cfg.AppID)
 	}
-	c.insts = newEngineInstruments(cfg.Telem)
+	c.insts = instrumentsFor(cfg.Telem)
 	c.sched = newScheduler(c)
 	c.alloc = newAllocManager(c)
 	return c, nil

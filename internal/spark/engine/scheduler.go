@@ -345,6 +345,15 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 			st.done = true
 			s.c.Emit(eventlog.Event{Type: eventlog.StageEnd, Stage: st.ID, Task: -1, Note: st.Target.Name})
 			s.maybeSubmitStages(t.Job)
+		} else if st.pendingParts <= 0 && !s.stageLive(st) {
+			// A host loss dropped outputs this submission had already
+			// produced: nothing will produce them again, so resubmit the
+			// stage for its missing partitions, as Spark's DAGScheduler
+			// does for a map stage whose pending partitions ran out while
+			// its output is not all available.
+			st.submitted = false
+			s.c.Emit(eventlog.Event{Type: eventlog.StageResubmitted, Stage: st.ID, Task: -1, Note: st.Target.Name})
+			s.maybeSubmitStages(t.Job)
 		}
 	} else {
 		job := t.Job
@@ -366,6 +375,25 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 }
 
 func (s *scheduler) alloc() *allocManager { return s.c.alloc }
+
+// stageLive reports whether a task of st is queued or running. The stage's
+// pendingParts alone cannot say: a speculative twin and a requeued
+// attempt of one partition can both finish as winners and count it twice.
+// pendingParts still guards the stage-launch delay, when a submission's
+// tasks are neither queued nor running yet.
+func (s *scheduler) stageLive(st *Stage) bool {
+	for _, t := range s.pending {
+		if t.Stage == st {
+			return true
+		}
+	}
+	for _, id := range s.c.order {
+		if t := s.c.execs[id].current; t != nil && t.Stage == st {
+			return true
+		}
+	}
+	return false
+}
 
 // onFetchFailed reacts to missing shuffle inputs: the producing map stage
 // is resubmitted for its missing partitions and the reduce task is

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"strconv"
+	"sync"
 
 	"splitserve/internal/telemetry"
 )
@@ -16,12 +17,11 @@ func kindIdx(k ExecKind) int {
 	return 0
 }
 
-// engineInstruments holds the engine's resolved telemetry handles. They
-// are resolved once at cluster construction so the scheduler hot path
-// never touches the registry mutex; every engine on a shared hub
-// resolves the same handles again, and those registry hits allocate
-// nothing. On a nil hub every handle is nil and each operation is a
-// no-op.
+// engineInstruments holds the engine's resolved telemetry handles. Every
+// engine on a hub shares one set (instrumentsFor), resolved when the
+// first of them is built, so neither a new engine nor the scheduler hot
+// path touches the registry. On a nil hub every handle is nil and each
+// operation is a no-op.
 type engineInstruments struct {
 	hub *telemetry.Hub
 
@@ -47,12 +47,29 @@ type engineInstruments struct {
 	targetExecs *telemetry.Gauge
 
 	// schedLatency is the per-stage scheduling-latency histogram family,
-	// resolved lazily as stages are submitted.
-	schedLatency map[int]*telemetry.Histogram
+	// indexed by stage ID and resolved as stages first schedule a task.
+	// Engines sharing the set may run on different goroutines, so mu
+	// guards it.
+	mu           sync.Mutex
+	schedLatency []*telemetry.Histogram
+}
+
+var instrumentsKey telemetry.MemoKey
+
+// untelemetered is the set of every engine without a hub: all handles
+// nil, so it is never written and engines can share it.
+var untelemetered = &engineInstruments{}
+
+// instrumentsFor returns the instrument set shared by every engine on h.
+func instrumentsFor(h *telemetry.Hub) *engineInstruments {
+	if h == nil {
+		return untelemetered
+	}
+	return telemetry.Memo(h, &instrumentsKey, newEngineInstruments)
 }
 
 func newEngineInstruments(h *telemetry.Hub) *engineInstruments {
-	m := &engineInstruments{hub: h, schedLatency: make(map[int]*telemetry.Histogram)}
+	m := &engineInstruments{hub: h}
 	for i, kn := range kindNames {
 		kl := telemetry.L("kind", kn)
 		m.tasksStarted[i] = h.Counter("engine_tasks_started_total", kl)
@@ -78,8 +95,17 @@ func newEngineInstruments(h *telemetry.Hub) *engineInstruments {
 
 // stageLatency resolves the scheduling-latency histogram for one stage.
 func (m *engineInstruments) stageLatency(stage int) *telemetry.Histogram {
-	if hst, ok := m.schedLatency[stage]; ok {
-		return hst
+	if m.hub == nil {
+		return nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if stage < len(m.schedLatency) {
+		if hst := m.schedLatency[stage]; hst != nil {
+			return hst
+		}
+	} else {
+		m.schedLatency = append(m.schedLatency, make([]*telemetry.Histogram, stage+1-len(m.schedLatency))...)
 	}
 	hst := m.hub.Histogram("engine_sched_latency_seconds", nil,
 		telemetry.L("stage", strconv.Itoa(stage)))

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestRegistryHitAllocatesNothing pins the per-job resolution path:
-// every engine and billing meter re-resolves its handles on a shared hub,
-// so resolving an instrument that already exists must not allocate, even
-// when the call site passes its labels out of order.
+// TestRegistryHitAllocatesNothing pins the path of two components on one
+// hub resolving the same handle: resolving an instrument that already
+// exists must not allocate, even when the call site passes its labels out
+// of order.
 func TestRegistryHitAllocatesNothing(t *testing.T) {
 	h := NewUntraced()
 	a, b := L("a", "1"), L("b", "2")

@@ -6,7 +6,8 @@
 //
 // Hot-path discipline: instrument handles are resolved once at component
 // setup (a mutex-guarded map lookup that allocates nothing when the
-// instrument already exists) and afterwards every Add/Set/Observe
+// instrument already exists), or once per hub for components built per
+// job (Memo), and afterwards every Add/Set/Observe
 // is a handful of atomic operations with zero allocations, so recording a
 // counter inside the task inner loop costs nanoseconds. All instrument
 // methods are nil-receiver safe, which lets components run untelemetered
@@ -17,7 +18,10 @@
 // flag on splitserve-sim and splitserve-bench.
 package telemetry
 
-import "time"
+import (
+	"sync"
+	"time"
+)
 
 // Clock is the time source for spans — satisfied by *simclock.Clock, so
 // traces advance in virtual time and stay deterministic.
@@ -87,6 +91,32 @@ func appendKey(dst []byte, name string, labels []Label) []byte {
 type Hub struct {
 	reg *Registry
 	tr  *Tracer
+
+	memoMu sync.Mutex
+	memo   map[*MemoKey]any
+}
+
+// A MemoKey names one kind of value memoised on a Hub (see Memo). Declare
+// each as a package-level variable and pass its address; the field gives
+// it a size, so distinct keys have distinct addresses.
+type MemoKey struct{ _ byte }
+
+// Memo returns the value build made for key on h, calling build with h
+// the first time key is asked for. Components that resolve a fixed set of
+// instruments use it so that every instance on one hub shares one set,
+// resolved once per hub rather than once per instance. h must not be nil.
+func Memo[T any](h *Hub, key *MemoKey, build func(*Hub) T) T {
+	h.memoMu.Lock()
+	defer h.memoMu.Unlock()
+	if v, ok := h.memo[key]; ok {
+		return v.(T)
+	}
+	v := build(h)
+	if h.memo == nil {
+		h.memo = make(map[*MemoKey]any)
+	}
+	h.memo[key] = v
+	return v
 }
 
 // New returns a Hub whose tracer reads time from clock.

@@ -74,7 +74,7 @@ type Env struct {
 	// idle-rate GB-seconds billing charges for.
 	idleSince   time.Time
 	idleAccrued time.Duration
-	expiry      *simclock.Timer
+	expiry      simclock.Timer
 }
 
 // EnvIdle is one environment's billed idle time.
@@ -230,10 +230,7 @@ func (p *Pool) retire(env *Env) {
 	if !env.busy {
 		env.idleAccrued += p.clock.Now().Sub(env.idleSince)
 	}
-	if env.expiry != nil {
-		env.expiry.Cancel()
-		env.expiry = nil
-	}
+	env.expiry.Cancel()
 	p.recycled++
 	if p.onExpire != nil {
 		p.onExpire(env.ID)
@@ -335,10 +332,7 @@ func (p *Pool) Stop() {
 	}
 	p.stopped = true
 	for _, env := range p.envs {
-		if env.expiry != nil {
-			env.expiry.Cancel()
-			env.expiry = nil
-		}
+		env.expiry.Cancel()
 	}
 }
 
