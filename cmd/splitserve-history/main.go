@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
 
 	"splitserve"
@@ -28,26 +27,6 @@ import (
 	"splitserve/internal/perfstat"
 )
 
-var scenarioByName = map[string]splitserve.ScenarioKind{
-	"spark-small":  splitserve.ScenarioSparkSmall,
-	"spark-full":   splitserve.ScenarioSparkFull,
-	"autoscale":    splitserve.ScenarioSparkAutoscale,
-	"qubole":       splitserve.ScenarioQubole,
-	"ss-vm":        splitserve.ScenarioSSFullVM,
-	"ss-lambda":    splitserve.ScenarioSSLambda,
-	"hybrid":       splitserve.ScenarioHybrid,
-	"hybrid-segue": splitserve.ScenarioHybridSegue,
-}
-
-func scenarioNames() string {
-	names := make([]string, 0, len(scenarioByName))
-	for n := range scenarioByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return strings.Join(names, " | ")
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -55,10 +34,10 @@ func main() {
 func run() int {
 	var (
 		logPath  = flag.String("log", "", "event log (JSONL) to replay; - = stdin (default: run a scenario inline)")
-		workload = flag.String("workload", "pagerank", "inline run: pagerank | kmeans | sparkpi | tpcds-q5 | tpcds-q16 | tpcds-q94 | tpcds-q95")
-		scenario = flag.String("scenario", "hybrid", "inline run: "+scenarioNames())
+		workload = flag.String("workload", "pagerank", "inline run: "+strings.Join(cliutil.WorkloadNames, " | "))
+		scenario = flag.String("scenario", "hybrid", "inline run: "+strings.Join(cliutil.ScenarioNames(), " | "))
 		r        = flag.Int("r", 0, "inline run: required cores R (0 = workload default)")
-		small    = flag.Int("small", 0, "inline run: free VM cores r (0 = R/4)")
+		small    = flag.Int("small", 0, "inline run: free VM cores r (0 = max(1, R/4))")
 		seed     = flag.Uint64("seed", 1, "inline run: simulation seed")
 		factor   = flag.Float64("factor", eventlog.DefaultStragglerFactor,
 			"straggler cut as a multiple of the stage median task duration")
@@ -105,7 +84,7 @@ func run() int {
 	analysis := eventlog.Analyze(events, *factor)
 	attribution := attrib.Analyze(events)
 	if *attribHTML != "" {
-		if err := writeFileOrStdout(*attribHTML, renderAttribHTML(attribution)); err != nil {
+		if err := cliutil.WriteOut(*attribHTML, renderAttribHTML(attribution)); err != nil {
 			fmt.Fprintln(os.Stderr, "splitserve-history:", err)
 			return 1
 		}
@@ -162,11 +141,11 @@ func loadEvents(path, workload, scenario string, r, small int, seed uint64, prof
 		return eventlog.ReadJSONL(f)
 	}
 
-	kind, ok := scenarioByName[scenario]
-	if !ok {
-		return nil, fmt.Errorf("unknown scenario %q (accepted: %s)", scenario, scenarioNames())
+	kind, err := cliutil.ParseScenario(scenario)
+	if err != nil {
+		return nil, err
 	}
-	w, err := buildWorkload(workload, seed)
+	w, err := cliutil.BuildWorkload(workload, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -174,38 +153,12 @@ func loadEvents(path, workload, scenario string, r, small int, seed uint64, prof
 	if prof != nil {
 		opts = append(opts, splitserve.WithSelfProfile(prof))
 	}
-	cores := w.DefaultParallelism()
-	if r > 0 {
-		cores = r
-	}
-	sm := cores / 4
-	if small > 0 {
-		sm = small
-	}
-	if sm < 1 {
-		sm = 1
-	}
-	opts = append(opts, splitserve.WithCores(cores, sm))
+	opts = append(opts, splitserve.WithCores(cliutil.Cores(w, r, small)))
 	res, err := splitserve.Run(kind, w, opts...)
 	if err != nil {
 		return nil, err
 	}
 	return res.Events(), nil
-}
-
-func buildWorkload(name string, seed uint64) (splitserve.Workload, error) {
-	switch {
-	case name == "pagerank":
-		return splitserve.PageRank(splitserve.PageRankOptions{Seed: seed}), nil
-	case name == "kmeans":
-		return splitserve.KMeans(splitserve.KMeansOptions{Seed: seed}), nil
-	case name == "sparkpi":
-		return splitserve.SparkPi(splitserve.SparkPiOptions{Seed: seed}), nil
-	case strings.HasPrefix(name, "tpcds-"):
-		return splitserve.TPCDSQuery(strings.TrimPrefix(name, "tpcds-")), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", name)
-	}
 }
 
 func spanOf(events []eventlog.Event) string {
@@ -303,14 +256,4 @@ func loadReport(path string) (*attrib.Report, error) {
 		return nil, fmt.Errorf("neither an attribution report nor an event log: %w", err)
 	}
 	return attrib.Analyze(events), nil
-}
-
-// writeFileOrStdout mirrors cliutil's output convention for the
-// standalone attribution HTML ("-" = stdout).
-func writeFileOrStdout(path string, data []byte) error {
-	if path == "-" {
-		_, err := os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

@@ -11,7 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -19,42 +18,16 @@ import (
 	"splitserve/internal/cliutil"
 )
 
-// workloadNames is the accepted -workload vocabulary, kept in sync with
-// buildWorkload.
-var workloadNames = []string{
-	"kmeans", "pagerank", "sparkpi", "tpcds-q5", "tpcds-q16", "tpcds-q94", "tpcds-q95",
-}
-
-func scenarioNames() []string {
-	names := make([]string, 0, len(scenarioByName))
-	for n := range scenarioByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-var scenarioByName = map[string]splitserve.ScenarioKind{
-	"spark-small":  splitserve.ScenarioSparkSmall,
-	"spark-full":   splitserve.ScenarioSparkFull,
-	"autoscale":    splitserve.ScenarioSparkAutoscale,
-	"qubole":       splitserve.ScenarioQubole,
-	"ss-vm":        splitserve.ScenarioSSFullVM,
-	"ss-lambda":    splitserve.ScenarioSSLambda,
-	"hybrid":       splitserve.ScenarioHybrid,
-	"hybrid-segue": splitserve.ScenarioHybridSegue,
-}
-
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
 	var (
-		workload = flag.String("workload", "pagerank", "pagerank | kmeans | sparkpi | tpcds-q5 | tpcds-q16 | tpcds-q94 | tpcds-q95")
-		scenario = flag.String("scenario", "hybrid", "spark-small | spark-full | autoscale | qubole | ss-vm | ss-lambda | hybrid | hybrid-segue")
+		workload = flag.String("workload", "pagerank", strings.Join(cliutil.WorkloadNames, " | "))
+		scenario = flag.String("scenario", "hybrid", strings.Join(cliutil.ScenarioNames(), " | "))
 		r        = flag.Int("r", 0, "required cores R (0 = workload default)")
-		small    = flag.Int("small", 0, "free VM cores r (0 = R/4)")
+		small    = flag.Int("small", 0, "free VM cores r (0 = max(1, R/4))")
 		segueAt  = flag.Duration("segue-at", 45*time.Second, "when segue capacity appears")
 		lambdaTO = flag.Duration("lambda-timeout", 0, "spark.lambda.executor.timeout (0 = default)")
 		seed     = flag.Uint64("seed", 1, "simulation seed")
@@ -67,17 +40,16 @@ func run() int {
 	perf := cliutil.RegisterPerfFlags(nil)
 	flag.Parse()
 
-	kind, ok := scenarioByName[*scenario]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "splitserve-sim: unknown scenario %q (accepted: %s)\n",
-			*scenario, strings.Join(scenarioNames(), ", "))
+	kind, err := cliutil.ParseScenario(*scenario)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "splitserve-sim:", err)
 		return 2
 	}
 	if err := cliutil.ValidateReport(*report); err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-sim:", err)
 		return 2
 	}
-	w, err := buildWorkload(*workload, *seed)
+	w, err := cliutil.BuildWorkload(*workload, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "splitserve-sim:", err)
 		return 2
@@ -100,15 +72,7 @@ func run() int {
 	if *lambdaTO > 0 {
 		opts = append(opts, splitserve.WithLambdaTimeout(*lambdaTO))
 	}
-	cores := w.DefaultParallelism()
-	if *r > 0 {
-		cores = *r
-	}
-	sm := cores / 4
-	if *small > 0 {
-		sm = *small
-	}
-	opts = append(opts, splitserve.WithCores(cores, sm))
+	opts = append(opts, splitserve.WithCores(cliutil.Cores(w, *r, *small)))
 
 	res, err := splitserve.Run(kind, w, opts...)
 	if err != nil {
@@ -158,20 +122,4 @@ func run() int {
 	}
 	fmt.Print(res.Timeline(*width))
 	return 0
-}
-
-func buildWorkload(name string, seed uint64) (splitserve.Workload, error) {
-	switch {
-	case name == "pagerank":
-		return splitserve.PageRank(splitserve.PageRankOptions{Seed: seed}), nil
-	case name == "kmeans":
-		return splitserve.KMeans(splitserve.KMeansOptions{Seed: seed}), nil
-	case name == "sparkpi":
-		return splitserve.SparkPi(splitserve.SparkPiOptions{Seed: seed}), nil
-	case strings.HasPrefix(name, "tpcds-"):
-		return splitserve.TPCDSQuery(strings.TrimPrefix(name, "tpcds-")), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q (accepted: %s)",
-			name, strings.Join(workloadNames, ", "))
-	}
 }

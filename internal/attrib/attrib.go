@@ -120,7 +120,7 @@ const (
 	// shuffle/cache bytes into modeled seconds (~128 MiB/s).
 	NominalShuffleBytesPerSec = 128 << 20
 	// NominalColdStartUS / NominalWarmStartUS are the Lambda launch
-	// latencies a warm hit trades (cloud.Options defaults: 8 s / 100 ms).
+	// latencies a warm hit trades (the cloud package's 8 s / 100 ms).
 	NominalColdStartUS = 8_000_000
 	NominalWarmStartUS = 100_000
 	// NominalVMUSDPerCoreHour is the m4-family per-vCPU-hour price used

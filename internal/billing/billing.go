@@ -114,7 +114,6 @@ func S3RequestCost(puts, gets int64) float64 {
 // Item is one billed line in a Meter.
 type Item struct {
 	Kind     string        // "vm", "lambda", "s3", ...
-	Ref      string        // resource identifier
 	Duration time.Duration // zero for request-billed items
 	USD      float64
 }
@@ -184,23 +183,22 @@ func (m *Meter) Add(item Item) {
 }
 
 // AddVM bills an instance (or a share of one) for an interval.
-func (m *Meter) AddVM(ref string, pricePerHour float64, totalCores, usedCores int, d time.Duration) {
+func (m *Meter) AddVM(pricePerHour float64, totalCores, usedCores int, d time.Duration) {
 	m.Add(Item{
 		Kind:     "vm",
-		Ref:      ref,
 		Duration: d,
 		USD:      VMCoreCost(pricePerHour, totalCores, usedCores, d),
 	})
 }
 
 // AddLambda bills one Lambda invocation.
-func (m *Meter) AddLambda(ref string, memoryMB int, d time.Duration) {
-	m.Add(Item{Kind: "lambda", Ref: ref, Duration: d, USD: LambdaCost(memoryMB, d)})
+func (m *Meter) AddLambda(memoryMB int, d time.Duration) {
+	m.Add(Item{Kind: "lambda", Duration: d, USD: LambdaCost(memoryMB, d)})
 }
 
 // AddS3 bills S3 requests.
-func (m *Meter) AddS3(ref string, puts, gets int64) {
-	m.Add(Item{Kind: "s3", Ref: ref, USD: S3RequestCost(puts, gets)})
+func (m *Meter) AddS3(puts, gets int64) {
+	m.Add(Item{Kind: "s3", USD: S3RequestCost(puts, gets)})
 }
 
 // Total returns the summed cost in USD.

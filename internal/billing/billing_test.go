@@ -125,9 +125,9 @@ func TestS3RequestCost(t *testing.T) {
 
 func TestMeterAccumulates(t *testing.T) {
 	var m Meter
-	m.AddVM("vm-1", 0.10, 2, 2, 2*time.Minute)
-	m.AddLambda("la-1", 1536, 30*time.Second)
-	m.AddS3("bucket", 100, 200)
+	m.AddVM(0.10, 2, 2, 2*time.Minute)
+	m.AddLambda(1536, 30*time.Second)
+	m.AddS3(100, 200)
 	want := VMCost(0.10, 2*time.Minute) + LambdaCost(1536, 30*time.Second) + S3RequestCost(100, 200)
 	if !approx(m.Total(), want, 1e-12) {
 		t.Fatalf("Total = %v, want %v", m.Total(), want)
@@ -211,12 +211,12 @@ func TestMeterTotalsMatchByKind(t *testing.T) {
 		t.Fatalf("empty meter Totals = %v, %v, %v", vm, lambda, total)
 	}
 	for i := 0; i < 50; i++ {
-		m.AddLambda("l", 1536, time.Duration(i*37)*time.Millisecond)
+		m.AddLambda(1536, time.Duration(i*37)*time.Millisecond)
 		if i%3 == 0 {
-			m.AddVM("vm", 0.2, 4, 1, time.Duration(i)*time.Second+time.Minute)
+			m.AddVM(0.2, 4, 1, time.Duration(i)*time.Second+time.Minute)
 		}
 		if i%7 == 0 {
-			m.AddS3("s3", int64(i), int64(2*i))
+			m.AddS3(int64(i), int64(2*i))
 		}
 	}
 	vm, lambda, total := m.Totals()
@@ -240,9 +240,9 @@ func TestMetersOnOneHubShareCounters(t *testing.T) {
 			defer wg.Done()
 			var m Meter
 			m.SetTelemetry(hub)
-			m.AddVM("vm", 3.6, 1, 1, time.Minute)
-			m.AddLambda("l", 1024, 100*time.Millisecond)
-			m.AddLambda("l", 1024, 100*time.Millisecond)
+			m.AddVM(3.6, 1, 1, time.Minute)
+			m.AddLambda(1024, 100*time.Millisecond)
+			m.AddLambda(1024, 100*time.Millisecond)
 		}()
 	}
 	wg.Wait()

@@ -40,8 +40,8 @@ func ValidateReport(format string) error {
 		format, strings.Join(ReportFormats, ", "))
 }
 
-// writeOut writes data to path, with "-" meaning stdout and "" a no-op.
-func writeOut(path string, data []byte) error {
+// WriteOut writes data to path, with "-" meaning stdout and "" a no-op.
+func WriteOut(path string, data []byte) error {
 	switch path {
 	case "":
 		return nil
@@ -86,7 +86,7 @@ func WriteTrace(path string, events []eventlog.Event) error {
 	if err != nil {
 		return err
 	}
-	return writeOut(path, data)
+	return WriteOut(path, data)
 }
 
 // WriteAttrib runs the causal attribution engine over an event stream
@@ -100,5 +100,5 @@ func WriteAttrib(path string, events []eventlog.Event) error {
 	if err != nil {
 		return err
 	}
-	return writeOut(path, data)
+	return WriteOut(path, data)
 }

@@ -138,7 +138,7 @@ func (p *PerfFlags) WriteSnapshot(prof *perfstat.Collector) error {
 	if err != nil {
 		return err
 	}
-	return writeOut(p.Perf, buf)
+	return WriteOut(p.Perf, buf)
 }
 
 // checkWritable verifies path can be created/written without leaving a

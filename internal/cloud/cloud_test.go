@@ -51,24 +51,22 @@ func TestSmallestForPanics(t *testing.T) {
 }
 
 func TestLambdaConfigValidate(t *testing.T) {
-	lim := DefaultLambdaLimits()
-	if err := (LambdaConfig{MemoryMB: 1536}).Validate(lim); err != nil {
+	if err := (LambdaConfig{MemoryMB: 1536}).Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
 	}
-	if err := (LambdaConfig{MemoryMB: 64}).Validate(lim); err == nil {
+	if err := (LambdaConfig{MemoryMB: 64}).Validate(); err == nil {
 		t.Fatal("64MB accepted")
 	}
-	if err := (LambdaConfig{MemoryMB: 4096}).Validate(lim); err == nil {
+	if err := (LambdaConfig{MemoryMB: 4096}).Validate(); err == nil {
 		t.Fatal("4GB accepted")
 	}
 }
 
 func TestLambdaCPUShare(t *testing.T) {
-	lim := DefaultLambdaLimits()
-	if got := (LambdaConfig{MemoryMB: 1536}).CPUShare(lim); got != 1.0 {
+	if got := (LambdaConfig{MemoryMB: 1536}).CPUShare(); got != 1.0 {
 		t.Fatalf("CPUShare(1536) = %v, want 1", got)
 	}
-	if got := (LambdaConfig{MemoryMB: 768}).CPUShare(lim); got != 0.5 {
+	if got := (LambdaConfig{MemoryMB: 768}).CPUShare(); got != 0.5 {
 		t.Fatalf("CPUShare(768) = %v, want 0.5", got)
 	}
 }
@@ -153,8 +151,8 @@ func TestColdLambdaWhenPoolExhausted(t *testing.T) {
 	if !l2.ColdStart {
 		t.Fatal("second invocation should be cold")
 	}
-	if got := l2.ReadyAt.Sub(l2.InvokedAt); got != opts.ColdStart {
-		t.Fatalf("cold start = %v, want %v", got, opts.ColdStart)
+	if got := l2.ReadyAt.Sub(l2.InvokedAt); got != lambdaColdStart {
+		t.Fatalf("cold start = %v, want %v", got, lambdaColdStart)
 	}
 }
 

@@ -134,31 +134,31 @@ func (l *Lambda) BilledDuration(now time.Time) time.Duration {
 	return end.Sub(start)
 }
 
+// Paper-calibrated start-up latencies.
+const (
+	// vmBootStdDev is the spread of the instance start-up delay around
+	// Options.VMBootMean.
+	vmBootStdDev = 10 * time.Second
+	// lambdaWarmStart and lambdaColdStart are Lambda launch latencies.
+	lambdaWarmStart = 100 * time.Millisecond
+	lambdaColdStart = 8 * time.Second
+)
+
 // Options configure a Provider.
 type Options struct {
-	// VMBootMean/VMBootStdDev parameterise the instance start-up delay
-	// ("an AWS VM may take up to 2 minutes or more").
-	VMBootMean   time.Duration
-	VMBootStdDev time.Duration
-	// WarmStart and ColdStart are Lambda launch latencies (~100 ms warm).
-	WarmStart time.Duration
-	ColdStart time.Duration
+	// VMBootMean is the mean instance start-up delay ("an AWS VM may take
+	// up to 2 minutes or more").
+	VMBootMean time.Duration
 	// WarmPoolSize is how many pre-warmed environments exist per
 	// configuration at simulation start (0 = everything cold).
 	WarmPoolSize int
-	// Limits are the platform limits.
-	Limits LambdaLimits
 }
 
 // DefaultOptions returns the paper-calibrated defaults.
 func DefaultOptions() Options {
 	return Options{
 		VMBootMean:   110 * time.Second,
-		VMBootStdDev: 10 * time.Second,
-		WarmStart:    100 * time.Millisecond,
-		ColdStart:    8 * time.Second,
 		WarmPoolSize: 1024,
-		Limits:       DefaultLambdaLimits(),
 	}
 }
 
@@ -203,9 +203,6 @@ func (p *Provider) emit(t eventlog.Type, exec, kind, note string) {
 
 // NewProvider returns a Provider driven by clock and net.
 func NewProvider(clock *simclock.Clock, net *netsim.Network, rng *simrand.RNG, opts Options) *Provider {
-	if opts.Limits == (LambdaLimits{}) {
-		opts.Limits = DefaultLambdaLimits()
-	}
 	return &Provider{
 		clock: clock,
 		net:   net,
@@ -221,9 +218,6 @@ func (p *Provider) Clock() *simclock.Clock { return p.clock }
 // Network exposes the provider's flow simulator.
 func (p *Provider) Network() *netsim.Network { return p.net }
 
-// Limits returns the Lambda platform limits in force.
-func (p *Provider) Limits() LambdaLimits { return p.opts.Limits }
-
 // VMs returns all instances ever requested (for billing and inspection).
 func (p *Provider) VMs() []*VM { return append([]*VM(nil), p.vms...) }
 
@@ -231,7 +225,7 @@ func (p *Provider) VMs() []*VM { return append([]*VM(nil), p.vms...) }
 func (p *Provider) BootDelay() time.Duration {
 	d := p.rng.TruncNormal(
 		p.opts.VMBootMean.Seconds(),
-		p.opts.VMBootStdDev.Seconds(),
+		vmBootStdDev.Seconds(),
 		p.opts.VMBootMean.Seconds()/4,
 		p.opts.VMBootMean.Seconds()*3,
 	)
@@ -321,7 +315,7 @@ func (p *Provider) TerminateVM(vm *VM) {
 // expired runs if the platform kills the invocation at the lifetime cap
 // while the tenant code is still running.
 func (p *Provider) Invoke(cfg LambdaConfig, ready func(*Lambda), expired func(*Lambda)) (*Lambda, error) {
-	if err := cfg.Validate(p.opts.Limits); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cold := !p.warm.TryTake(cfg.MemoryMB)
@@ -333,7 +327,7 @@ func (p *Provider) Invoke(cfg LambdaConfig, ready func(*Lambda), expired func(*L
 // ambient warm-reuse accounting is untouched — the environment belongs
 // to a warmpool.Pool, which tracks it separately.
 func (p *Provider) InvokeProvisioned(cfg LambdaConfig, ready func(*Lambda), expired func(*Lambda)) (*Lambda, error) {
-	if err := cfg.Validate(p.opts.Limits); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	return p.invoke(cfg, false, true, ready, expired), nil
@@ -375,9 +369,9 @@ func (p *Provider) invoke(cfg LambdaConfig, cold, provisioned bool, ready func(*
 	l.startSpan = p.tracer().StartSpan("cloud", "lambda_start",
 		telemetry.L("lambda", l.ID), telemetry.L("start", startNames[si]))
 	l.lifeSpan = p.tracer().StartSpan("cloud", "lambda", telemetry.L("lambda", l.ID))
-	start := p.opts.WarmStart
+	start := lambdaWarmStart
 	if cold {
-		start = p.opts.ColdStart
+		start = lambdaColdStart
 	}
 	p.clock.After(start, func() {
 		if l.State != LambdaStarting {
@@ -388,7 +382,7 @@ func (p *Provider) invoke(cfg LambdaConfig, cold, provisioned bool, ready func(*
 		p.insts.lambdaStart[si].ObserveDuration(l.ReadyAt.Sub(l.InvokedAt))
 		p.emit(eventlog.LambdaReady, l.ID, startNames[si], "")
 		l.startSpan.End()
-		l.expiry = p.clock.After(p.opts.Limits.MaxLifetime, func() {
+		l.expiry = p.clock.After(LambdaMaxLifetime, func() {
 			if l.State != LambdaRunning {
 				return
 			}
@@ -436,10 +430,10 @@ func (p *Provider) TimeToLive(l *Lambda) time.Duration {
 		return 0
 	}
 	used := p.clock.Since(l.ReadyAt)
-	if used >= p.opts.Limits.MaxLifetime {
+	if used >= LambdaMaxLifetime {
 		return 0
 	}
-	return p.opts.Limits.MaxLifetime - used
+	return LambdaMaxLifetime - used
 }
 
 // WarmSnapshot copies the ambient warm-environment availability map

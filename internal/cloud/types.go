@@ -73,28 +73,17 @@ func SmallestFor(cores int) (VMType, int) {
 	return biggest, n
 }
 
-// LambdaLimits mirrors the 2020 AWS Lambda platform limits the paper
-// enumerates in Section 3.
-type LambdaLimits struct {
-	MinMemoryMB   int
-	MaxMemoryMB   int
-	MemPerVCPUMB  int // 1 vCPU per 1.5 GB
-	TmpBytes      int64
-	MaxLifetime   time.Duration
-	WarmKeepAlive time.Duration // provider keeps dormant environments ~90 min
-}
-
-// DefaultLambdaLimits are the limits as of the paper's writing.
-func DefaultLambdaLimits() LambdaLimits {
-	return LambdaLimits{
-		MinMemoryMB:   128,
-		MaxMemoryMB:   3008,
-		MemPerVCPUMB:  1536,
-		TmpBytes:      512 << 20,
-		MaxLifetime:   15 * time.Minute,
-		WarmKeepAlive: 90 * time.Minute,
-	}
-}
+// The 2020 AWS Lambda platform limits the paper enumerates in Section 3.
+const (
+	lambdaMinMemoryMB = 128
+	lambdaMaxMemoryMB = 3008
+	// lambdaMemPerVCPUMB is the memory that buys one vCPU (1 per 1.5 GB).
+	lambdaMemPerVCPUMB = 1536
+	// LambdaTmpBytes is an environment's /tmp ephemeral storage.
+	LambdaTmpBytes = 512 << 20
+	// LambdaMaxLifetime caps one invocation's run time.
+	LambdaMaxLifetime = 15 * time.Minute
+)
 
 // LambdaConfig is a tenant-chosen function configuration.
 type LambdaConfig struct {
@@ -102,18 +91,18 @@ type LambdaConfig struct {
 }
 
 // Validate checks the configuration against the platform limits.
-func (c LambdaConfig) Validate(lim LambdaLimits) error {
-	if c.MemoryMB < lim.MinMemoryMB || c.MemoryMB > lim.MaxMemoryMB {
+func (c LambdaConfig) Validate() error {
+	if c.MemoryMB < lambdaMinMemoryMB || c.MemoryMB > lambdaMaxMemoryMB {
 		return fmt.Errorf("cloud: lambda memory %d MB outside [%d, %d]",
-			c.MemoryMB, lim.MinMemoryMB, lim.MaxMemoryMB)
+			c.MemoryMB, lambdaMinMemoryMB, lambdaMaxMemoryMB)
 	}
 	return nil
 }
 
 // CPUShare returns the fraction of one vCPU the function receives
 // (1 vCPU per 1536 MB, capped at 2 vCPUs at the top of the range).
-func (c LambdaConfig) CPUShare(lim LambdaLimits) float64 {
-	share := float64(c.MemoryMB) / float64(lim.MemPerVCPUMB)
+func (c LambdaConfig) CPUShare() float64 {
+	share := float64(c.MemoryMB) / lambdaMemPerVCPUMB
 	if share > 2 {
 		share = 2
 	}

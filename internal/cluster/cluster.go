@@ -415,7 +415,7 @@ func New(cfg Config) (*Scheduler, error) {
 	var tmpCache *warmpool.TmpCache
 	if cfg.TmpCache {
 		tmpCache = warmpool.NewTmpCache(clock, bus, store, warmpool.CacheOptions{
-			CapacityBytes: provider.Limits().TmpBytes,
+			CapacityBytes: cloud.LambdaTmpBytes,
 		})
 		store = tmpCache
 	}
@@ -425,7 +425,7 @@ func New(cfg Config) (*Scheduler, error) {
 		warm, err = warmpool.NewPool(clock, bus, warmpool.Config{
 			MemoryMB:    lambdaMemoryMB,
 			Target:      cfg.WarmPool,
-			EnvLifetime: provider.Limits().MaxLifetime,
+			EnvLifetime: cloud.LambdaMaxLifetime,
 		})
 		if err != nil {
 			return nil, err
@@ -846,12 +846,12 @@ func (s *Scheduler) finish(j *job, rep *workloads.Report, err error) {
 			if e.State != engine.ExecDead {
 				end = now
 			}
-			meter.AddVM(e.HostID, e.VM.Type.PricePerHour, e.VM.Type.VCPUs, 1, end.Sub(e.RegisteredAt))
+			meter.AddVM(e.VM.Type.PricePerHour, e.VM.Type.VCPUs, 1, end.Sub(e.RegisteredAt))
 		}
 		j.workDist = j.cluster.WorkDistribution()
 	}
 	for _, l := range j.backend.fleet.Lambdas() {
-		meter.AddLambda(l.ID, lambdaMemoryMB, l.BilledDuration(now))
+		meter.AddLambda(lambdaMemoryMB, l.BilledDuration(now))
 	}
 	j.costVM, j.costLambda, j.costUSD = meter.Totals()
 	// The job is settled: drop the scheduler's references to its

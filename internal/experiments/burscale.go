@@ -109,9 +109,9 @@ func runBurstableStandby(seed uint64, w workloads.Workload, creditsSeconds float
 
 	// Marginal cost: the worker's 3 cores plus the standbys for the run.
 	var meter billing.Meter
-	meter.AddVM(worker.ID, worker.Type.PricePerHour, worker.Type.VCPUs, 3, elapsed)
+	meter.AddVM(worker.Type.PricePerHour, worker.Type.VCPUs, 3, elapsed)
 	for _, vm := range standbys {
-		meter.AddVM(vm.ID, vm.Type.PricePerHour, vm.Type.VCPUs, vm.Type.VCPUs, elapsed)
+		meter.AddVM(vm.Type.PricePerHour, vm.Type.VCPUs, vm.Type.VCPUs, elapsed)
 	}
 	return &BurScaleResult{
 		Label:    fmt.Sprintf("burstable standby (credits=%.0fs)", creditsSeconds),

@@ -95,8 +95,6 @@ type Scenario struct {
 	Events *eventlog.Bus
 	// AppID overrides the default application ID ("<workload>-<kind>").
 	AppID string
-	// Perf overrides the executor performance model (zero = default).
-	Perf engine.PerfModel
 	// S3 overrides the object-store model for the Qubole baseline
 	// (zero = s3q defaults).
 	S3 s3q.Options
@@ -176,7 +174,7 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 	if sc.LambdaMemoryMB == 0 {
 		sc.LambdaMemoryMB = 1536
 	}
-	if err := (cloud.LambdaConfig{MemoryMB: sc.LambdaMemoryMB}).Validate(cloud.DefaultOptions().Limits); err != nil {
+	if err := (cloud.LambdaConfig{MemoryMB: sc.LambdaMemoryMB}).Validate(); err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
 	if sc.MasterVMType.VCPUs == 0 {
@@ -315,7 +313,6 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 		Telem:               hub,
 		Events:              bus,
 		Alloc:               alloc,
-		Perf:                sc.Perf,
 		SLO:                 w.SLO(),
 		StageLaunchOverhead: engine.DefaultStageLaunchOverhead,
 		TaskDispatchCost:    engine.DefaultTaskDispatchCost,
@@ -369,41 +366,22 @@ func Run(sc Scenario, w workloads.Workload) (*Result, error) {
 	return res, nil
 }
 
-// billMarginal computes the job's marginal cost: pre-existing worker VM
-// cores are charged proportionally for their peak concurrent use over the
-// job; VMs procured during the run (autoscale, segue) are charged in full
-// from request to job end; lambdas, the backend's invocations in launch
-// order, per billed duration; S3 per request.
+// billMarginal computes the job's marginal cost: a pre-existing worker VM
+// is charged for as many of its cores as VM executors were ever
+// registered on it over the job; VMs procured during the run (autoscale,
+// segue) are charged in full from request to job end; lambdas, the
+// backend's invocations in launch order, per billed duration; S3 per
+// request.
 func billMarginal(cluster *engine.Cluster, provider *cloud.Provider, lambdas []*cloud.Lambda, objStore *s3q.Store, initialIDs map[string]bool, masterID string, end time.Time, hub *telemetry.Hub) *billing.Meter {
 	var meter billing.Meter
 	meter.SetTelemetry(hub)
 
-	// Peak concurrent executors per pre-existing host.
-	peak := map[string]int{}
-	liveNow := map[string]int{}
-	type ev struct {
-		at    time.Time
-		host  string
-		delta int
-	}
-	var evs []ev
+	// VM executors registered per host. Removed executors still count: a
+	// host whose executor was replaced is charged for both.
+	registered := map[string]int{}
 	for _, e := range cluster.AllExecutors() {
-		if e.Kind != engine.ExecVM {
-			continue
-		}
-		evs = append(evs, ev{at: e.RegisteredAt, host: e.HostID, delta: 1})
-		if e.State == engine.ExecDead {
-			evs = append(evs, ev{at: e.RemovedAt, host: e.HostID, delta: -1})
-		}
-	}
-	// Events are appended in registration order; a stable pass suffices
-	// for peak tracking (removal never precedes registration).
-	for _, e := range evs {
-		if e.delta > 0 {
-			liveNow[e.host]++
-			if liveNow[e.host] > peak[e.host] {
-				peak[e.host] = liveNow[e.host]
-			}
+		if e.Kind == engine.ExecVM {
+			registered[e.HostID]++
 		}
 	}
 
@@ -413,25 +391,24 @@ func billMarginal(cluster *engine.Cluster, provider *cloud.Provider, lambdas []*
 			continue // common to all scenarios; excluded from marginal cost
 		}
 		if initialIDs[vm.ID] {
-			if used := peak[vm.ID]; used > 0 {
-				meter.AddVM(vm.ID, vm.Type.PricePerHour, vm.Type.VCPUs, used, duration)
+			if used := registered[vm.ID]; used > 0 {
+				meter.AddVM(vm.Type.PricePerHour, vm.Type.VCPUs, used, duration)
 			}
 			continue
 		}
 		// Procured during the run: billed in full from the request.
 		meter.Add(billing.Item{
 			Kind:     "vm",
-			Ref:      vm.ID + " (procured)",
 			Duration: vm.Uptime(end),
 			USD:      billing.VMCost(vm.Type.PricePerHour, vm.Uptime(end)),
 		})
 	}
 	for _, l := range lambdas {
-		meter.AddLambda(l.ID, l.Config.MemoryMB, l.BilledDuration(end))
+		meter.AddLambda(l.Config.MemoryMB, l.BilledDuration(end))
 	}
 	puts, gets := objStore.Counts("qubole-shuffle")
 	if puts+gets > 0 {
-		meter.AddS3("qubole-shuffle", puts, gets)
+		meter.AddS3(puts, gets)
 	}
 	return &meter
 }

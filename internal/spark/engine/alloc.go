@@ -45,7 +45,7 @@ func (a *allocManager) onJobEnd() {
 }
 
 func (a *allocManager) scheduleTick() {
-	a.c.cfg.Clock.After(a.cfg().RampInterval, func() {
+	a.c.cfg.Clock.After(allocRampInterval, func() {
 		if !a.ticking {
 			return
 		}
@@ -78,7 +78,7 @@ func (a *allocManager) tick() {
 // onBacklogChange arms idle-release timers for executors that just went
 // idle (dynamic mode only).
 func (a *allocManager) onBacklogChange() {
-	if a.cfg().Mode != AllocDynamic || a.cfg().IdleTimeout <= 0 {
+	if a.cfg().Mode != AllocDynamic {
 		return
 	}
 	for _, id := range a.c.order {
@@ -90,7 +90,7 @@ func (a *allocManager) onBacklogChange() {
 		a.idleGen[id]++
 		gen := a.idleGen[id]
 		idleAt := e.IdleSince
-		a.c.cfg.Clock.After(a.cfg().IdleTimeout, func() {
+		a.c.cfg.Clock.After(allocIdleTimeout, func() {
 			ex := a.c.execs[id]
 			if ex == nil || ex.State != ExecFree || a.idleGen[id] != gen {
 				return

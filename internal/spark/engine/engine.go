@@ -33,28 +33,31 @@ const (
 	AllocDynamic
 )
 
+// Spark's defaults for dynamic allocation and delay scheduling.
+const (
+	// allocRampInterval is how often the backlog is evaluated; each
+	// evaluation with sustained backlog doubles the number of executors
+	// requested (Spark's exponential ramp-up).
+	allocRampInterval = time.Second
+	// allocIdleTimeout releases executors idle this long (Dynamic only;
+	// spark.dynamicAllocation.executorIdleTimeout).
+	allocIdleTimeout = 60 * time.Second
+	// localityWait is how long a task holds out for the executor caching
+	// its input before running anywhere (spark.locality.wait).
+	localityWait = 3 * time.Second
+)
+
 // AllocConfig parameterises the ExecutorAllocationManager.
 type AllocConfig struct {
 	Mode AllocMode
 	// Min/Max executor counts (Dynamic); Static uses Max from the start.
 	Min, Max int
-	// RampInterval is how often the backlog is evaluated; each evaluation
-	// with sustained backlog doubles the number of executors requested
-	// (Spark's exponential ramp-up).
-	RampInterval time.Duration
-	// IdleTimeout releases executors idle this long (Dynamic only).
-	IdleTimeout time.Duration
 }
 
-// DefaultAllocConfig mirrors Spark's dynamic-allocation defaults.
+// DefaultAllocConfig returns the allocation config for mode between min
+// and max executors.
 func DefaultAllocConfig(mode AllocMode, min, max int) AllocConfig {
-	return AllocConfig{
-		Mode:         mode,
-		Min:          min,
-		Max:          max,
-		RampInterval: time.Second,
-		IdleTimeout:  60 * time.Second,
-	}
+	return AllocConfig{Mode: mode, Min: min, Max: max}
 }
 
 // Config assembles a Cluster.
@@ -66,7 +69,6 @@ type Config struct {
 	// Store is where shuffle blocks go (local, HDFS or S3).
 	Store   storage.Store
 	Backend Backend
-	Perf    PerfModel
 	// Telem is the telemetry hub the engine records its metrics and
 	// backend launch spans into. Nil records nothing.
 	Telem *telemetry.Hub
@@ -76,9 +78,6 @@ type Config struct {
 	// Nil disables event logging.
 	Events *eventlog.Bus
 	Alloc  AllocConfig
-	// LocalityWait is how long a task holds out for the executor caching
-	// its input before running anywhere (Spark's spark.locality.wait).
-	LocalityWait time.Duration
 	// MaxTaskAttempts aborts the job when one task fails this many times.
 	MaxTaskAttempts int
 	// SLO is the job's expected/required completion time, forwarded to the
@@ -165,12 +164,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if cfg.AppID == "" {
 		cfg.AppID = "app"
-	}
-	if cfg.Perf == (PerfModel{}) {
-		cfg.Perf = DefaultPerfModel()
-	}
-	if cfg.LocalityWait == 0 {
-		cfg.LocalityWait = 3 * time.Second
 	}
 	if cfg.MaxTaskAttempts == 0 {
 		cfg.MaxTaskAttempts = 4
@@ -261,13 +254,13 @@ func (c *Cluster) RegisterExecutor(spec ExecutorSpec) *Executor {
 	if spec.CPUShare <= 0 {
 		spec.CPUShare = 1
 	}
-	usable := float64(spec.MemoryMB) * (1 << 20) * (1 - c.cfg.Perf.MemOverheadFraction)
+	usable := float64(spec.MemoryMB) * (1 << 20) * (1 - memOverheadFraction)
 	e := &Executor{
 		ExecutorSpec: spec,
 		State:        ExecFree,
 		RegisteredAt: c.cfg.Clock.Now(),
 		IdleSince:    c.cfg.Clock.Now(),
-		cache:        newBlockCache(int64(usable * c.cfg.Perf.CacheFraction)),
+		cache:        newBlockCache(int64(usable * cacheFraction)),
 	}
 	c.execs[spec.ID] = e
 	c.order = append(c.order, spec.ID)
@@ -356,11 +349,10 @@ func (c *Cluster) RunJob(target *rdd.RDD, name string) (*Job, error) {
 		func() int { s := c.stageSeq; c.stageSeq++; return s },
 		c.shuffleIDFor,
 	)
-	result := builder.build(target)
+	builder.build(target)
 	job := &Job{
 		ID:                c.jobSeq,
 		Name:              name,
-		ResultStage:       result,
 		Stages:            builder.all,
 		mapStageByShuffle: builder.byShuffle,
 		results:           make([][]rdd.Row, target.Parts),

@@ -579,7 +579,6 @@ func TestDrainExecutorFinishesCurrentTask(t *testing.T) {
 }
 
 func TestGCPressureSlowsTasks(t *testing.T) {
-	pm := DefaultPerfModel()
 	now := simclock.Epoch
 	small := &Executor{
 		ExecutorSpec: ExecutorSpec{MemoryMB: 1536, CPUShare: 1},
@@ -592,14 +591,14 @@ func TestGCPressureSlowsTasks(t *testing.T) {
 		cache:        newBlockCache(1 << 30),
 	}
 	ws := int64(900 << 20) // 900 MB working set
-	dSmall := small.ComputeTime(pm, 1e9, ws, now)
-	dBig := big.ComputeTime(pm, 1e9, ws, now)
+	dSmall := small.ComputeTime(1e9, ws, now)
+	dBig := big.ComputeTime(1e9, ws, now)
 	if dSmall <= dBig {
 		t.Fatalf("memory pressure not modelled: small %v, big %v", dSmall, dBig)
 	}
 	// Ageing: the same pressured lambda is slower after 10 minutes.
 	later := now.Add(10 * time.Minute)
-	dOld := small.ComputeTime(pm, 1e9, ws, later)
+	dOld := small.ComputeTime(1e9, ws, later)
 	if dOld <= dSmall {
 		t.Fatalf("ageing not modelled: fresh %v, old %v", dSmall, dOld)
 	}

@@ -66,43 +66,29 @@ func (s ExecState) String() string {
 	}
 }
 
-// PerfModel calibrates how work units and working sets turn into time.
-type PerfModel struct {
-	// UnitsPerSec is work units per second for one full core.
-	UnitsPerSec float64
-	// MemOverheadFraction of executor memory is unavailable to data
+// The performance model: how work units and working sets turn into time.
+const (
+	// unitsPerSec is work units per second for one full core.
+	unitsPerSec = 50e6
+	// memOverheadFraction of executor memory is unavailable to data
 	// (JVM/runtime overhead).
-	MemOverheadFraction float64
-	// GCKnee is the working-set fraction of usable memory beyond which GC
-	// overhead starts; GCSlope scales the slowdown per unit of excess
-	// pressure; MaxGCFactor caps it.
-	GCKnee      float64
-	GCSlope     float64
-	MaxGCFactor float64
-	// AgePenaltyPerMin adds slowdown per minute of executor age while the
+	memOverheadFraction = 0.25
+	// gcKnee is the working-set fraction of usable memory beyond which GC
+	// overhead starts; gcSlope scales the slowdown per unit of excess
+	// pressure; maxGCFactor caps it.
+	gcKnee      = 0.5
+	gcSlope     = 2.0
+	maxGCFactor = 6.0
+	// agePenaltyPerMin adds slowdown per minute of executor age while the
 	// executor is memory-pressured — the paper's observation that Lambda
 	// executors hit GC pain "after only a few minutes of execution".
-	AgePenaltyPerMin float64
-	// CacheFraction of usable memory holds cached partitions.
-	CacheFraction float64
-	// SerUnitsPerByte is the CPU cost of serializing or deserializing one
+	agePenaltyPerMin = 0.15
+	// cacheFraction of usable memory holds cached partitions.
+	cacheFraction = 0.55
+	// serUnitsPerByte is the CPU cost of serializing or deserializing one
 	// shuffle byte (charged on both sides of a shuffle).
-	SerUnitsPerByte float64
-}
-
-// DefaultPerfModel returns the calibration used by the experiments.
-func DefaultPerfModel() PerfModel {
-	return PerfModel{
-		UnitsPerSec:         50e6,
-		MemOverheadFraction: 0.25,
-		GCKnee:              0.5,
-		GCSlope:             2.0,
-		MaxGCFactor:         6.0,
-		AgePenaltyPerMin:    0.15,
-		CacheFraction:       0.55,
-		SerUnitsPerByte:     0.2,
-	}
-}
+	serUnitsPerByte = 0.2
+)
 
 // ExecutorSpec describes a new executor a Backend registers.
 type ExecutorSpec struct {
@@ -148,26 +134,26 @@ type Executor struct {
 
 // effectiveRate returns work units per second for a task with the given
 // working set, applying CPU share, GC pressure and ageing.
-func (e *Executor) effectiveRate(pm PerfModel, workingSet int64, now time.Time) float64 {
-	usable := float64(e.MemoryMB) * (1 << 20) * (1 - pm.MemOverheadFraction)
+func (e *Executor) effectiveRate(workingSet int64, now time.Time) float64 {
+	usable := float64(e.MemoryMB) * (1 << 20) * (1 - memOverheadFraction)
 	pressure := (float64(workingSet) + float64(e.cache.bytes)) / usable
 	gc := 1.0
-	if pressure > pm.GCKnee {
-		gc += pm.GCSlope * (pressure - pm.GCKnee)
+	if pressure > gcKnee {
+		gc += gcSlope * (pressure - gcKnee)
 		ageMin := now.Sub(e.RegisteredAt).Minutes()
-		gc += pm.AgePenaltyPerMin * ageMin
+		gc += agePenaltyPerMin * ageMin
 	}
-	if gc > pm.MaxGCFactor {
-		gc = pm.MaxGCFactor
+	if gc > maxGCFactor {
+		gc = maxGCFactor
 	}
-	return pm.UnitsPerSec * e.CPUShare / gc
+	return unitsPerSec * e.CPUShare / gc
 }
 
 // ComputeTime converts work units into task compute time on this executor.
 // On burstable hosts the credit gauge stretches the time once the balance
 // runs out.
-func (e *Executor) ComputeTime(pm PerfModel, workUnits float64, workingSet int64, now time.Time) time.Duration {
-	rate := e.effectiveRate(pm, workingSet, now)
+func (e *Executor) ComputeTime(workUnits float64, workingSet int64, now time.Time) time.Duration {
+	rate := e.effectiveRate(workingSet, now)
 	if rate <= 0 {
 		rate = 1
 	}

@@ -206,7 +206,7 @@ func (f *Fleet) registerLambda(id string, l *cloud.Lambda, env *warmpool.Env, sp
 	}
 	f.c.RegisterExecutor(ExecutorSpec{
 		ID: id, Kind: ExecLambda, HostID: cl.HostID, MemoryMB: l.Config.MemoryMB,
-		CPUShare: l.Config.CPUShare(f.c.Provider().Limits()) * lambdaCPUFactor,
+		CPUShare: l.Config.CPUShare() * lambdaCPUFactor,
 		IO:       cl, Serve: cl, Lambda: l,
 	})
 }

@@ -226,8 +226,8 @@ func (s *scheduler) pickTask(e *Executor) *Task {
 			continue
 		}
 		// The preferred executor is alive but occupied: wait up to
-		// LocalityWait before running the task elsewhere.
-		if now.Sub(s.pendingTimes[t]) >= s.c.cfg.LocalityWait {
+		// localityWait before running the task elsewhere.
+		if now.Sub(s.pendingTimes[t]) >= localityWait {
 			fallback = t
 		} else if needWake == nil {
 			needWake = t
@@ -236,7 +236,7 @@ func (s *scheduler) pickTask(e *Executor) *Task {
 	if fallback == nil && needWake != nil {
 		// Re-poke the scheduler when the locality wait expires so the task
 		// does not stall if no further events arrive.
-		deadline := s.pendingTimes[needWake].Add(s.c.cfg.LocalityWait)
+		deadline := s.pendingTimes[needWake].Add(localityWait)
 		s.c.cfg.Clock.At(deadline, func() { s.trySchedule() })
 	}
 	return fallback

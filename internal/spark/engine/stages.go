@@ -101,8 +101,9 @@ func newStageBuilder(nextID func() int, sidFor func(*rdd.RDD, int) int) *stageBu
 	return &stageBuilder{nextID: nextID, sidFor: sidFor, byShuffle: make(map[int]*Stage)}
 }
 
-// build returns the result stage for target plus every stage in the graph.
-func (b *stageBuilder) build(target *rdd.RDD) *Stage {
+// build creates the result stage for target and every stage feeding it,
+// collecting them in b.all.
+func (b *stageBuilder) build(target *rdd.RDD) {
 	result := &Stage{
 		ID:     b.nextID(),
 		Kind:   StageResult,
@@ -111,7 +112,6 @@ func (b *stageBuilder) build(target *rdd.RDD) *Stage {
 	}
 	result.Parents = b.parentStages(target)
 	b.all = append(b.all, result)
-	return result
 }
 
 // parentStages creates (or reuses) the map stages feeding the stage whose
@@ -210,10 +210,9 @@ func (t *Task) String() string {
 
 // Job is one action execution: a result stage plus its ancestry.
 type Job struct {
-	ID          int
-	Name        string
-	ResultStage *Stage
-	Stages      []*Stage
+	ID     int
+	Name   string
+	Stages []*Stage
 	// mapStageByShuffle lets fetch-failures find the producer to resubmit.
 	mapStageByShuffle map[int]*Stage
 

@@ -100,7 +100,7 @@ func (s *scheduler) readWork(leaf *rdd.RDD, buckets [][]rdd.Row, bytes int64) fl
 	for _, b := range buckets {
 		n += len(b)
 	}
-	return float64(n)*leaf.CostPerRow + float64(bytes)*s.c.cfg.Perf.SerUnitsPerByte
+	return float64(n)*leaf.CostPerRow + float64(bytes)*serUnitsPerByte
 }
 
 // fetchSide pulls the shuffle blocks for (shuffleID, t.Part), delivering
@@ -196,8 +196,8 @@ func (s *scheduler) computeAndWrite(t *Task, e *Executor, chain []*rdd.RDD, star
 		}
 		s.c.insts.shuffleWritten[kindIdx(e.Kind)].Add(float64(shuffleBytes))
 		s.c.insts.blocksWritten.Add(float64(len(blocks)))
-		work += float64(shuffleBytes) * s.c.cfg.Perf.SerUnitsPerByte
-		d := e.ComputeTime(s.c.cfg.Perf, work, inBytes+outBytes, s.c.cfg.Clock.Now())
+		work += float64(shuffleBytes) * serUnitsPerByte
+		d := e.ComputeTime(work, inBytes+outBytes, s.c.cfg.Clock.Now())
 		s.c.cfg.Clock.After(d, func() {
 			if t.cancelled {
 				return
@@ -218,7 +218,7 @@ func (s *scheduler) computeAndWrite(t *Task, e *Executor, chain []*rdd.RDD, star
 	}
 
 	// Result stage: rows flow back to the driver.
-	d := e.ComputeTime(s.c.cfg.Perf, work, inBytes+outBytes, s.c.cfg.Clock.Now())
+	d := e.ComputeTime(work, inBytes+outBytes, s.c.cfg.Clock.Now())
 	finalRows := rows
 	s.c.cfg.Clock.After(d, func() {
 		if t.cancelled {

@@ -10,6 +10,19 @@ import (
 	"splitserve/internal/simclock"
 )
 
+// Target tracking and recycling, as the platform's provisioned
+// concurrency does it.
+const (
+	// resizeInterval is the target-tracking evaluation period.
+	resizeInterval = time.Minute
+	// targetUtilization is the busy fraction target tracking aims for:
+	// target = ceil(peak busy / utilization).
+	targetUtilization = 0.70
+	// acquireMargin keeps environments this close to recycling from being
+	// handed out — they are retired and replaced instead.
+	acquireMargin = 90 * time.Second
+)
+
 // Config parameterises a provisioned-concurrency Pool.
 type Config struct {
 	// MemoryMB sizes every environment in the pool.
@@ -22,30 +35,11 @@ type Config struct {
 	// EnvLifetime recycles environments, losing their /tmp state
 	// (default 15 min — the platform's environment lifetime).
 	EnvLifetime time.Duration
-	// ResizeInterval is the target-tracking evaluation period
-	// (default 60 s).
-	ResizeInterval time.Duration
-	// TargetUtilization is the busy fraction target tracking aims for:
-	// target = ceil(peak busy / utilization) (default 0.70).
-	TargetUtilization float64
-	// AcquireMargin keeps environments this close to recycling from
-	// being handed out — they are retired and replaced instead
-	// (default 90 s).
-	AcquireMargin time.Duration
 }
 
 func (c Config) withDefaults() Config {
 	if c.EnvLifetime <= 0 {
 		c.EnvLifetime = 15 * time.Minute
-	}
-	if c.ResizeInterval <= 0 {
-		c.ResizeInterval = time.Minute
-	}
-	if c.TargetUtilization <= 0 || c.TargetUtilization > 1 {
-		c.TargetUtilization = 0.70
-	}
-	if c.AcquireMargin <= 0 {
-		c.AcquireMargin = 90 * time.Second
 	}
 	if c.Min <= 0 {
 		c.Min = 1
@@ -64,7 +58,6 @@ func (c Config) withDefaults() Config {
 // invocations the environment hosts — and die with it.
 type Env struct {
 	ID        string
-	CreatedAt time.Time
 	ExpiresAt time.Time
 
 	busy   bool
@@ -127,7 +120,7 @@ func NewPool(clock *simclock.Clock, bus *eventlog.Bus, cfg Config) (*Pool, error
 	for p.live() < p.target {
 		p.spawn()
 	}
-	p.clock.After(cfg.ResizeInterval, p.tick)
+	p.clock.After(resizeInterval, p.tick)
 	return p, nil
 }
 
@@ -185,7 +178,6 @@ func (p *Pool) spawn() *Env {
 	now := p.clock.Now()
 	env := &Env{
 		ID:        fmt.Sprintf("wp-%03d", p.seq),
-		CreatedAt: now,
 		ExpiresAt: now.Add(p.cfg.EnvLifetime),
 		idleSince: now,
 	}
@@ -251,7 +243,7 @@ func (p *Pool) Acquire() *Env {
 	for len(p.idle) > 0 {
 		env := p.idle[len(p.idle)-1]
 		p.idle = p.idle[:len(p.idle)-1]
-		if !now.Before(env.ExpiresAt.Add(-p.cfg.AcquireMargin)) {
+		if !now.Before(env.ExpiresAt.Add(-acquireMargin)) {
 			// Too close to recycling to be worth handing out.
 			p.retire(env)
 			p.replenish()
@@ -296,7 +288,7 @@ func (p *Pool) tick() {
 	if p.stopped {
 		return
 	}
-	desired := int(math.Ceil(float64(p.peakBusy) / p.cfg.TargetUtilization))
+	desired := int(math.Ceil(float64(p.peakBusy) / targetUtilization))
 	if desired < p.cfg.Min {
 		desired = p.cfg.Min
 	}
@@ -320,7 +312,7 @@ func (p *Pool) tick() {
 		}
 	}
 	p.peakBusy = p.busy
-	p.clock.After(p.cfg.ResizeInterval, p.tick)
+	p.clock.After(resizeInterval, p.tick)
 }
 
 // Stop halts target tracking and environment recycling (end of run).

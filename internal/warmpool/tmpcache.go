@@ -10,23 +10,21 @@ import (
 	"splitserve/internal/storage"
 )
 
+// hitLatency is charged for a fetch served entirely from /tmp: a local
+// SSD read instead of a network transfer.
+const hitLatency = time.Millisecond
+
 // CacheOptions parameterises a TmpCache.
 type CacheOptions struct {
 	// CapacityBytes is the per-environment /tmp budget (default 512 MB —
 	// the platform's ephemeral-storage cap). Blocks larger than the
 	// capacity are never cached.
 	CapacityBytes int64
-	// HitLatency is charged for a fetch served entirely from /tmp
-	// (default 1 ms — a local SSD read instead of a network transfer).
-	HitLatency time.Duration
 }
 
 func (o CacheOptions) withDefaults() CacheOptions {
 	if o.CapacityBytes <= 0 {
 		o.CapacityBytes = 512 << 20
-	}
-	if o.HitLatency <= 0 {
-		o.HitLatency = time.Millisecond
 	}
 	return o
 }
@@ -35,7 +33,7 @@ func (o CacheOptions) withDefaults() CacheOptions {
 // remote block store (HDFS or S3). Hosts registered with Track — Lambda
 // environments with /tmp — keep an LRU copy of every block they write or
 // fetch, capped at CapacityBytes; repeat reads of a cached block cost
-// HitLatency instead of a network transfer. Untracked hosts (VM
+// hitLatency instead of a network transfer. Untracked hosts (VM
 // executors) pass through untouched. DropHost models environment
 // recycling: the host's cached bytes vanish along with its /tmp.
 type TmpCache struct {
@@ -135,7 +133,7 @@ func (t *TmpCache) FetchAll(ids []string, cl storage.Client, done func([]storage
 	}
 	t.misses += int64(len(missing))
 	if len(missing) == 0 {
-		t.clock.After(t.opts.HitLatency, func() { done(out, nil) })
+		t.clock.After(hitLatency, func() { done(out, nil) })
 		return
 	}
 	t.backing.FetchAll(missing, cl, func(blocks []storage.Block, err error) {
