@@ -10,7 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -112,14 +114,26 @@ func run() int {
 		}
 		return 0
 	}
-	fmt.Println(res)
-	fmt.Println("answer:", res.Answer)
-	fmt.Printf("work distribution: VM %d tasks / %v busy, Lambda %d tasks / %v busy\n",
-		res.VMTasks, res.VMBusy.Round(time.Millisecond),
-		res.LambdaTasks, res.LambdaBusy.Round(time.Millisecond))
-	for kindName, usd := range res.CostByKind {
-		fmt.Printf("cost[%s] = $%.6f\n", kindName, usd)
-	}
+	writeSummary(os.Stdout, res)
 	fmt.Print(res.Timeline(*width))
 	return 0
+}
+
+// writeSummary prints the plain-text result: the headline, the answer, the
+// work distribution and one cost line per kind, in sorted kind order so
+// that same-seed runs print the same bytes.
+func writeSummary(w io.Writer, res *splitserve.Result) {
+	fmt.Fprintln(w, res)
+	fmt.Fprintln(w, "answer:", res.Answer)
+	fmt.Fprintf(w, "work distribution: VM %d tasks / %v busy, Lambda %d tasks / %v busy\n",
+		res.VMTasks, res.VMBusy.Round(time.Millisecond),
+		res.LambdaTasks, res.LambdaBusy.Round(time.Millisecond))
+	kinds := make([]string, 0, len(res.CostByKind))
+	for k := range res.CostByKind {
+		kinds = append(kinds, k)
+	}
+	sort.Strings(kinds)
+	for _, k := range kinds {
+		fmt.Fprintf(w, "cost[%s] = $%.6f\n", k, res.CostByKind[k])
+	}
 }

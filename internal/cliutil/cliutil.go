@@ -15,9 +15,6 @@ import (
 // ReportFormats is the accepted -report vocabulary.
 var ReportFormats = []string{"json", "prom"}
 
-// ReportUsage is the shared -report help text.
-const ReportUsage = "emit a machine-readable report: json | prom"
-
 // EventLogUsage and TraceUsage are the shared help texts for the
 // observability output flags every command carries.
 const (

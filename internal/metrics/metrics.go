@@ -72,7 +72,6 @@ var markNames = map[eventlog.Type]string{
 	eventlog.VMRequest:        "vm_requested",
 	eventlog.VMReady:          "vm_ready",
 	eventlog.StageResubmitted: "stage_resubmitted",
-	eventlog.TaskSpeculated:   "task_speculated",
 }
 
 // bridge translates one engine event of the View's app into tracer spans

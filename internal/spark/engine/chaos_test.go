@@ -233,20 +233,62 @@ type durableWrap struct{ *storage.Local }
 func (durableWrap) Durable() bool   { return true }
 func (durableWrap) DropHost(string) {}
 
-// TestChaosSpeculationPlusFailures: speculation and failures together
-// must not double-count results.
-func TestChaosSpeculationPlusFailures(t *testing.T) {
-	cluster, clock := speculationHarness(t, 5, true)
-	clock.After(2*time.Second, func() {
-		live := cluster.Executors()
-		if len(live) > 3 {
-			cluster.RemoveExecutor(live[1].ID, true, "chaos")
-		}
+// stragglerHarness builds a cluster with n normal executors and one
+// crippled straggler (10x slower CPU), all on one VM.
+func stragglerHarness(t *testing.T, n int) (*Cluster, *simclock.Clock) {
+	t.Helper()
+	clock := simclock.New(simclock.Epoch)
+	net := netsim.New(clock)
+	provider := cloud.NewProvider(clock, net, simrand.New(3), cloud.DefaultOptions())
+	vm := provider.ProvisionReadyVM(cloud.M416XLarge)
+	cluster, err := New(Config{
+		AppID: "straggler-test", Clock: clock, Net: net, Provider: provider,
+		Store:   storage.NewLocal(clock, net),
+		Backend: &manualBackend{},
+		Events:  eventlog.NewBus(simclock.Epoch),
+		Alloc:   DefaultAllocConfig(AllocStatic, n+1, n+1),
 	})
-	ctx := rdd.NewContext()
-	job, err := cluster.RunJob(chaosJob(ctx, 5200, 10), "spec-chaos")
 	if err != nil {
 		t.Fatal(err)
+	}
+	cluster.Start()
+	cl := VMExecutorClient(vm)
+	for i := 0; i < n; i++ {
+		cluster.RegisterExecutor(ExecutorSpec{
+			ID: "fast-" + string(rune('a'+i)), Kind: ExecVM, HostID: vm.ID,
+			MemoryMB: 4096, CPUShare: 1, IO: cl, Serve: cl, VM: vm,
+		})
+	}
+	cluster.RegisterExecutor(ExecutorSpec{
+		ID: "straggler", Kind: ExecVM, HostID: vm.ID,
+		MemoryMB: 4096, CPUShare: 0.1, IO: cl, Serve: cl, VM: vm,
+	})
+	return cluster, clock
+}
+
+// TestChaosStragglerPlusHostLoss: a host loss while a 10x straggler still
+// runs its tasks must neither lose nor double-count results. The job takes
+// ~0.2 s undisturbed, so the loss strikes at 100 ms, mid-job.
+func TestChaosStragglerPlusHostLoss(t *testing.T) {
+	cluster, clock := stragglerHarness(t, 5)
+	struck := false
+	clock.After(100*time.Millisecond, func() {
+		if cluster.execs["straggler"].current == nil {
+			t.Error("straggler idle at the host loss")
+		}
+		cluster.RemoveExecutor(cluster.Executors()[1].ID, true, "chaos")
+		struck = true
+	})
+	ctx := rdd.NewContext()
+	job, err := cluster.RunJob(chaosJob(ctx, 5200, 10), "straggler-chaos")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !struck {
+		t.Fatal("the job finished before the host loss")
+	}
+	if countEvents(cluster.cfg.Events, eventlog.StageResubmitted) == 0 {
+		t.Fatal("host loss resubmitted no stage")
 	}
 	checkChaosResult(t, job, 5200)
 }

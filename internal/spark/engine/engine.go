@@ -92,8 +92,6 @@ type Config struct {
 	// TaskDispatchCost, which bounds useful parallelism exactly as a real
 	// Spark driver does (the downslope of the paper's Figure 4 U-curve).
 	TaskDispatchCost time.Duration
-	// Speculation configures speculative execution (spark.speculation).
-	Speculation SpeculationConfig
 	// MaxSimTime bounds one RunJob call in virtual time.
 	MaxSimTime time.Duration
 	// Yield, when set, makes RunJob cooperative: instead of stepping the

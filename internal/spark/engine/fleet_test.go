@@ -12,6 +12,16 @@ import (
 	"splitserve/internal/storage"
 )
 
+// manualBackend lets tests register executors with custom specs.
+type manualBackend struct{ c *Cluster }
+
+func (b *manualBackend) Start(c *Cluster)            { b.c = c }
+func (b *manualBackend) SetDesiredTotal(int)         {}
+func (b *manualBackend) AllowAssign(*Executor) bool  { return true }
+func (b *manualBackend) ExecutorDrained(e *Executor) { b.c.RemoveExecutor(e.ID, false, "drained") }
+func (b *manualBackend) ReleaseIdle(*Executor)       {}
+func (b *manualBackend) JobSubmitted(time.Duration)  {}
+
 // fleetHarness returns a started cluster whose backend registers nothing
 // itself, a fleet on it over one 4-core VM, and that VM's slots.
 func fleetHarness(t *testing.T) (*Cluster, *Fleet, *VMSlots, *cloud.VM) {

@@ -16,23 +16,11 @@ type scheduler struct {
 	c       *Cluster
 	pending []*Task
 	seq     int64
-	// pendingAt records when each task became pending (locality wait).
-	pendingTimes map[*Task]time.Time
 	// driverFree serialises task dispatch through the driver.
 	driverFree time.Time
-	// stageStats and taskStarts feed speculative execution.
-	stageStats map[*Stage]*stageStats
-	taskStarts map[*Task]time.Time
 }
 
-func newScheduler(c *Cluster) *scheduler {
-	return &scheduler{
-		c:            c,
-		pendingTimes: make(map[*Task]time.Time),
-		stageStats:   make(map[*Stage]*stageStats),
-		taskStarts:   make(map[*Task]time.Time),
-	}
-}
+func newScheduler(c *Cluster) *scheduler { return &scheduler{c: c} }
 
 // dispatchDelay reserves the driver for one task launch and returns how
 // long the dispatch waits behind earlier launches.
@@ -51,17 +39,6 @@ func (s *scheduler) dispatchDelay() time.Duration {
 
 // pendingCount returns the number of queued tasks.
 func (s *scheduler) pendingCount() int { return len(s.pending) }
-
-// runningCount returns the number of in-flight tasks.
-func (s *scheduler) runningCount() int {
-	n := 0
-	for _, id := range s.c.order {
-		if e := s.c.execs[id]; e.State == ExecBusy || (e.State == ExecDraining && e.current != nil) {
-			n++
-		}
-	}
-	return n
-}
 
 // backlog reports whether work is waiting for executors.
 func (s *scheduler) backlog() bool { return len(s.pending) > 0 }
@@ -113,7 +90,6 @@ func (s *scheduler) submitStage(job *Job, st *Stage) {
 		}
 	}
 	st.pendingParts = len(parts)
-	s.stageStats[st] = &stageStats{total: len(parts)}
 	s.c.Emit(eventlog.Event{Type: eventlog.StageStart, Stage: st.ID, Task: -1, Note: st.Target.Name})
 	enqueue := func() {
 		for _, p := range parts {
@@ -134,8 +110,8 @@ func (s *scheduler) enqueue(t *Task) {
 	t.PendingSince = s.seq
 	t.State = TaskPending
 	t.Preferred = s.preferredExecutor(t)
+	t.queuedAt = s.c.cfg.Clock.Now()
 	s.pending = append(s.pending, t)
-	s.pendingTimes[t] = s.c.cfg.Clock.Now()
 	s.c.insts.pendingTasks.Set(float64(len(s.pending)))
 }
 
@@ -184,11 +160,9 @@ func (s *scheduler) trySchedule() {
 				continue
 			}
 			if t := s.pickTask(e); t != nil {
-				if queuedAt, ok := s.pendingTimes[t]; ok {
-					wait := s.c.cfg.Clock.Now().Sub(queuedAt)
-					s.c.insts.queueWait.ObserveDuration(wait)
-					s.c.insts.stageLatency(t.Stage.ID).ObserveDuration(wait)
-				}
+				wait := s.c.cfg.Clock.Now().Sub(t.queuedAt)
+				s.c.insts.queueWait.ObserveDuration(wait)
+				s.c.insts.stageLatency(t.Stage.ID).ObserveDuration(wait)
 				s.dequeue(t)
 				assigned = true
 				s.runTask(t, e)
@@ -227,7 +201,7 @@ func (s *scheduler) pickTask(e *Executor) *Task {
 		}
 		// The preferred executor is alive but occupied: wait up to
 		// localityWait before running the task elsewhere.
-		if now.Sub(s.pendingTimes[t]) >= localityWait {
+		if now.Sub(t.queuedAt) >= localityWait {
 			fallback = t
 		} else if needWake == nil {
 			needWake = t
@@ -236,7 +210,7 @@ func (s *scheduler) pickTask(e *Executor) *Task {
 	if fallback == nil && needWake != nil {
 		// Re-poke the scheduler when the locality wait expires so the task
 		// does not stall if no further events arrive.
-		deadline := s.pendingTimes[needWake].Add(localityWait)
+		deadline := needWake.queuedAt.Add(localityWait)
 		s.c.cfg.Clock.At(deadline, func() { s.trySchedule() })
 	}
 	return fallback
@@ -249,7 +223,6 @@ func (s *scheduler) dequeue(t *Task) {
 			break
 		}
 	}
-	delete(s.pendingTimes, t)
 	s.c.insts.pendingTasks.Set(float64(len(s.pending)))
 }
 
@@ -297,35 +270,11 @@ func (e *TaskError) Unwrap() error { return ErrTaskRetriesExhausted }
 
 // onTaskFinished handles successful completion of either task kind.
 func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
-	winner := s.settleTwin(t)
 	t.State = TaskFinished
 	e.TasksRun++
 	e.current = nil
 	s.c.insts.tasksFinished[kindIdx(e.Kind)].Inc()
-	if started, ok := s.taskStarts[t]; ok {
-		elapsed := s.c.cfg.Clock.Now().Sub(started)
-		e.BusyTime += elapsed
-		if st := s.stageStats[t.Stage]; st != nil && winner {
-			st.durations = append(st.durations, elapsed)
-		}
-		delete(s.taskStarts, t)
-	}
-	if !winner {
-		// The twin already completed this partition; just free the executor.
-		s.c.Emit(eventlog.Event{
-			Type: eventlog.TaskEnd, Exec: e.ID, Kind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
-			Note: "lost speculation race",
-		})
-		switch e.State {
-		case ExecBusy:
-			e.State = ExecFree
-			e.IdleSince = s.c.cfg.Clock.Now()
-		case ExecDraining:
-			s.c.cfg.Backend.ExecutorDrained(e)
-		}
-		s.trySchedule()
-		return
-	}
+	e.BusyTime += s.c.cfg.Clock.Now().Sub(t.startedAt)
 	s.c.Emit(eventlog.Event{
 		Type: eventlog.TaskEnd, Exec: e.ID, Kind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
 	})
@@ -339,7 +288,6 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 
 	st := t.Stage
 	st.pendingParts--
-	s.maybeSpeculate(st, t.Job)
 	if st.Kind == StageShuffleMap {
 		if s.c.tracker.Complete(st.ShuffleID) {
 			st.done = true
@@ -377,10 +325,11 @@ func (s *scheduler) onTaskFinished(t *Task, e *Executor) {
 func (s *scheduler) alloc() *allocManager { return s.c.alloc }
 
 // stageLive reports whether a task of st is queued or running. The stage's
-// pendingParts alone cannot say: a speculative twin and a requeued
-// attempt of one partition can both finish as winners and count it twice.
-// pendingParts still guards the stage-launch delay, when a submission's
-// tasks are neither queued nor running yet.
+// pendingParts counts finished tasks against a submission, not attempts in
+// flight; the scan holds a resubmission back until no attempt of the stage
+// is left, so two submissions never overlap. pendingParts still guards the
+// stage-launch delay, when a submission's tasks are neither queued nor
+// running yet.
 func (s *scheduler) stageLive(st *Stage) bool {
 	for _, t := range s.pending {
 		if t.Stage == st {

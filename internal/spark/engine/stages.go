@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"time"
 
 	"splitserve/internal/spark/rdd"
 )
@@ -198,10 +199,10 @@ type Task struct {
 	PendingSince int64 // sequence for FIFO ordering
 	Exec         *Executor
 	cancelled    bool
-	// speculative marks a duplicate attempt; twin links the two attempts
-	// of a speculated task while both are alive.
-	speculative bool
-	twin        *Task
+	// queuedAt is when the task last became pending (queue wait, locality
+	// wait); startedAt is when its body started (executor busy time).
+	queuedAt  time.Time
+	startedAt time.Time
 }
 
 func (t *Task) String() string {

@@ -35,7 +35,7 @@ func (s *scheduler) runTask(t *Task, e *Executor) {
 // startTaskBody begins the fetch/compute/write pipeline once the driver
 // has dispatched the task.
 func (s *scheduler) startTaskBody(t *Task, e *Executor) {
-	s.taskStarts[t] = s.c.cfg.Clock.Now()
+	t.startedAt = s.c.cfg.Clock.Now()
 	s.c.Emit(eventlog.Event{
 		Type: eventlog.TaskStart, Exec: e.ID, Kind: e.Kind.String(), Stage: t.Stage.ID, Task: t.Part,
 	})
