@@ -60,6 +60,7 @@ fuzz:
 	$(GO) test ./internal/costmgr -run '^$$' -fuzz FuzzLoadProfiles -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cliutil -run '^$$' -fuzz FuzzValidateReport -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzWriteJSONL -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/eventlog -run '^$$' -fuzz FuzzBusStream -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzReportJSON -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/attrib -run '^$$' -fuzz FuzzCauseColumns -fuzztime $(FUZZTIME)
 

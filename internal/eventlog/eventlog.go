@@ -133,8 +133,8 @@ var allTypes = []Type{
 // typeIndex gives each known type its index in allTypes, which is how a
 // Bus stores it. Its keys are exactly the valid types.
 var typeIndex = func() map[Type]uint8 {
-	if len(allTypes) > math.MaxUint8+1 {
-		panic("eventlog: the vocabulary outgrew a record's uint8 type index")
+	if len(allTypes) > wideBit {
+		panic("eventlog: the vocabulary outgrew a record's type index")
 	}
 	m := make(map[Type]uint8, len(allTypes))
 	for i, t := range allTypes {
@@ -163,9 +163,10 @@ func AllTypes() []Type {
 // omitted when empty, keeping lines compact. Field order is fixed by the
 // struct, so encoding/json yields a stable byte layout.
 //
-// A Bus stores Stage, Task and Cores as int32, so Bus.Emit panics when
-// one of them falls outside the int32 range, as it does on an unknown
-// type: either is a programming error. Bytes and TS keep all 64 bits.
+// A Bus stores Stage, Task and Cores in at most 32 bits, so Bus.Emit
+// panics when one of them falls outside the int32 range, as it does on
+// an unknown type: either is a programming error. Bytes and TS keep all
+// 64 bits.
 type Event struct {
 	TS    int64  `json:"ts_us"`
 	Type  Type   `json:"type"`
@@ -183,30 +184,126 @@ type Event struct {
 // "not applicable" sentinel. Call sites fill the fields they know.
 func Ev(t Type) Event { return Event{Type: t, Stage: -1, Task: -1} }
 
-// record is an Event as a Bus stores it: 48 bytes with no pointers, so
-// the garbage collector never scans a chunk. The four strings are
-// indexes into the bus's string table and typ is an index into allTypes.
+// record is an Event as a Bus stores it: 32 bytes with no pointers, so
+// the garbage collector never scans a chunk. app, exec and note index
+// the bus's string table, kind is a code into its kind table, and typ is
+// an index into allTypes. An event with Bytes set, with Cores outside the
+// int16 range, or with a Kind the full kind table cannot code is wide:
+// its record sets wideBit in typ, leaves cores and kind zero, and the
+// bus keeps those three fields in a wide entry instead.
 type record struct {
-	ts, bytes             int64
-	stage, task, cores    int32
-	app, exec, kind, note uint32
-	typ                   uint8
+	ts              int64
+	app, exec, note uint32
+	stage, task     int32
+	cores           int16
+	kind, typ       uint8
 }
 
-// decode writes into d the Event r was stored from, reading its strings
-// from strs, the table of the bus that stored it. It sets d field by
-// field, so filling a slice of events never builds a temporary Event.
-func (r *record) decode(d *Event, strs []string) {
-	d.TS, d.Type = r.ts, allTypes[r.typ]
-	d.App, d.Exec, d.Kind = strs[r.app], strs[r.exec], strs[r.kind]
-	d.Stage, d.Task, d.Cores = int(r.stage), int(r.task), int(r.cores)
-	d.Bytes, d.Note = r.bytes, strs[r.note]
+// wideBit marks the typ of a wide record. allTypes stays below it.
+const wideBit = 0x80
+
+// wide holds what a wide event's record cannot: Bytes, Cores, and Kind
+// as a string-table index. A bus keeps one per wide record, in emission
+// order, so a reader pairs them by counting and no record stores an
+// index.
+type wide struct {
+	bytes int64
+	cores int32
+	kind  uint32
 }
 
-// chunkSize is how many events one chunk of a Bus holds. A long log
-// grows by whole chunks that are never copied, one allocation per
-// chunkSize events, instead of regrowing and copying the whole log.
+// chunkSize is how many values one chunk of a column holds.
 const chunkSize = 4096
+
+// column is an append-only sequence kept in chunks: a long column grows
+// by whole chunks that are never copied, one allocation per chunkSize
+// values, instead of regrowing and copying all of it. Every chunk but
+// the last is full.
+type column[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+func (c *column[T]) push(v T) {
+	if c.n%chunkSize == 0 {
+		// The first chunk grows by append, so a short column costs what
+		// a plain slice would.
+		var s []T
+		if c.n > 0 {
+			s = make([]T, 0, chunkSize)
+		}
+		c.chunks = append(c.chunks, s)
+	}
+	last := len(c.chunks) - 1
+	c.chunks[last] = append(c.chunks[last], v)
+	c.n++
+}
+
+// reader returns a reader of the column as it stands. The full chunks
+// are never written again, and later values land past the length the
+// reader keeps of the last chunk, so the reader needs no lock.
+func (c *column[T]) reader() colReader[T] {
+	if c.n == 0 {
+		return colReader[T]{}
+	}
+	k := len(c.chunks) - 1
+	r := colReader[T]{full: c.chunks[:k:k], last: c.chunks[k]}
+	r.advance()
+	return r
+}
+
+// colReader reads a column as it stood when the reader was made. cur is
+// empty only once every value has been read.
+type colReader[T any] struct {
+	cur  []T   // the unread values of the chunk being read
+	full [][]T // the full chunks after cur
+	last []T   // the last chunk, as long as it was
+}
+
+// advance moves cur to the next chunk that holds values, if any.
+func (r *colReader[T]) advance() {
+	for len(r.cur) == 0 {
+		switch {
+		case len(r.full) > 0:
+			r.cur, r.full = r.full[0], r.full[1:]
+		case r.last != nil:
+			r.cur, r.last = r.last, nil
+		default:
+			return
+		}
+	}
+}
+
+// next returns the next value; one must be left.
+func (r *colReader[T]) next() *T {
+	v := &r.cur[0]
+	if r.cur = r.cur[1:]; len(r.cur) == 0 {
+		r.advance()
+	}
+	return v
+}
+
+// decoder turns the records of one bus back into events. It reads the
+// bus's wide entries in step with the records, so every reader of a log
+// owns one and hands it each record in emission order.
+type decoder struct {
+	strs, kinds []string
+	wides       colReader[wide]
+}
+
+// decode writes into e the Event r was stored from. It sets e field by
+// field, so filling a slice of events never builds a temporary Event.
+func (d *decoder) decode(r *record, e *Event) {
+	e.TS, e.Type = r.ts, allTypes[r.typ&^wideBit]
+	e.App, e.Exec, e.Note = d.strs[r.app], d.strs[r.exec], d.strs[r.note]
+	e.Stage, e.Task = int(r.stage), int(r.task)
+	if r.typ&wideBit == 0 {
+		e.Kind, e.Cores, e.Bytes = d.kinds[r.kind], int(r.cores), 0
+		return
+	}
+	w := d.wides.next()
+	e.Kind, e.Cores, e.Bytes = d.strs[w.kind], int(w.cores), w.bytes
+}
 
 // internBits sizes a bus's intern cache at 1<<internBits slots.
 const internBits = 10
@@ -217,30 +314,33 @@ const internBits = 10
 // Emission order is insertion order; a deterministic simulation therefore
 // yields an identical stream every run.
 //
-// The log is kept as 48-byte records without pointers (see record),
-// which decode back to the emitted events on the way out (Events, Merge,
-// WriteJSONL). Their strings live once each in a per-bus table. Emit
-// interns a string by its identity — the address of its bytes and its
-// length — through a small direct-mapped cache of table indexes, and
-// never reads or hashes its contents. Because Go strings are immutable,
-// two strings with the same address and length hold the same bytes. And
-// a hit is checked against the table entry itself, which keeps its bytes
-// alive, so no other string can have taken that address. A miss, or an
-// equal string at another address, only adds a duplicate table entry
-// that decodes to the same bytes. (Nothing in this module builds a
-// string over mutable memory with unsafe, which would break the first
-// guarantee.)
+// The log is kept as 32-byte records without pointers (see record),
+// plus a 16-byte wide entry for each of the rare events a record cannot
+// hold, and decodes back to the emitted events on the way out (Events,
+// Merge, WriteJSONL). Kinds are few, so each distinct one gets a code in
+// a per-bus kind table, matched by content. The other strings live once
+// each in a per-bus string table. Emit interns such a string by its
+// identity — the address of its bytes and its length — through a small
+// direct-mapped cache of table indexes, and never reads or hashes its
+// contents. Because Go strings are immutable, two strings with the same
+// address and length hold the same bytes. And a hit is checked against
+// the table entry itself, which keeps its bytes alive, so no other
+// string can have taken that address. A miss, or an equal string at
+// another address, only adds a duplicate table entry that decodes to the
+// same bytes. (Nothing in this module builds a string over mutable
+// memory with unsafe, which would break the first guarantee.)
 type Bus struct {
 	mu     sync.Mutex
 	origin time.Time
-	// chunks hold the log in emission order; every chunk but the last
-	// is full. n counts the events across all of them.
-	chunks [][]record
-	n      int
-	// strs is the string table the records index; strs[0] is "". It is
-	// only appended to, so a prefix taken under mu stays valid.
-	strs []string
-	subs []*func(Event)
+	// recs holds the log in emission order, and wides the wide entries
+	// of its wide records, in the same order.
+	recs  column[record]
+	wides column[wide]
+	// strs is the string table the records index; strs[0] is "". kinds
+	// is the kind table, with kinds[0] == "" and at most 255 more. Both
+	// are only appended to, so a prefix taken under mu stays valid.
+	strs, kinds []string
+	subs        []*func(Event)
 	// cache holds, for each slot a string's identity hashes to, the
 	// index in strs of the last string interned there.
 	cache [1 << internBits]uint32
@@ -248,7 +348,9 @@ type Bus struct {
 
 // NewBus returns a Bus whose time zero is origin; every emitted event's TS
 // is measured from it.
-func NewBus(origin time.Time) *Bus { return &Bus{origin: origin, strs: []string{""}} }
+func NewBus(origin time.Time) *Bus {
+	return &Bus{origin: origin, strs: []string{""}, kinds: []string{""}}
+}
 
 // Origin returns the bus's time zero.
 func (b *Bus) Origin() time.Time {
@@ -300,23 +402,23 @@ func (b *Bus) Emit(at time.Time, e Event) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	e.TS = at.Sub(b.origin).Microseconds()
-	if b.n%chunkSize == 0 {
-		// The first chunk grows by append, so a short log costs what a
-		// plain slice would.
-		var c []record
-		if b.n > 0 {
-			c = make([]record, 0, chunkSize)
-		}
-		b.chunks = append(b.chunks, c)
-	}
-	last := len(b.chunks) - 1
-	b.chunks[last] = append(b.chunks[last], record{
-		ts: e.TS, bytes: e.Bytes,
-		stage: int32(e.Stage), task: int32(e.Task), cores: int32(e.Cores),
-		app: b.intern(e.App), exec: b.intern(e.Exec), kind: b.intern(e.Kind), note: b.intern(e.Note),
+	r := record{
+		ts:  e.TS,
+		app: b.intern(e.App), exec: b.intern(e.Exec), note: b.intern(e.Note),
+		stage: int32(e.Stage), task: int32(e.Task),
 		typ: typ,
-	})
-	b.n++
+	}
+	kind, ok := uint8(0), false
+	if e.Bytes == 0 && int(int16(e.Cores)) == e.Cores {
+		kind, ok = b.kindCode(e.Kind)
+	}
+	if ok {
+		r.cores, r.kind = int16(e.Cores), kind
+	} else {
+		r.typ |= wideBit
+		b.wides.push(wide{bytes: e.Bytes, cores: int32(e.Cores), kind: b.intern(e.Kind)})
+	}
+	b.recs.push(r)
 	for _, fn := range b.subs {
 		(*fn)(e)
 	}
@@ -340,6 +442,29 @@ func (b *Bus) intern(s string) uint32 {
 	return *slot
 }
 
+// kindCode returns the code of kind s in the kind table, adding s when
+// it is new and the table has room; ok is false when it has none. Kinds
+// are matched by content: an equal kind built at another address must
+// not take a second code. The caller holds b.mu.
+func (b *Bus) kindCode(s string) (code uint8, ok bool) {
+	for i, k := range b.kinds {
+		if k == s {
+			return uint8(i), true
+		}
+	}
+	if len(b.kinds) > math.MaxUint8 {
+		return 0, false
+	}
+	b.kinds = append(b.kinds, s)
+	return uint8(len(b.kinds) - 1), true
+}
+
+// newDecoder returns a decoder of the log as it stands. The caller holds
+// b.mu; the decoder does not need it.
+func (b *Bus) newDecoder() decoder {
+	return decoder{strs: b.strs, kinds: b.kinds, wides: b.wides.reader()}
+}
+
 // Len returns the number of events recorded so far.
 func (b *Bus) Len() int {
 	if b == nil {
@@ -347,7 +472,7 @@ func (b *Bus) Len() int {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.n
+	return b.recs.n
 }
 
 // Events returns a copy of the stream in emission order: every event
@@ -365,10 +490,11 @@ func (b *Bus) WriteJSONL(w io.Writer) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	enc := newJSONLEncoder(w)
-	for _, c := range b.chunks {
+	dec := b.newDecoder()
+	for _, c := range b.recs.chunks {
 		for i := range c {
 			var e Event
-			c[i].decode(&e, b.strs)
+			dec.decode(&c[i], &e)
 			if err := enc.encode(&e); err != nil {
 				return err
 			}

@@ -7,10 +7,10 @@ package eventlog
 // be time-nondecreasing for the result to be sorted — they are, since the
 // virtual clock never runs backwards.
 //
-// Each bus's chunk list and string table are snapshotted under its own
-// lock, one after the other, never two at once. A nil bus contributes
-// nothing; when no bus holds an event, Merge returns nil. Merge of one
-// bus is that bus's log in emission order.
+// Each bus's records, wide entries, string table and kind table are
+// snapshotted under its own lock, one after the other, never two at
+// once. A nil bus contributes nothing; when no bus holds an event, Merge
+// returns nil. Merge of one bus is that bus's log in emission order.
 func Merge(buses ...*Bus) []Event {
 	// The cursors live on the stack for the bus counts the simulator uses
 	// (one per shard plus the manager's), so Merge allocates only its
@@ -34,11 +34,11 @@ func Merge(buses ...*Bus) []Event {
 		// The least (TS, bus index) head goes next.
 		best, live := -1, 0
 		for k := range cs {
-			if len(cs[k].cur) == 0 {
+			if len(cs[k].recs.cur) == 0 {
 				continue
 			}
 			live++
-			if best < 0 || cs[k].cur[0].ts < cs[best].cur[0].ts {
+			if best < 0 || cs[k].recs.cur[0].ts < cs[best].recs.cur[0].ts {
 				best = k
 			}
 		}
@@ -49,64 +49,36 @@ func Merge(buses ...*Bus) []Event {
 		if live == 1 {
 			// The last stream left (the only one, for Bus.Events) is
 			// decoded a chunk at a time.
-			for len(c.cur) > 0 {
+			for cur := c.recs.cur; len(cur) > 0; cur = c.recs.cur {
 				n := len(out)
-				out = out[:n+len(c.cur)]
-				for i := range c.cur {
-					c.cur[i].decode(&out[n+i], c.strs)
+				out = out[:n+len(cur)]
+				for i := range cur {
+					c.dec.decode(&cur[i], &out[n+i])
 				}
-				c.cur = nil
-				c.advance()
+				c.recs.cur = nil
+				c.recs.advance()
 			}
 			return out
 		}
 		out = out[:len(out)+1]
-		c.cur[0].decode(&out[len(out)-1], c.strs)
-		c.cur = c.cur[1:]
-		if len(c.cur) == 0 {
-			c.advance()
-		}
+		c.dec.decode(c.recs.next(), &out[len(out)-1])
 	}
 }
 
 // mergeCursor reads one bus's log as it stood at the snapshot.
 type mergeCursor struct {
-	cur  []record   // the unread records of the chunk being read
-	full [][]record // the full chunks after cur
-	last []record   // the last chunk, as long as it was at the snapshot
-	strs []string   // the string table, as long as it was at the snapshot
+	recs colReader[record]
+	dec  decoder
 }
 
-// snapshot points c at b's log and returns how many events it holds. The
-// full chunks are never written again, and later records and strings land
-// past the snapshotted lengths of the last chunk and the string table, so
-// c reads them without b's lock.
+// snapshot points c at b's log and returns how many events it holds.
 func (c *mergeCursor) snapshot(b *Bus) int {
 	if b == nil {
 		return 0
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.n == 0 {
-		return 0
-	}
-	k := len(b.chunks) - 1
-	c.full, c.last = b.chunks[:k:k], b.chunks[k]
-	c.strs = b.strs
-	c.advance()
-	return b.n
-}
-
-// advance moves cur to the next chunk that holds events, if any.
-func (c *mergeCursor) advance() {
-	for len(c.cur) == 0 {
-		switch {
-		case len(c.full) > 0:
-			c.cur, c.full = c.full[0], c.full[1:]
-		case c.last != nil:
-			c.cur, c.last = c.last, nil
-		default:
-			return
-		}
-	}
+	c.recs = b.recs.reader()
+	c.dec = b.newDecoder()
+	return b.recs.n
 }

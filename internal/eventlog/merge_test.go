@@ -2,36 +2,20 @@ package eventlog
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
 
-// referenceMerge is the two-copy merge Merge replaced: snapshot each bus
-// into a flat slice, decoding its records field by field, then repeatedly
-// take the earliest head of all the snapshots, ties to the earlier bus.
-func referenceMerge(buses ...*Bus) []Event {
-	streams := make([][]Event, 0, len(buses))
-	for _, b := range buses {
-		var flat []Event
-		if b != nil {
-			b.mu.Lock()
-			for _, c := range b.chunks {
-				for _, r := range c {
-					flat = append(flat, Event{
-						TS: r.ts, Type: allTypes[r.typ],
-						App: b.strs[r.app], Exec: b.strs[r.exec], Kind: b.strs[r.kind],
-						Stage: int(r.stage), Task: int(r.task), Cores: int(r.cores),
-						Bytes: r.bytes, Note: b.strs[r.note],
-					})
-				}
-			}
-			b.mu.Unlock()
-		}
-		streams = append(streams, flat)
-	}
+// referenceMerge is the two-copy merge Merge replaced, over streams
+// captured as they were emitted: repeatedly take the earliest head of
+// all the streams, ties to the earlier stream. It reads no bus, so it
+// runs none of the code under test.
+func referenceMerge(streams ...[]Event) []Event {
 	total := 0
 	for _, s := range streams {
 		total += len(s)
@@ -57,13 +41,41 @@ func referenceMerge(buses ...*Bus) []Event {
 	return out
 }
 
+// edgeCores are Cores values on both sides of the int16 range a record
+// holds, and the ends of the int32 range Emit takes.
+var edgeCores = []int{0, 2, -1, math.MaxInt16, math.MaxInt16 + 1, math.MinInt16, math.MinInt16 - 1,
+	math.MaxInt32, math.MinInt32}
+
+// kindPool holds more distinct kinds than a bus's kind table can code.
+var kindPool = func() []string {
+	p := []string{"vm", "lambda", "warm", "cold"}
+	for len(p) < 300 {
+		p = append(p, fmt.Sprintf("k%03d", len(p)))
+	}
+	return p
+}()
+
+// randomKind draws from kindPool, one kind in two a fresh copy of its
+// pooled string, so equal kinds reach a bus at different addresses.
+func randomKind(rng *rand.Rand) string {
+	k := kindPool[rng.Intn(len(kindPool))]
+	if rng.Intn(2) == 0 {
+		k = strings.Clone(k)
+	}
+	return k
+}
+
 // randomBus emits n events whose timestamps advance by 0–step µs, so
-// buses built alike tie with each other often. With disorder, one event
-// in 50 jumps back in time, which Merge must still place as the
-// reference does. Apps repeat from a small set; one note in 8 is a fresh
-// string.
-func randomBus(rng *rand.Rand, id, n, step int, disorder bool) *Bus {
+// buses built alike tie with each other often, and returns the bus and
+// the stream a subscriber saw. With disorder, one event in 50 jumps back
+// in time, which Merge must still place as the reference does. Apps
+// repeat from a small set; one note in 8 is a fresh string. Bytes,
+// Cores past the int16 range and kinds past a full kind table make some
+// events wide.
+func randomBus(rng *rand.Rand, id, n, step int, disorder bool) (*Bus, []Event) {
 	b := NewBus(testOrigin)
+	var emitted []Event
+	b.Subscribe(func(e Event) { emitted = append(emitted, e) })
 	apps := []string{"", "j000-sparkpi", fmt.Sprintf("s%d-j001", id), "j002-pagerank"}
 	ts := int64(0)
 	for i := 0; i < n; i++ {
@@ -74,13 +86,22 @@ func randomBus(rng *rand.Rand, id, n, step int, disorder bool) *Bus {
 		}
 		e := Ev(allTypes[rng.Intn(len(allTypes))])
 		e.Stage, e.Task = id, i
-		e.App, e.Bytes = apps[rng.Intn(len(apps))], int64(rng.Intn(3))<<40
+		e.App = apps[rng.Intn(len(apps))]
+		if rng.Intn(4) == 0 {
+			e.Bytes = int64(rng.Intn(3)) << 40
+		}
+		if rng.Intn(4) == 0 {
+			e.Cores = edgeCores[rng.Intn(len(edgeCores))]
+		}
+		if rng.Intn(3) == 0 {
+			e.Kind = randomKind(rng)
+		}
 		if rng.Intn(8) == 0 {
 			e.Note = strconv.Itoa(rng.Intn(100))
 		}
 		b.Emit(testOrigin.Add(time.Duration(at)*time.Microsecond), e)
 	}
-	return b
+	return b, emitted
 }
 
 // TestMergeMatchesReference holds Merge to the two-copy reference on
@@ -94,18 +115,19 @@ func TestMergeMatchesReference(t *testing.T) {
 		k := 1 + rng.Intn(10)
 		step := 1 + rng.Intn(4)
 		disorder := round%4 == 3
-		buses := make([]*Bus, k)
+		buses, streams := make([]*Bus, k), make([][]Event, k)
 		for i := range buses {
 			switch r := rng.Intn(10); {
 			case r == 0:
 				// A nil bus.
 			case r == 1 && i > 0:
-				buses[i] = buses[rng.Intn(i)]
+				j := rng.Intn(i)
+				buses[i], streams[i] = buses[j], streams[j]
 			default:
-				buses[i] = randomBus(rng, i, lengths[rng.Intn(len(lengths))], step, disorder)
+				buses[i], streams[i] = randomBus(rng, i, lengths[rng.Intn(len(lengths))], step, disorder)
 			}
 		}
-		got, want := Merge(buses...), referenceMerge(buses...)
+		got, want := Merge(buses...), referenceMerge(streams...)
 		if (got == nil) != (want == nil) || !slices.Equal(got, want) {
 			t.Fatalf("round %d (%d buses, step %d, disorder %v): Merge differs from the reference (%d vs %d events)",
 				round, k, step, disorder, len(got), len(want))
@@ -120,9 +142,14 @@ func TestMergeMatchesReference(t *testing.T) {
 // only the result.
 func TestMergeAllocatesOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	buses := []*Bus{randomBus(rng, 0, 300, 3, false)}
-	for i := 1; i < 5; i++ {
-		buses = append(buses, randomBus(rng, i, 3*chunkSize+11, 3, false))
+	var buses []*Bus
+	for i := 0; i < 5; i++ {
+		n := 3*chunkSize + 11
+		if i == 0 {
+			n = 300
+		}
+		b, _ := randomBus(rng, i, n, 3, false)
+		buses = append(buses, b)
 	}
 	if allocs := testing.AllocsPerRun(20, func() {
 		_ = Merge(buses...)
@@ -137,8 +164,23 @@ func TestMergeAllocatesOnce(t *testing.T) {
 
 // TestMergeWhileEmitting: Merge reads each bus's chunks after releasing
 // its lock, so it must see a consistent prefix of a log another goroutine
-// is still appending to, across chunk edges. Run it under -race.
+// is still appending to, across the chunk edges of its records and of
+// its wide entries alike. Run it under -race.
 func TestMergeWhileEmitting(t *testing.T) {
+	// liveEvent is the i-th event of the live bus: one in three carries
+	// bytes and one in five cores past the int16 range, so both kinds of
+	// chunk fill while Merge reads.
+	liveEvent := func(i int) Event {
+		e := Ev(TaskEnd)
+		e.Task = i
+		if i%3 == 0 {
+			e.Bytes = int64(i) + 1
+		}
+		if i%5 == 0 {
+			e.Cores = math.MaxInt16 + i
+		}
+		return e
+	}
 	const n = 3*chunkSize + 5
 	live, done := NewBus(testOrigin), NewBus(testOrigin)
 	done.Emit(testOrigin, Ev(TaskEnd))
@@ -147,9 +189,7 @@ func TestMergeWhileEmitting(t *testing.T) {
 	go func() {
 		defer close(finished)
 		for i := 0; i < n; i++ {
-			e := Ev(TaskEnd)
-			e.Task = i
-			live.Emit(testOrigin.Add(time.Duration(i)*time.Microsecond), e)
+			live.Emit(testOrigin.Add(time.Duration(i)*time.Microsecond), liveEvent(i))
 		}
 	}()
 	check := func(got []Event) bool {
@@ -164,6 +204,10 @@ func TestMergeWhileEmitting(t *testing.T) {
 				}
 			case ev.Task != seen:
 				t.Errorf("event %d of %d is task %d, want %d", k, len(got), ev.Task, seen)
+				return false
+			case ev.Bytes != liveEvent(seen).Bytes || ev.Cores != liveEvent(seen).Cores:
+				t.Errorf("event %d of %d (task %d): bytes %d, cores %d, want %d, %d", k, len(got), seen,
+					ev.Bytes, ev.Cores, liveEvent(seen).Bytes, liveEvent(seen).Cores)
 				return false
 			default:
 				seen++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strconv"
@@ -14,7 +15,8 @@ import (
 )
 
 // TestRecordHasNoPointers: a stored event holds nothing the garbage
-// collector has to scan, and fits in 48 bytes.
+// collector has to scan, and fits in 32 bytes; nor does a wide entry,
+// which fits in 16.
 func TestRecordHasNoPointers(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -32,24 +34,94 @@ func TestRecordHasNoPointers(t *testing.T) {
 		}
 	}
 	walk("record", reflect.TypeOf(record{}))
-	if size := unsafe.Sizeof(record{}); size > 48 {
-		t.Errorf("a record is %d bytes, want at most 48", size)
+	walk("wide", reflect.TypeOf(wide{}))
+	if size := unsafe.Sizeof(record{}); size > 32 {
+		t.Errorf("a record is %d bytes, want at most 32", size)
+	}
+	if size := unsafe.Sizeof(wide{}); size > 16 {
+		t.Errorf("a wide entry is %d bytes, want at most 16", size)
 	}
 }
 
 // TestEmitAllocatesNothing: an emitted event whose strings the bus has
-// already seen costs no allocation while its chunk has room.
+// already seen costs no allocation while its chunks have room, whether
+// it fits a record or also takes a wide entry.
 func TestEmitAllocatesNothing(t *testing.T) {
-	b := NewBus(testOrigin)
-	e := Ev(TaskEnd)
-	e.App, e.Exec, e.Kind, e.Stage, e.Task, e.Bytes, e.Note = "j042-sparkpi", "j042-l03", "lambda", 1, 7, 64<<10, "ok"
-	// Past the first chunk, which grows by append, into one made at full
-	// size.
-	for i := 0; i <= chunkSize; i++ {
-		b.Emit(testOrigin, e)
+	compact := Ev(TaskEnd)
+	compact.App, compact.Exec, compact.Kind, compact.Stage, compact.Task, compact.Cores, compact.Note =
+		"j042-sparkpi", "j042-l03", "lambda", 1, 7, 2, "ok"
+	wideBytes := compact
+	wideBytes.Bytes = 64 << 10
+	wideCores := compact
+	wideCores.Cores = math.MaxInt16 + 1
+	for _, tc := range []struct {
+		name string
+		e    Event
+		wide bool
+	}{{"compact", compact, false}, {"with bytes", wideBytes, true}, {"with wide cores", wideCores, true}} {
+		b := NewBus(testOrigin)
+		// Past the first chunk, which grows by append, into one made at
+		// full size, in the records and the wide entries alike.
+		for i := 0; i <= chunkSize; i++ {
+			b.Emit(testOrigin, tc.e)
+		}
+		if allocs := testing.AllocsPerRun(1000, func() { b.Emit(testOrigin, tc.e) }); allocs != 0 {
+			t.Errorf("%s: an emitted event: %v allocs, want 0", tc.name, allocs)
+		}
+		if wides := b.wides.n; (wides > 0) != tc.wide {
+			t.Errorf("%s: %d wide entries for %d events", tc.name, wides, b.Len())
+		}
 	}
-	if allocs := testing.AllocsPerRun(1000, func() { b.Emit(testOrigin, e) }); allocs != 0 {
-		t.Errorf("an emitted event: %v allocs, want 0", allocs)
+}
+
+// steadyEvents is the length of the seed-1 steady log of the benchmark.
+const steadyEvents = 274_035
+
+// TestBusBytesPerEvent: the capacity of a bus's record and wide-entry
+// chunks, per event, over a log as long as the benchmark's steady one. A
+// steady-shaped stream takes a record per event: no bytes, cores at most
+// 2, and three kinds, one in eight of them an equal copy at a new
+// address, among app and executor names built afresh for each job of 27
+// events, which evict one another from the intern cache. A
+// shuffle-shaped one, where three events in ten carry bytes, adds a wide
+// entry for each of those.
+func TestBusBytesPerEvent(t *testing.T) {
+	kinds := []string{"vm", "lambda", "warm"}
+	for _, tc := range []struct {
+		name      string
+		bytesFrac float64
+		max       float64
+	}{{"steady-shaped", 0, 33}, {"shuffle-shaped", 0.3, 40}} {
+		rng := rand.New(rand.NewSource(1))
+		b := NewBus(testOrigin)
+		var app, exec string
+		for i := 0; i < steadyEvents; i++ {
+			if i%27 == 0 {
+				app = fmt.Sprintf("j%05d-sparkpi", i/27)
+				exec = app + "-v00"
+			}
+			e := Ev(allTypes[i%len(allTypes)])
+			e.App, e.Exec, e.Task, e.Cores, e.Kind = app, exec, i%4, i%3, kinds[i%len(kinds)]
+			if i%8 == 0 {
+				e.Kind = strings.Clone(e.Kind)
+			}
+			if rng.Float64() < tc.bytesFrac {
+				e.Bytes = 1 + rng.Int63n(64<<20)
+			}
+			b.Emit(at(time.Duration(i)*time.Millisecond), e)
+		}
+		size := 0
+		for _, c := range b.recs.chunks {
+			size += cap(c) * int(unsafe.Sizeof(record{}))
+		}
+		for _, c := range b.wides.chunks {
+			size += cap(c) * int(unsafe.Sizeof(wide{}))
+		}
+		per := float64(size) / steadyEvents
+		t.Logf("%s: %.2f B per event, %d wide", tc.name, per, b.wides.n)
+		if per > tc.max {
+			t.Errorf("%s: %.2f B per event (%d wide of %d), want at most %v", tc.name, per, b.wides.n, steadyEvents, tc.max)
+		}
 	}
 }
 
@@ -159,4 +231,84 @@ func TestInternByIdentity(t *testing.T) {
 			t.Errorf("%s: %d table entries for %d events, want at most %d", tc.name, len(b.strs), len(flat), tc.maxStrs)
 		}
 	}
+}
+
+// busStreamSeed encodes n events for FuzzBusStream that cycle through
+// kindPool, so the kind tables fill, with one event in four wide by its
+// bytes or cores.
+func busStreamSeed(buses, n int) []byte {
+	data := []byte{byte(buses - 1)}
+	for i := 0; i < n; i++ {
+		k := 1 + i%len(kindPool)
+		flags := byte(k>>8) | byte(i%2)<<1
+		switch i % 8 {
+		case 3:
+			flags |= byte(1+i%3) << 6 // bytes
+		case 5:
+			flags |= 4 << 2 // cores of math.MaxInt16 + 1
+		}
+		data = append(data, byte(i), byte(i*7), byte(k), flags)
+	}
+	return data
+}
+
+// FuzzBusStream feeds a stream of events over one to three buses and
+// reads it back every way a bus gives it out. After the bus count, each
+// event takes four bytes: the bus and the type; the time step and the
+// stage; the low byte of a kind (0 for none, else an index into
+// kindPool, whose 300 kinds overflow a kind table); and flags — the
+// kind's high bit, whether the kind is a fresh copy, four bits picking a
+// Cores value from edgeCores and two a Bytes value. So compact and wide events interleave,
+// before and after a bus's kind table fills. For each bus, Events and
+// JSONL must give the emitted stream, and Merge of all the buses must
+// equal the reference merge of their streams.
+func FuzzBusStream(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4})
+	f.Add([]byte{2, 0, 9, 1, 0x05, 1, 0, 2, 0x22, 2, 3, 0, 0x1c, 0, 1, 3, 0x40})
+	f.Add(busStreamSeed(1, 600))
+	f.Add(busStreamSeed(3, 1200))
+	bytesOf := []int64{0, 1, 64 << 10, math.MinInt64}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%3
+		buses, streams, ts := make([]*Bus, n), make([][]Event, n), make([]int64, n)
+		for k := range buses {
+			buses[k] = NewBus(testOrigin)
+		}
+		for data = data[1:]; len(data) >= 4; data = data[4:] {
+			k := int(data[0]) % n
+			e := Ev(allTypes[int(data[0]/3)%len(allTypes)])
+			ts[k] += int64(data[1] % 4)
+			e.Stage, e.Task = int(data[1]/4)-1, len(streams[k])
+			if i := int(data[2]) | int(data[3]&1)<<8; i > 0 {
+				e.Kind = kindPool[(i-1)%len(kindPool)]
+				if data[3]&2 != 0 {
+					e.Kind = strings.Clone(e.Kind)
+				}
+			}
+			e.Cores = edgeCores[int(data[3]>>2&15)%len(edgeCores)]
+			e.Bytes = bytesOf[data[3]>>6]
+			e.Note = strconv.Itoa(int(data[1] % 4))
+			buses[k].Emit(testOrigin.Add(time.Duration(ts[k])*time.Microsecond), e)
+			e.TS = ts[k]
+			streams[k] = append(streams[k], e)
+		}
+		for k, b := range buses {
+			if got := b.Events(); !slices.Equal(got, streams[k]) {
+				t.Fatalf("bus %d: Events differ from the emitted stream (%d vs %d events)", k, len(got), len(streams[k]))
+			}
+			var want bytes.Buffer
+			if err := WriteJSONL(&want, streams[k]); err != nil {
+				t.Fatal(err)
+			}
+			if js, err := b.JSONL(); err != nil || !bytes.Equal(js, want.Bytes()) {
+				t.Fatalf("bus %d: JSONL differs from WriteJSONL over the emitted stream (err %v)", k, err)
+			}
+		}
+		if got, want := Merge(buses...), referenceMerge(streams...); !slices.Equal(got, want) {
+			t.Fatalf("Merge differs from the reference (%d vs %d events)", len(got), len(want))
+		}
+	})
 }

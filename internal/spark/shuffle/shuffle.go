@@ -171,6 +171,9 @@ type shuffleState struct {
 	maps    int
 	reduces int
 	status  []*MapStatus // index by map partition; nil = missing
+	// note is the Note of the shuffle's events, built once so they all
+	// share one string the event log interns once.
+	note string
 }
 
 // Tracker is the driver-side map-output tracker.
@@ -197,6 +200,7 @@ func (t *Tracker) Register(shuffleID, maps, reduces int) {
 		maps:    maps,
 		reduces: reduces,
 		status:  make([]*MapStatus, maps),
+		note:    shuffleNote(shuffleID),
 	}
 }
 
@@ -226,7 +230,7 @@ func (t *Tracker) AddMapOutput(shuffleID int, st *MapStatus) {
 		ev.Exec = st.ExecID
 		ev.Task = st.MapPart
 		ev.Bytes = total
-		ev.Note = shuffleNote(shuffleID)
+		ev.Note = s.note
 		t.bus.Emit(t.busNow(), ev)
 	}
 }
@@ -273,7 +277,7 @@ func (t *Tracker) FetchSpec(shuffleID, reducePart int) (ids []string, total int6
 		ev.App = t.eventApp
 		ev.Task = reducePart
 		ev.Bytes = total
-		ev.Note = shuffleNote(shuffleID)
+		ev.Note = s.note
 		t.bus.Emit(t.busNow(), ev)
 	}
 	return ids, total, true

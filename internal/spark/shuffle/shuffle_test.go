@@ -5,7 +5,10 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
+	"unsafe"
 
+	"splitserve/internal/eventlog"
 	"splitserve/internal/spark/rdd"
 )
 
@@ -151,6 +154,31 @@ func TestTrackerLifecycle(t *testing.T) {
 	ids, total, ok = tr.FetchSpec(1, 1)
 	if !ok || total != 7 || len(ids) != 1 {
 		t.Fatalf("FetchSpec(1) = %v %d %v", ids, total, ok)
+	}
+}
+
+// TestTrackerNoteSharedAcrossEvents: every event of one shuffle carries
+// the same Note string, bytes and all, so the event log's identity cache
+// interns it once; another shuffle's events carry their own.
+func TestTrackerNoteSharedAcrossEvents(t *testing.T) {
+	tr := NewTracker()
+	bus := eventlog.NewBus(time.Time{})
+	var notes []string
+	bus.Subscribe(func(e eventlog.Event) { notes = append(notes, e.Note) })
+	tr.SetEventLog(bus, func() time.Time { return time.Time{} }, "app-1")
+	tr.Register(1, 2, 2)
+	tr.Register(2, 1, 2)
+	tr.AddMapOutput(1, newStatus(0, "h1", []int64{1, 1}))
+	tr.AddMapOutput(1, newStatus(1, "h2", []int64{1, 1}))
+	tr.FetchSpec(1, 0)
+	tr.AddMapOutput(2, newStatus(0, "h1", []int64{1, 1}))
+	if len(notes) != 4 || notes[0] != "shuffle_1" || notes[3] != "shuffle_2" {
+		t.Fatalf("notes = %q", notes)
+	}
+	for i := 1; i < 3; i++ {
+		if unsafe.StringData(notes[i]) != unsafe.StringData(notes[0]) {
+			t.Errorf("event %d of shuffle 1 built its note %q again", i, notes[i])
+		}
 	}
 }
 
