@@ -3,11 +3,13 @@ package cluster
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"splitserve/internal/eventlog"
+	"splitserve/internal/simclock"
 	"splitserve/internal/workloads"
 	"splitserve/internal/workloads/sparkpi"
 )
@@ -240,36 +242,109 @@ func TestClusterEventLogDeterministic(t *testing.T) {
 	}
 }
 
+// TestPolicyTargets: entitle sets the targets of the prefix of jobs it
+// walks before capacity runs out, returns that prefix's length and leaves
+// every later job untouched (the scheduler keeps those at 0; see
+// TestPushedOutJobReadsTargetZero).
 func TestPolicyTargets(t *testing.T) {
+	const untouched = 99
 	cases := []struct {
 		policy   Policy
 		capacity int
 		demands  []int
 		want     []int
 	}{
-		{FIFO(), 8, []int{6, 4, 2}, []int{6, 2, 0}},
+		{FIFO(), 8, []int{6, 4, 2}, []int{6, 2, untouched}},
+		{FIFO(), 8, []int{4, 4, 2}, []int{4, 4, untouched}},
 		{FIFO(), 8, []int{10}, []int{8}},
+		{FIFO(), 12, []int{6, 4, 2}, []int{6, 4, 2}},
+		{FIFO(), 0, []int{5}, []int{untouched}},
 		{FairShare(), 8, []int{6, 4, 2}, []int{3, 3, 2}},
 		{FairShare(), 12, []int{6, 4, 2}, []int{6, 4, 2}},
 		{FairShare(), 7, []int{6, 4, 2}, []int{3, 2, 2}},
-		{FairShare(), 0, []int{5}, []int{0}},
+		{FairShare(), 2, []int{6, 4, 2}, []int{1, 1, untouched}},
+		{FairShare(), 0, []int{5}, []int{untouched}},
 	}
 	for _, c := range cases {
 		active := make([]*job, len(c.demands))
 		for i, d := range c.demands {
-			// A stale target from an earlier pass must be overwritten.
-			active[i] = &job{spec: JobSpec{Cores: d}, target: 99}
+			// A stale target inside the prefix must be overwritten.
+			active[i] = &job{spec: JobSpec{Cores: d}, target: untouched}
 		}
-		c.policy.entitle(c.capacity, active)
+		n := c.policy.entitle(c.capacity, active)
 		got := make([]int, len(active))
+		wantN := 0
 		for i, j := range active {
 			got[i] = j.target
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("%s(%d, %v) = %v, want %v", c.policy.Name(), c.capacity, c.demands, got, c.want)
-				break
+			if c.want[i] != untouched {
+				wantN = i + 1
 			}
+		}
+		if !slices.Equal(got, c.want) || n != wantN {
+			t.Errorf("%s(%d, %v) = %v, prefix %d; want %v, prefix %d",
+				c.policy.Name(), c.capacity, c.demands, got, n, c.want, wantN)
+		}
+	}
+}
+
+// TestPushedOutJobReadsTargetZero: a job pushed out of the entitled prefix
+// reads target 0, not the entitlement an earlier pass gave it. Under FIFO
+// on a 4-core pool, jobs 1 and 2 (2 cores each) arrive first and are
+// admitted on 2 cores apiece; job 0 (4 cores) then arrives and takes the
+// whole pool, so jobs 1 and 2 must read 0 and give their cores back, and
+// job 3, arriving later still, is admitted bridged on 0.
+func TestPushedOutJobReadsTargetZero(t *testing.T) {
+	spec := func(cores int, at time.Duration) JobSpec {
+		base, err := Baseline(piJob(4, 10), cores, 9)
+		if err != nil {
+			t.Fatalf("Baseline: %v", err)
+		}
+		return JobSpec{Workload: piJob(4, 10), Cores: cores, Arrival: at, Baseline: base}
+	}
+	s, err := New(Config{
+		Jobs: []JobSpec{
+			spec(4, 2*time.Second), spec(2, 0), spec(2, time.Second), spec(2, 3*time.Second),
+		},
+		PoolCores: 4, Policy: FIFO(), Strategy: StrategyBridge, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var targets []int
+	s.clock.At(simclock.Epoch.Add(2*time.Second+time.Millisecond), func() {
+		for _, j := range s.jobs {
+			targets = append(targets, j.target)
+		}
+	})
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 4 {
+		t.Fatalf("premise: %d of 4 jobs completed", rep.Completed)
+	}
+	if want := []int{4, 0, 0, 0}; !slices.Equal(targets, want) {
+		t.Errorf("targets just after job 0 arrives = %v, want %v", targets, want)
+	}
+	admitCores := map[string]int{}
+	reclaimed := map[string]bool{}
+	for _, e := range s.Events().Events() {
+		switch {
+		case e.Type == eventlog.ClusterAdmit:
+			admitCores[e.App] = e.Cores
+		case e.Type == eventlog.ExecutorDrain && e.Kind == "vm":
+			reclaimed[e.App] = true
+		}
+	}
+	for i, want := range []int{4, 2, 2, 0} {
+		app := s.jobs[i].appID
+		if admitCores[app] != want {
+			t.Errorf("%s admitted on %d cores, want %d", app, admitCores[app], want)
+		}
+	}
+	for _, i := range []int{1, 2} {
+		if app := s.jobs[i].appID; !reclaimed[app] {
+			t.Errorf("%s was pushed out of the entitled prefix but drained no VM executor", app)
 		}
 	}
 }

@@ -1,27 +1,54 @@
 package cluster
 
 import (
+	"cmp"
+	"slices"
 	"testing"
 	"time"
 
 	"splitserve/internal/simclock"
 )
 
-// The scheduler keeps per-phase job counts (Scheduler.inPhase) instead of
-// rescanning its working set. These tests drive the Start/Step/Pump loop
-// by hand and, after every step, recount the phases of every job the
-// scheduler knows to check the counts never drift: through steals and
-// injections, deadline-admission sheds, and Finalize's failures.
+// The scheduler keeps per-phase job counts (Scheduler.inPhase) and the
+// ID-ordered job lists its scheduling pass walks instead of rescanning its
+// working set. These tests drive the Start/Step/Pump loop by hand and,
+// after every step, recount the phases of every job the scheduler knows to
+// check the counts and lists never drift: through steals and injections,
+// deadline-admission sheds, and Finalize's failures.
 
-// checkPhaseCounts fails t unless s.inPhase matches a recount of s.jobs.
+// checkPhaseCounts fails t unless s.inPhase matches a recount of s.jobs,
+// the active and queued lists hold exactly the jobs in those phases in ID
+// order, only entitled active jobs have a nonzero target, and every running job
+// holding a pool core is on the ID-ordered lease-holder list.
 func checkPhaseCounts(t *testing.T, s *Scheduler, where string) {
 	t.Helper()
+	at := s.clock.Since(simclock.Epoch)
 	var want [numPhases]int
+	var active, queued []*job
 	for _, j := range s.jobs {
 		want[j.phase]++
+		if j.active() {
+			active = append(active, j)
+		}
+		if j.phase == jobQueued {
+			queued = append(queued, j)
+		}
+		if j.active() && j.target != 0 && !slices.Contains(s.entitled, j) {
+			t.Fatalf("%s at %v: %s has target %d outside the entitled prefix", where, at, j.appID, j.target)
+		}
+		if j.phase == jobRunning && j.backend.coresHeld() > 0 && !slices.Contains(s.holders, j) {
+			t.Fatalf("%s at %v: %s holds %d cores but is not a lease holder", where, at, j.appID, j.backend.coresHeld())
+		}
 	}
 	if s.inPhase != want {
-		t.Fatalf("%s at %v: inPhase = %v, recount = %v", where, s.clock.Since(simclock.Epoch), s.inPhase, want)
+		t.Fatalf("%s at %v: inPhase = %v, recount = %v", where, at, s.inPhase, want)
+	}
+	if !slices.Equal(s.active, active) || !slices.Equal(s.queued, queued) {
+		t.Fatalf("%s at %v: %d active and %d queued listed, recount %d and %d",
+			where, at, len(s.active), len(s.queued), len(active), len(queued))
+	}
+	if !slices.IsSortedFunc(s.holders, func(a, b *job) int { return cmp.Compare(a.id, b.id) }) {
+		t.Fatalf("%s at %v: lease holders out of ID order", where, at)
 	}
 }
 

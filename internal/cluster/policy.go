@@ -6,14 +6,17 @@ import (
 )
 
 // Policy decides how many shared-pool cores each active job is entitled
-// to. entitle sees every queued or running job in ID order and sets each
-// one's target from its demand; the scheduler admits a queued job once its
-// entitlement reaches one core, grants free cores up to the entitlement,
-// and (for policies that shrink a running job's entitlement) reclaims the
-// excess by draining executors.
+// to. entitle sees every queued or running job in ID order, sets the
+// targets of the prefix it walks before capacity runs out, and returns
+// that prefix's length. Every job demands at least one core, so only that
+// prefix gets any; entitle leaves the jobs past it untouched, and the
+// scheduler keeps their targets at 0. The scheduler admits a
+// queued job once its entitlement reaches one core, grants free cores up
+// to the entitlement, and (for policies that shrink a running job's
+// entitlement) reclaims the excess by draining executors.
 type Policy interface {
 	Name() string
-	entitle(capacity int, active []*job)
+	entitle(capacity int, active []*job) int
 }
 
 // PolicyByName resolves "fifo" or "fair".
@@ -37,11 +40,15 @@ type fifoPolicy struct{}
 
 func (fifoPolicy) Name() string { return "fifo" }
 
-func (fifoPolicy) entitle(capacity int, active []*job) {
-	for _, j := range active {
+func (fifoPolicy) entitle(capacity int, active []*job) int {
+	for i, j := range active {
+		if capacity == 0 {
+			return i
+		}
 		j.target = min(j.spec.Cores, capacity)
 		capacity -= j.target
 	}
+	return len(active)
 }
 
 // FairShare is integer max-min fairness over cores: capacity is
@@ -55,7 +62,10 @@ type fairPolicy struct{}
 
 func (fairPolicy) Name() string { return "fair" }
 
-func (fairPolicy) entitle(capacity int, active []*job) {
+func (fairPolicy) entitle(capacity int, active []*job) int {
+	// The first round hands one core to each job in turn, so only the
+	// first capacity jobs get any.
+	active = active[:min(capacity, len(active))]
 	for _, j := range active {
 		j.target = 0
 	}
@@ -75,4 +85,5 @@ func (fairPolicy) entitle(capacity int, active []*job) {
 			break // every demand is met
 		}
 	}
+	return len(active)
 }

@@ -24,11 +24,8 @@ func (s *Scheduler) PoolFree() int { return s.pool.Free() }
 // (injected jobs never migrate twice — that would let a job ping-pong
 // between two saturated shards forever).
 func (s *Scheduler) stealCandidate() *job {
-	if s.inPhase[jobQueued] == 0 {
-		return nil
-	}
-	for _, j := range s.active {
-		if j.phase == jobQueued && !j.injected {
+	for _, j := range s.queued {
+		if !j.injected {
 			return j
 		}
 	}
@@ -58,7 +55,7 @@ func (s *Scheduler) Steal() (JobSpec, time.Time, bool) {
 	j.finishedAt = s.clock.Now()
 	spec := j.spec
 	j.spec.Workload = nil // the destination runs it now
-	s.kick()              // compact the active set and refresh gauges next pass
+	s.kick()              // refresh gauges next pass
 	return spec, j.arrivalAt, true
 }
 
