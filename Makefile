@@ -30,9 +30,10 @@ race:
 	$(GO) test -race -count=2 -skip 'Allocs|Allocat(es|ing)' -timeout 30m ./...
 
 # leaks runs the retention tests (TestLeak*: a finished job's engine, a
-# finished job's shuffle rows, a settled job's workload, an ended Lambda's
-# record, a released Lambda's callback, a finished flow's callback, a fired
-# or cancelled timer's func must all become unreachable) three times
+# finished job's shuffle rows, a settled job's workload, a finished run's
+# job list, an ended Lambda's record, a released Lambda's callback, a
+# finished flow's callback, a fired or cancelled timer's func must all
+# become unreachable) three times
 # outside the race detector. Their assertions depend on the garbage collector, so a flake
 # shows up as its own step.
 leaks:

@@ -220,7 +220,8 @@ type job struct {
 
 	// The job's report row reads only these, settled by finish: the
 	// workload name its report gave, its work split and its bill. Nothing
-	// else of the job's run outlives it (see finish).
+	// else of the job's run outlives it (see finish), and the job itself
+	// does not outlive Finalize, which releases the job list.
 	workload                    string
 	workDist                    engine.WorkSplit
 	costVM, costLambda, costUSD float64
@@ -345,6 +346,8 @@ type Scheduler struct {
 
 	kicked bool
 	ran    bool
+	// report is Finalize's result, kept for a second call.
+	report *Report
 
 	// prof is the optional self-profiler (nil = off, all calls no-ops).
 	prof *perfstat.Collector
@@ -590,9 +593,14 @@ func (s *Scheduler) Done() bool {
 
 // Finalize ends the run: whatever is still parked is stalled (or past
 // the deadline), so abort the parked workloads, fail still-active jobs,
-// stop the warm pool, and build the report. Call once, after the drive
-// loop exits.
+// stop the warm pool, and build the report. Call it after the drive loop
+// exits. It then releases the job list, so a finished scheduler keeps
+// its report, event log, telemetry and pool but no job; a second call
+// returns the first call's report.
 func (s *Scheduler) Finalize() *Report {
+	if s.report != nil {
+		return s.report
+	}
 	// An aborted workload settles itself through finish before stop
 	// returns; Pump then resumes whatever the abort woke.
 	var parked []*coroutine
@@ -621,7 +629,10 @@ func (s *Scheduler) Finalize() *Report {
 		s.warm.Stop()
 	}
 	s.updateGauges()
-	return s.buildReport()
+	s.report = s.buildReport()
+	// buildReport was the last reader of the job list.
+	s.jobs = nil
+	return s.report
 }
 
 // kick coalesces any number of state changes into one scheduling pass at

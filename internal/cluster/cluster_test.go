@@ -124,6 +124,56 @@ func TestClusterSameSeedByteIdenticalReports(t *testing.T) {
 	}
 }
 
+// TestFinalizeTwiceReturnsFirstReport: Finalize releases the job list,
+// so a second call returns the first call's report, rows and all, and
+// changes nothing else: no event, no counter.
+func TestFinalizeTwiceReturnsFirstReport(t *testing.T) {
+	s, err := New(Config{
+		Jobs:      testJobs(t, []time.Duration{0, time.Second, 2 * time.Second}, 4, 4, 2),
+		PoolCores: 4, Policy: FairShare(), Strategy: StrategyBridge, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 3 || len(rep.JobReports) != 3 {
+		t.Fatalf("premise: %d completed, %d rows, want 3 and 3", rep.Completed, len(rep.JobReports))
+	}
+	first, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := s.Events().Len()
+	var prom bytes.Buffer
+	if err := s.WriteProm(&prom); err != nil {
+		t.Fatal(err)
+	}
+
+	if again := s.Finalize(); again != rep {
+		t.Fatal("second Finalize built a new report")
+	}
+	second, err := rep.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first, second) {
+		t.Errorf("report changed on the second Finalize:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	}
+	if n := s.Events().Len(); n != events {
+		t.Errorf("second Finalize emitted %d events", n-events)
+	}
+	var again bytes.Buffer
+	if err := s.WriteProm(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(prom.Bytes(), again.Bytes()) {
+		t.Error("second Finalize changed the telemetry")
+	}
+}
+
 // TestFairShareBeatsFIFOQueueWait is the ISSUE's acceptance scenario: a
 // long many-task job arrives first and hogs the pool; a burst of short
 // jobs lands behind it. Under FIFO the head job keeps its full grant and
@@ -310,6 +360,8 @@ func TestPushedOutJobReadsTargetZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Run releases the job list, so keep it for the checks after.
+	jobs := s.jobs
 	var targets []int
 	s.clock.At(simclock.Epoch.Add(2*time.Second+time.Millisecond), func() {
 		for _, j := range s.jobs {
@@ -337,13 +389,13 @@ func TestPushedOutJobReadsTargetZero(t *testing.T) {
 		}
 	}
 	for i, want := range []int{4, 2, 2, 0} {
-		app := s.jobs[i].appID
+		app := jobs[i].appID
 		if admitCores[app] != want {
 			t.Errorf("%s admitted on %d cores, want %d", app, admitCores[app], want)
 		}
 	}
 	for _, i := range []int{1, 2} {
-		if app := s.jobs[i].appID; !reclaimed[app] {
+		if app := jobs[i].appID; !reclaimed[app] {
 			t.Errorf("%s was pushed out of the entitled prefix but drained no VM executor", app)
 		}
 	}

@@ -16,16 +16,17 @@ import (
 // check the counts and lists never drift: through steals and injections,
 // deadline-admission sheds, and Finalize's failures.
 
-// checkPhaseCounts fails t unless s.inPhase matches a recount of s.jobs,
-// the active and queued lists hold exactly the jobs in those phases in ID
-// order, only entitled active jobs have a nonzero target, and every running job
+// checkPhaseCounts fails t unless s.inPhase matches a recount of jobs
+// (s.jobs, or a copy taken before Finalize released it), the active and
+// queued lists hold exactly the jobs in those phases in ID order, only
+// entitled active jobs have a nonzero target, and every running job
 // holding a pool core is on the ID-ordered lease-holder list.
-func checkPhaseCounts(t *testing.T, s *Scheduler, where string) {
+func checkPhaseCounts(t *testing.T, s *Scheduler, jobs []*job, where string) {
 	t.Helper()
 	at := s.clock.Since(simclock.Epoch)
 	var want [numPhases]int
 	var active, queued []*job
-	for _, j := range s.jobs {
+	for _, j := range jobs {
 		want[j.phase]++
 		if j.active() {
 			active = append(active, j)
@@ -62,7 +63,7 @@ func drivePhaseChecked(t *testing.T, clock *simclock.Clock, maxSim time.Duration
 		if err := s.Start(); err != nil {
 			t.Fatalf("Start: %v", err)
 		}
-		checkPhaseCounts(t, s, "start")
+		checkPhaseCounts(t, s, s.jobs, "start")
 	}
 	allDone := func() bool {
 		for _, s := range scheds {
@@ -79,18 +80,19 @@ func drivePhaseChecked(t *testing.T, clock *simclock.Clock, maxSim time.Duration
 		}
 		for _, s := range scheds {
 			s.Pump()
-			checkPhaseCounts(t, s, "step")
+			checkPhaseCounts(t, s, s.jobs, "step")
 		}
 		if between != nil {
 			between()
 			for _, s := range scheds {
-				checkPhaseCounts(t, s, "between steps")
+				checkPhaseCounts(t, s, s.jobs, "between steps")
 			}
 		}
 	}
 	for _, s := range scheds {
+		jobs := s.jobs // Finalize releases the list
 		s.Finalize()
-		checkPhaseCounts(t, s, "finalize")
+		checkPhaseCounts(t, s, jobs, "finalize")
 		if !s.Done() {
 			t.Errorf("scheduler not done after Finalize: inPhase = %v", s.inPhase)
 		}
@@ -138,7 +140,7 @@ func TestPhaseCountsThroughStealAndInject(t *testing.T) {
 		if !ok {
 			t.Fatal("Steal failed after StealableDemand offered a job")
 		}
-		checkPhaseCounts(t, busy, "after Steal")
+		checkPhaseCounts(t, busy, busy.jobs, "after Steal")
 		idle.Inject(spec, arrivedAt)
 		steals++
 	}

@@ -302,6 +302,83 @@ func TestLeakSettledJobWorkloads(t *testing.T) {
 	}
 }
 
+// TestLeakFinishedRunJobs: a finished scheduler keeps its report, event
+// log, telemetry and pool, and no job. Finalize releases the job list
+// once the report is built, so while the scheduler is held no job struct
+// stays reachable, whether the job completed (bridged, or on a warm
+// pool), was shed, or was failed at the cut-off with its workload parked.
+// Callbacks of the last jobs' teardown (and, at the cut-off, of work in
+// flight) may still be on the clock when Run returns; they reach their
+// jobs' engines and jobs until they fire, so the test drains the clock
+// first, as TestLeakFinishedJobEngines does.
+func TestLeakFinishedRunJobs(t *testing.T) {
+	arrivals := make([]time.Duration, 12)
+	for i := range arrivals {
+		arrivals[i] = time.Duration(i) * 2 * time.Second
+	}
+	cases := []struct {
+		name string
+		cfg  func(t *testing.T) Config
+		want func(rep *Report) bool
+	}{
+		{"bridge", func(t *testing.T) Config {
+			return Config{Jobs: testJobs(t, arrivals, 4, 4, 2), PoolCores: 4, Strategy: StrategyBridge}
+		}, func(rep *Report) bool { return rep.Completed == rep.Jobs }},
+		{"warmpool-tmpcache", func(t *testing.T) Config {
+			return Config{Jobs: warmJobs(t, 12), PoolCores: 4, Strategy: StrategyBridge, WarmPool: 4, TmpCache: true}
+		}, func(rep *Report) bool { return rep.Completed == rep.Jobs }},
+		{"shed", func(t *testing.T) Config {
+			return Config{Jobs: testJobs(t, []time.Duration{0, time.Second, 2 * time.Second}, 4, 8, 4),
+				PoolCores: 4, Strategy: StrategyQueue, SLOFactor: 1.2, Admission: AdmissionDeadline}
+		}, func(rep *Report) bool { return rep.Shed > 0 }},
+		{"cut-off", func(t *testing.T) Config {
+			base, err := Baseline(abortPageRank(), 4, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var jobs []JobSpec
+			for i := 0; i < 8; i++ {
+				jobs = append(jobs, JobSpec{Workload: abortPageRank(), Baseline: base,
+					Cores: 4, Arrival: time.Duration(i) * 2 * time.Second})
+			}
+			return Config{Jobs: jobs, PoolCores: 8, Strategy: StrategyBridge, MaxSimTime: abortCutoff}
+		}, func(rep *Report) bool { return rep.Failed > 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg(t)
+			cfg.Policy, cfg.Seed = FairShare(), 5
+			if cfg.SLOFactor == 0 {
+				cfg.SLOFactor = 3
+			}
+			s, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := make([]weak.Pointer[job], len(s.jobs))
+			for i, j := range s.jobs {
+				held[i] = weak.Make(j)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tc.want(rep) {
+				t.Fatalf("the day did not reach the %s path: %d jobs, %d completed, %d failed, %d shed",
+					tc.name, rep.Jobs, rep.Completed, rep.Failed, rep.Shed)
+			}
+			for s.Clock().Step() {
+			}
+			runtime.GC()
+			if n := liveWeak(held); n != 0 {
+				t.Errorf("%d of %d jobs are still reachable from the finished scheduler", n, len(held))
+			}
+			runtime.KeepAlive(s)
+			runtime.KeepAlive(rep)
+		})
+	}
+}
+
 // failingWorkload runs its workload, then reports an error.
 type failingWorkload struct{ workloads.Workload }
 

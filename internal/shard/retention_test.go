@@ -55,25 +55,44 @@ func (s *probeSet) live() int {
 	return n
 }
 
+// liveWeak counts the weak pointers whose objects are still reachable.
+func liveWeak[T any](ws []weak.Pointer[T]) int {
+	n := 0
+	for _, w := range ws {
+		if w.Value() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// tenantOn returns a tenant label that hashes to shard of two.
+func tenantOn(shard int) string {
+	for i := 0; ; i++ {
+		if name := fmt.Sprintf("t%02d", i); ShardOf(name, 2) == shard {
+			return name
+		}
+	}
+}
+
 // TestLeakShardedJobEngines: the sharded manager keeps every shard's
 // scheduler for the merged report and event stream; no finished job's
 // engine or workload may stay reachable through them (the manager's
-// config and every shard's included), stolen jobs included. One busy
-// tenant and one light tenant on different shards make the light shard
-// steal under queueing.
+// config and every shard's included), stolen jobs included. Nor may any
+// job: each shard released its job list when it finalized, the jobs it
+// migrated away and the ones it injected included. Job structs are
+// internal to the cluster package, so each spec carries its own
+// CostPick, which only its jobs reach (a stolen job's source and
+// destination share it; report rows copy its fields). One busy tenant
+// and one light tenant on different shards make the light shard steal
+// under queueing.
 func TestLeakShardedJobEngines(t *testing.T) {
-	tenantOn := func(shard int) string {
-		for i := 0; ; i++ {
-			if name := fmt.Sprintf("t%02d", i); ShardOf(name, 2) == shard {
-				return name
-			}
-		}
-	}
 	busy, light := tenantOn(0), tenantOn(1)
 	for _, strategy := range []cluster.Strategy{cluster.StrategyBridge, cluster.StrategyQueue} {
 		t.Run(strategy.String(), func(t *testing.T) {
 			set := &probeSet{}
 			var specs []cluster.JobSpec
+			var picks []weak.Pointer[cluster.CostPick]
 			for i := 0; i < 12; i++ {
 				tenant := busy
 				if i%6 == 5 {
@@ -81,6 +100,8 @@ func TestLeakShardedJobEngines(t *testing.T) {
 				}
 				spec := testSpec(t, tenant, time.Duration(i)*time.Second, 4, 4, 2)
 				spec.Workload = set.wrap(spec.Workload)
+				spec.Pick = &cluster.CostPick{Policy: "min-cost", Source: "fallback"}
+				picks = append(picks, weak.Make(spec.Pick))
 				specs = append(specs, spec)
 			}
 			m, err := New(Config{Shards: 2, Cluster: cluster.Config{
@@ -106,14 +127,11 @@ func TestLeakShardedJobEngines(t *testing.T) {
 			if n := set.live(); n != 0 {
 				t.Errorf("%d of %d finished jobs' engines are still reachable (%d steals)", n, len(set.engines), rep.Steals)
 			}
-			live := 0
-			for _, w := range set.workloads {
-				if w.Value() != nil {
-					live++
-				}
+			if n := liveWeak(set.workloads); n != 0 {
+				t.Errorf("%d of %d settled jobs' workloads are still reachable (%d steals)", n, jobs, rep.Steals)
 			}
-			if live != 0 {
-				t.Errorf("%d of %d settled jobs' workloads are still reachable (%d steals)", live, jobs, rep.Steals)
+			if n := liveWeak(picks); n != 0 {
+				t.Errorf("%d of %d jobs are still reachable from the finished manager (%d steals)", n, jobs, rep.Steals)
 			}
 			runtime.KeepAlive(m)
 		})
@@ -145,13 +163,6 @@ func TestShardedJobsLeaveNoShuffleFiles(t *testing.T) {
 	base, err := cluster.Baseline(job(), 4, 9)
 	if err != nil {
 		t.Fatal(err)
-	}
-	tenantOn := func(shard int) string {
-		for i := 0; ; i++ {
-			if name := fmt.Sprintf("t%02d", i); ShardOf(name, 2) == shard {
-				return name
-			}
-		}
 	}
 	busy, light := tenantOn(0), tenantOn(1)
 	for _, jobs := range []int{10, 100} {

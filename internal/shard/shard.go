@@ -92,8 +92,10 @@ type Manager struct {
 	bus     *eventlog.Bus
 	shards  []*shardState
 	assigns []assignRec
-	maxSim  time.Duration
-	ran     bool
+	// free is the steal pass's scratch: each shard's planned free cores.
+	free   []int
+	maxSim time.Duration
+	ran    bool
 }
 
 // New validates cfg, partitions the job stream by tenant hash, and builds
@@ -128,6 +130,7 @@ func New(cfg Config) (*Manager, error) {
 		cfg:    cfg,
 		clock:  clock,
 		bus:    eventlog.NewBus(simclock.Epoch),
+		free:   make([]int, cfg.Shards),
 		maxSim: cfg.Cluster.MaxSimTime,
 	}
 	cfg.Cluster.Prof.ObserveBus(m.bus)
@@ -220,6 +223,8 @@ func (m *Manager) Run() (*Report, error) {
 			m.bus.Emit(m.clock.Now(), ev)
 		})
 	}
+	// Each timer holds its own copy of its record.
+	m.assigns = nil
 
 	deadline := simclock.Epoch.Add(m.maxSim)
 	for !m.done() && m.clock.Now().Before(deadline) {
@@ -268,21 +273,25 @@ func (m *Manager) done() bool {
 // the shard with the most free cores that can (ring order from the source
 // breaks ties). Planned-free accounting within the pass keeps two sources
 // from over-committing the same destination before its scheduler runs.
+// Pools change only when a scheduler runs, never inside the pass (Steal
+// and Inject just kick), so the pools are probed once, when the first
+// stealable job turns up.
 func (m *Manager) stealPass() {
 	n := len(m.shards)
-	free := make([]int, n)
-	for i, st := range m.shards {
-		if st.sched != nil {
-			free[i] = st.sched.PoolFree()
-		}
-	}
+	var free []int
 	for i, st := range m.shards {
 		if st.sched == nil {
 			continue
 		}
 		for {
 			demand, ok := st.sched.StealableDemand()
-			if !ok || free[i] >= demand {
+			if !ok {
+				break
+			}
+			if free == nil {
+				free = m.probeFree()
+			}
+			if free[i] >= demand {
 				break
 			}
 			best := -1
@@ -314,6 +323,17 @@ func (m *Manager) stealPass() {
 			m.bus.Emit(m.clock.Now(), ev)
 		}
 	}
+}
+
+// probeFree fills the steal pass's scratch slice with each shard's free
+// pool cores and returns it.
+func (m *Manager) probeFree() []int {
+	for i, st := range m.shards {
+		if st.sched != nil {
+			m.free[i] = st.sched.PoolFree()
+		}
+	}
+	return m.free
 }
 
 // Events returns the merged event stream: the manager's own placement /
